@@ -21,7 +21,7 @@ from .data_io import DataError, FeatureSet, SynthConfig, generate_synthetic, loa
 from .diffcore import DiffError, NumericError
 from .evaluate import (BASELINES, DEFAULT_SWEEP_RATIOS, evaluate_model, mask_ratio_sweep,
                        rank_list_rows, report_rows, retrieval_embeddings, run_baseline)
-from .model import CheckpointError, ModelConfig
+from .model import LOSS_NAMES, CheckpointError, ModelConfig
 from .optim import OptimConfig
 from .trainer import TrainConfig, epoch_log_rows, load_checkpoint, save_checkpoint, train
 
@@ -56,7 +56,10 @@ def read_config_file(path):
             if "=" not in line:
                 raise UsageError(f"{path}:{ln}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in DEFAULTS and key not in {f"use_{name}" for name in LOSS_NAMES}:
+                raise UsageError(f"{path}:{ln}: unknown key {key!r}")
+            values[key] = value
     return values
 
 
@@ -101,7 +104,7 @@ def build_train_config(args, d_audio, d_visual):
         cosine_t_max=resolve(args, "t_max", int),
     )
     use = {name: not getattr(args, f"no_{name}", False) and _bool(fv.get(f"use_{name}", "true"))
-           for name in ("rec", "cca", "infonce", "dis")}
+           for name in LOSS_NAMES}
     if not any(use.values()):
         raise UsageError("all loss terms disabled; enable at least one")
     return TrainConfig(
@@ -185,7 +188,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    mp, _, cca_model = load_checkpoint(args.checkpoint)
+    mp, cca_model = load_checkpoint(args.checkpoint)
     data = load_features(args.features, split="test")
     if data.labels is None:
         raise DataError(f"{args.features}: evaluation needs class labels")

@@ -67,9 +67,11 @@ class Parameter:
             raise ShapeError(f"parameter {name!r}: expected 2-D, got {arr.shape}")
         self.name = name
         self.value = arr
-        self.grad = np.zeros_like(arr)
-        self.adam_m = np.zeros_like(arr)
-        self.adam_v = np.zeros_like(arr)
+        # np.zeros (not zeros_like) maps pages on first write, so buffers that
+        # are never written, such as a teacher's or an eval model's, take no memory
+        self.grad = np.zeros(arr.shape)
+        self.adam_m = np.zeros(arr.shape)
+        self.adam_v = np.zeros(arr.shape)
         self.decay = decay
 
     def tensor(self):
@@ -217,21 +219,6 @@ def exp(a):
     return _node("exp", y, (a,), bwd)
 
 
-def row_softmax(a, temp=1.0):
-    if temp <= 0:
-        raise ValueError("row_softmax: temperature must be positive")
-    z = a.value / temp
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return ((y * (g - inner)) / temp,)
-
-    return _node("row_softmax", y, (a,), bwd)
-
-
 def row_log_softmax(a, temp=1.0):
     if temp <= 0:
         raise ValueError("row_log_softmax: temperature must be positive")
@@ -340,23 +327,6 @@ def mse(a, b):
     return _node("mse", [[float((diff * diff).sum() / n)]], (a, b), bwd)
 
 
-def cosine_rows(a, b):
-    """Per-row cosine similarity, returned as an n x 1 column."""
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_rows: {a.shape} vs {b.shape}")
-    na = np.maximum(np.linalg.norm(a.value, axis=1, keepdims=True), 1e-12)
-    nb = np.maximum(np.linalg.norm(b.value, axis=1, keepdims=True), 1e-12)
-    ua, ub = a.value / na, b.value / nb
-    y = (ua * ub).sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        ga = g * (ub - y * ua) / na
-        gb = g * (ua - y * ub) / nb
-        return ga, gb
-
-    return _node("cosine_rows", y, (a, b), bwd)
-
-
 def l2_normalize_rows(a, zero_tol=1e-12):
     """Rows scaled to unit L2 norm; rows with norm < zero_tol map to zeros."""
     norms = np.linalg.norm(a.value, axis=1, keepdims=True)
@@ -369,41 +339,6 @@ def l2_normalize_rows(a, zero_tol=1e-12):
         return (np.where(live, (g - y * inner) / safe, 0.0),)
 
     return _node("l2_normalize_rows", y, (a,), bwd)
-
-
-def concat_cols(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: {a.shape} | {b.shape}")
-    ca = a.shape[1]
-
-    def bwd(g):
-        return g[:, :ca], g[:, ca:]
-
-    return _node("concat_cols", np.hstack([a.value, b.value]), (a, b), bwd)
-
-
-def slice_cols(a, start, stop):
-    if not 0 <= start < stop <= a.shape[1]:
-        raise ShapeError(f"slice_cols: [{start}:{stop}] of {a.shape}")
-
-    def bwd(g):
-        out = np.zeros(a.shape)
-        out[:, start:stop] = g
-        return (out,)
-
-    return _node("slice_cols", a.value[:, start:stop], (a,), bwd)
-
-
-def elementwise_mask(a, mask):
-    """Multiply forward and backward by a constant 0/1 matrix."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != a.shape:
-        raise ShapeError(f"elementwise_mask: {a.shape} vs mask {mask.shape}")
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _node("elementwise_mask", a.value * mask, (a,), bwd)
 
 
 def stop_gradient(a):
@@ -428,15 +363,6 @@ def sum_all(a):
         return (np.full(a.shape, g[0, 0]),)
 
     return _node("sum_all", [[float(a.value.sum())]], (a,), bwd)
-
-
-def mean_all(a):
-    size = a.value.size
-
-    def bwd(g):
-        return (np.full(a.shape, g[0, 0] / size),)
-
-    return _node("mean_all", [[float(a.value.mean())]], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

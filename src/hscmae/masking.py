@@ -16,8 +16,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MaskPlan:
-    ratio: float
-    seed: int
     d_audio: int
     d_visual: int
     audio_idx: np.ndarray   # n x floor(ratio * d_audio), int
@@ -34,8 +32,8 @@ def make_plan(n, d_audio, d_visual, ratio, seed):
         # argsort of uniform noise = uniform sample without replacement
         return np.argsort(rng.random((n, d)), axis=1)[:, :k]
 
-    return MaskPlan(ratio=float(ratio), seed=int(seed), d_audio=d_audio,
-                    d_visual=d_visual, audio_idx=pick(d_audio), visual_idx=pick(d_visual))
+    return MaskPlan(d_audio=d_audio, d_visual=d_visual,
+                    audio_idx=pick(d_audio), visual_idx=pick(d_visual))
 
 
 def _indicator(idx, n, d):

@@ -1,9 +1,10 @@
-"""The dual-path network: two modality encoders, single-token cross-attention
+"""The dual-path network: two modality encoders, single-token cross-modal
 fusion, linear projectors into the retrieval space, and per-modality decoders.
 
-Each sample is treated as one token in the fusion block; with a length-1 key
-sequence the attention softmax weight is identically 1, so the block reduces
-to a learnable cross-modal mixer with residual connection and layer norm.
+Each sample is one token in the fusion block. Attention over a length-1 key
+sequence gives that key weight 1, so query/key projections cannot change the
+output and the block keeps only a value-output mixer with residual connection
+and layer norm: layernorm(h + h_other·Wv·Wo).
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ class ModelParams:
                     norm(f"enc.{mod}.{i}.ln", widths[i + 1])
 
         m = config.model_dim
+        lim = np.sqrt(6.0 / (m + m))
         for direction in ("a2v", "v2a"):
-            for proj in ("wq", "wk", "wv", "wo"):
-                lim = np.sqrt(6.0 / (m + m))
+            # skip the draws of the former Q/K weights so every other weight keeps its init
+            rng.bit_generator.advance(2 * m * m)
+            for proj in ("wv", "wo"):
                 w = rng.uniform(-lim, lim, (m, m)) if init else np.zeros((m, m))
                 self.params[f"fuse.{direction}.{proj}"] = dc.Parameter(w, name=f"fuse.{direction}.{proj}")
             norm(f"fuse.{direction}.ln", m)
@@ -121,22 +124,25 @@ class ModelParams:
 
     def copy(self):
         other = ModelParams(self.config, init=False)
-        for name, p in self.params.items():
-            other.params[name].value[...] = p.value
-        for name, b in self.buffers.items():
-            other.buffers[name][...] = b
+        other.load_state_entries(self.state_entries())
         return other
 
     def state_entries(self):
+        """Name -> the live array of every parameter value and buffer."""
         entries = {name: p.value for name, p in self.params.items()}
         entries.update(self.buffers)
         return entries
 
-    def load_state_entries(self, entries, prefix=""):
-        for name, p in self.params.items():
-            p.value[...] = entries[prefix + name]
-        for name in self.buffers:
-            self.buffers[name][...] = entries[prefix + name]
+    def load_state_entries(self, entries):
+        """Copy ``entries`` into the parameters and buffers; extra names are
+        ignored, a missing name or a differing shape raises CheckpointError."""
+        for name, slot in self.state_entries().items():
+            if name not in entries:
+                raise CheckpointError(f"missing entry {name!r}")
+            if entries[name].shape != slot.shape:
+                raise CheckpointError(f"entry {name!r} has shape {entries[name].shape}, "
+                                      f"the model expects {slot.shape}")
+            slot[...] = entries[name]
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +176,12 @@ def encode(mp, xa, xv, train, rng=None):
 
 
 def fuse(mp, ha, hv):
-    """Cross-modal attention with one token per sample.
+    """One-token cross-modal fusion, per direction layernorm(h + h_other·Wv·Wo).
 
-    The softmax over a length-1 key sequence is identically 1, so the Q/K
-    projections cannot influence the output (their gradients are exactly
-    zero) and the concatenated per-head value slices equal the full value
-    projection. The block therefore computes
-    layernorm(h_query + W_o(W_v h_other)).
+    This is cross-attention with one key per query: the softmax weight is
+    identically 1, so query/key projections would have no effect and are not
+    kept, and the concatenated per-head value slices equal the full value
+    projection.
     """
     if ha.shape != hv.shape or ha.shape[1] != mp.config.model_dim:
         raise dc.ShapeError(f"fuse: {ha.shape} vs {hv.shape}, model dim {mp.config.model_dim}")

@@ -17,14 +17,10 @@ class AffinityTargets:
     """Dense per-anchor weight rows (zeros outside the mined neighborhood)."""
     w_a2v: np.ndarray
     w_v2a: np.ndarray
-    k: int
-    tau: float
 
 
 def ema_update(teacher, student, rho):
-    """theta_t <- rho * theta_t + (1 - rho) * theta, values and buffers alike.
-
-    Adam moments on the teacher are untouched (unused)."""
+    """theta_t <- rho * theta_t + (1 - rho) * theta, values and buffers alike."""
     if set(teacher.params) != set(student.params):
         raise ValueError("ema_update: parameter sets differ")
     for name, tp in teacher.params.items():
@@ -81,11 +77,14 @@ def mine_affinities(zt_a, zt_v, k=5, tau=0.05):
     zt_v = np.asarray(zt_v, dtype=np.float64)
     scores = zt_a @ zt_v.T
     return AffinityTargets(w_a2v=_mine_direction(scores, k, tau),
-                           w_v2a=_mine_direction(scores.T, k, tau),
-                           k=k, tau=tau)
+                           w_v2a=_mine_direction(scores.T, k, tau))
 
 
-def identity_affinities(n, k=1, tau=0.05):
-    """Single-positive targets: each anchor's entire weight on its pair."""
+def identity_affinities(n, tau=None):
+    """Single-positive targets: each anchor's entire weight on its pair.
+
+    The targets do not depend on a temperature; ``tau`` is accepted and
+    ignored so that callers of the earlier signature (acceptance criterion
+    4 among them) keep working."""
     eye = np.eye(n)
-    return AffinityTargets(w_a2v=eye, w_v2a=eye.copy(), k=k, tau=tau)
+    return AffinityTargets(w_a2v=eye, w_v2a=eye.copy())

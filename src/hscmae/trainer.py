@@ -17,9 +17,9 @@ from . import cca_linear, diffcore as dc
 from .data_io import TrainView, batches
 from .losses import CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss, soft_infonce, total_loss
 from .masking import apply_value_mask, make_grad_gate, make_plan
-from .model import (LOSS_NAMES, ModelConfig, ModelParams, config_entries, config_from_entries,
-                    decode, embed_arrays, encode, forward_embed, fuse, load_entries, project,
-                    save_entries)
+from .model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, config_entries,
+                    config_from_entries, decode, embed_arrays, encode, forward_embed, fuse,
+                    load_entries, project, save_entries)
 from .optim import OptimConfig, adamw_step, clip_global_norm, cosine_lr
 from .teacher import anneal_momentum, ema_update, identity_affinities, mine_affinities
 
@@ -117,7 +117,7 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
         zt_a, zt_v = embed_arrays(teacher, xa, xv)
         if active["infonce"]:
             if cfg.identity_affinities:
-                targets = identity_affinities(n, tau=cfg.tau)
+                targets = identity_affinities(n)
             else:
                 targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
             bundle.infonce = soft_infonce(z_mae[0], z_mae[1], targets, cfg.tau)
@@ -205,23 +205,28 @@ def train(view, cfg, eval_set=None, step_hook=None):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, result):
+    """Write the config, the student and the appended CCA. The EMA teacher
+    is needed only during training and is not saved."""
     entries = {}
     entries.update(config_entries(result.params.config))
     entries.update(result.params.state_entries())
-    entries.update({f"teacher/{k}": v for k, v in result.teacher.state_entries().items()})
     entries.update(cca_linear.checkpoint_entries(result.cca_model))
     save_entries(path, entries)
 
 
 def load_checkpoint(path):
+    """(student, appended CCA) of a checkpoint; extra entries, such as the
+    teacher copy older checkpoints hold, are ignored. A missing entry or a
+    student entry of the wrong shape raises CheckpointError naming both."""
     entries = load_entries(path)
-    config = config_from_entries(entries)
-    mp = ModelParams(config, init=False)
-    mp.load_state_entries(entries)
-    teacher = ModelParams(config, init=False)
-    teacher.load_state_entries(entries, prefix="teacher/")
-    cca_model = cca_linear.from_checkpoint_entries(entries)
-    return mp, teacher, cca_model
+    try:
+        mp = ModelParams(config_from_entries(entries), init=False)
+        mp.load_state_entries(entries)
+        return mp, cca_linear.from_checkpoint_entries(entries)
+    except KeyError as exc:  # a config/* or cca/* entry
+        raise CheckpointError(f"{path}: missing entry {exc.args[0]!r}") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def epoch_log_rows(logs):

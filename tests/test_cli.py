@@ -7,6 +7,7 @@ import pytest
 
 from hscmae.cli import main
 from hscmae.data_io import FeatureSet, load_features, save_features
+from hscmae.model import load_entries, save_entries
 from hscmae.trainer import load_checkpoint
 
 SMALL_FLAGS = [
@@ -53,9 +54,10 @@ def test_synth_outputs(data_files):
 
 def test_train_outputs(trained):
     ckpt, log_csv, manifest = trained
-    mp, teacher, cca_model = load_checkpoint(ckpt)
+    mp, cca_model = load_checkpoint(ckpt)
     assert mp.config.proj_dim == 4
     assert cca_model.p == 2
+    assert not any(name.startswith("teacher/") for name in load_entries(ckpt))
     lines = open(log_csv).read().strip().split("\n")
     assert lines[0].startswith("epoch,")
     assert len(lines) == 3
@@ -78,6 +80,47 @@ def test_eval_command(trained, data_files, tmp_path):
     avg = float(lines[1].split(",")[3])
     assert 0.0 <= avg <= 1.0
     assert open(ranks_csv).readline().strip() == "query,rank,gallery,relevant"
+
+
+def test_old_format_checkpoint_evaluates_the_same(trained, data_files, tmp_path, capsys):
+    # older checkpoints also hold fusion Q/K weights and a teacher copy
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    entries = load_entries(ckpt)
+    rng = np.random.default_rng(0)
+    old = dict(entries)
+    for name, arr in entries.items():
+        if not name.startswith(("config/", "cca/")):
+            old[f"teacher/{name}"] = arr + rng.normal(size=arr.shape)
+    for direction in ("a2v", "v2a"):
+        for proj in ("wq", "wk"):
+            old[f"fuse.{direction}.{proj}"] = rng.normal(size=entries[f"fuse.{direction}.wv"].shape)
+    old_ckpt = str(tmp_path / "old.ckpt")
+    save_entries(old_ckpt, old)
+    outputs = []
+    for path in (ckpt, old_ckpt):
+        report_csv = tmp_path / "report.csv"
+        assert main(["eval", "--checkpoint", path, "--features", test_path,
+                     "--report-csv", str(report_csv)]) == 0
+        outputs.append((capsys.readouterr().out, report_csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("entry, rows", [("cca/A", None), ("dec.v.1.w", None), ("enc.a.0.w", 1)],
+                         ids=("missing-cca", "missing-weight", "wrong-shape"))
+def test_corrupt_checkpoint_exits_two(trained, data_files, tmp_path, capsys, entry, rows):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    entries = load_entries(ckpt)
+    if rows is None:
+        del entries[entry]
+    else:  # a (1, 8) weight would broadcast silently into the (12, 8) slot
+        entries[entry] = entries[entry][:rows]
+    bad = str(tmp_path / "bad.ckpt")
+    save_entries(bad, entries)
+    assert main(["eval", "--checkpoint", bad, "--features", test_path]) == 2
+    err = capsys.readouterr().err
+    assert bad in err and repr(entry) in err
 
 
 def test_baseline_commands(data_files, tmp_path):
@@ -152,6 +195,15 @@ def test_config_file_and_flag_precedence(data_files, tmp_path):
     header = lines[0].split(",")
     row = lines[1].split(",")
     assert float(row[header.index("l_dis")]) == 0.0
+
+
+def test_config_typo_exits_one(data_files, tmp_path, capsys):
+    train_path, _ = data_files
+    config = tmp_path / "typo.cfg"
+    config.write_text("batch-size = 30\nepochz = 3\n")
+    assert main(["train", "--features", train_path, "--out", str(tmp_path / "x.ckpt"),
+                 "--config", str(config), *SMALL_FLAGS]) == 1
+    assert f"{config}:2: unknown key 'epochz'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(data_files, tmp_path, capsys):

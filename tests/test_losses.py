@@ -117,7 +117,7 @@ def test_soft_infonce_identity_equals_single_positive():
     za = unit_rows(rng.normal(size=(9, 6)))
     zv = unit_rows(rng.normal(size=(9, 6)))
     tau = 0.05
-    loss = soft_infonce(dc.const(za), dc.const(zv), identity_affinities(9, tau=tau), tau)
+    loss = soft_infonce(dc.const(za), dc.const(zv), identity_affinities(9), tau)
 
     logits = za @ zv.T / tau
     def ce_diag(lg):
@@ -159,7 +159,7 @@ def test_soft_infonce_rejects_bad_weights():
 def test_soft_infonce_gradient():
     pa = dc.Parameter(np.random.default_rng(10).normal(size=(5, 4)), name="za")
     pv = dc.Parameter(np.random.default_rng(11).normal(size=(5, 4)), name="zv")
-    targets = identity_affinities(5, tau=0.2)
+    targets = identity_affinities(5)
 
     def fn():
         return soft_infonce(dc.l2_normalize_rows(pa.tensor()),

@@ -7,7 +7,8 @@ import pytest
 import hscmae.diffcore as dc
 from hscmae.model import (CheckpointError, ModelConfig, ModelParams, config_entries,
                           config_from_entries, decode, embed_arrays, encode, forward_embed,
-                          fuse, load_entries, project, save_entries)
+                          fuse, load_entries, save_entries)
+from hscmae.trainer import TrainConfig, train_step
 
 from conftest import tiny_model_config
 
@@ -101,17 +102,46 @@ def test_fusion_reduces_to_value_output_mixer():
     np.testing.assert_allclose(uv.value, oracle("v2a", hv.value, ha.value), atol=1e-12)
 
 
-def test_query_key_projections_receive_zero_gradient():
-    mp = ModelParams(tiny_model_config(), seed=7)
+def test_every_parameter_receives_gradient():
+    # one step with all four losses past warm-up: a weight with no gradient
+    # cannot change any output and has no place in the model
+    cfg = TrainConfig(model=tiny_model_config(), warmup_epochs=1, k=3)
+    mp = ModelParams(cfg.model, seed=7)
     rng = np.random.default_rng(8)
-    xa, xv = rng.normal(size=(5, 3)), rng.normal(size=(5, 5))
-    za, zv, _, _ = forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
-    dc.backward(dc.sum_all(dc.add(za, zv)))
+    xa, xv = rng.normal(size=(16, 3)), rng.normal(size=(16, 5))
+    train_step(mp, mp.copy(), xa, xv, cfg, epoch=2, step_seed=9, lr_t=1e-3, rho=0.95, adam_step=1)
+    assert [name for name, p in mp.params.items() if not np.any(p.grad != 0.0)] == []
+
+
+def test_init_stream_skips_the_former_query_key_draws():
+    # the former init drew wq, wk, wv, wo per fusion direction; every weight
+    # kept must equal its draw from that stream
+    cfg = tiny_model_config()
+    mp = ModelParams(cfg, seed=19)
+    rng = np.random.default_rng(19)
+
+    def draw(fan_in, fan_out):
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-lim, lim, (fan_in, fan_out))
+
+    expected = {}
+    for mod, widths in (("a", cfg.audio_widths), ("v", cfg.visual_widths)):
+        for i in range(len(widths) - 1):
+            expected[f"enc.{mod}.{i}.w"] = draw(widths[i], widths[i + 1])
+    m = cfg.model_dim
     for direction in ("a2v", "v2a"):
-        assert np.all(mp.params[f"fuse.{direction}.wq"].grad == 0.0)
-        assert np.all(mp.params[f"fuse.{direction}.wk"].grad == 0.0)
-        assert np.any(mp.params[f"fuse.{direction}.wv"].grad != 0.0)
-        assert np.any(mp.params[f"fuse.{direction}.wo"].grad != 0.0)
+        for proj in ("wq", "wk", "wv", "wo"):
+            expected[f"fuse.{direction}.{proj}"] = draw(m, m)
+        del expected[f"fuse.{direction}.wq"], expected[f"fuse.{direction}.wk"]
+    for mod in ("a", "v"):
+        expected[f"proj.{mod}.w"] = draw(m, cfg.proj_dim)
+    for mod, d_out in (("a", cfg.d_audio), ("v", cfg.d_visual)):
+        for i, fan_out in enumerate((m, m, d_out)):
+            expected[f"dec.{mod}.{i}.w"] = draw(m, fan_out)
+
+    assert {n for n in mp.params if n.endswith((".w", ".wv", ".wo"))} == set(expected)
+    for name, w in expected.items():
+        np.testing.assert_array_equal(mp.params[name].value, w)
 
 
 def test_projection_rows_unit_norm():

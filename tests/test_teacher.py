@@ -38,11 +38,11 @@ def test_ema_leaves_student_and_moments_untouched():
     student = ModelParams(tiny_model_config(), seed=3)
     teacher = ModelParams(tiny_model_config(), seed=4)
     before = {name: p.value.copy() for name, p in student.params.items()}
-    teacher.params["enc.a.0.w"].adam_m[...] = 7.0
+    student.params["enc.a.0.w"].adam_m[...] = 7.0
     ema_update(teacher, student, 0.5)
     for name, p in student.params.items():
         np.testing.assert_array_equal(p.value, before[name])
-    assert np.all(teacher.params["enc.a.0.w"].adam_m == 7.0)
+    assert np.all(student.params["enc.a.0.w"].adam_m == 7.0)
 
 
 def test_anneal_endpoints_and_midpoint():
@@ -131,7 +131,7 @@ def test_mining_validation():
 
 
 def test_identity_affinities():
-    t = identity_affinities(4, tau=0.05)
+    t = identity_affinities(4)
     np.testing.assert_array_equal(t.w_a2v, np.eye(4))
     np.testing.assert_array_equal(t.w_v2a, np.eye(4))
     t.w_a2v[0, 0] = 0.0
