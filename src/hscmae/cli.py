@@ -43,10 +43,12 @@ DEFAULTS = {
     "audio_widths": "auto", "visual_widths": "auto",
     "classes": 8, "per_class": 250, "d_audio": 12, "d_visual": 24,
     "noise": 0.8, "mean_scale": 1.0,
+    **{f"use_{name}": True for name in LOSS_NAMES},
 }
 
 
 def read_config_file(path):
+    """key -> (raw value, "file:line") for each ``key = value`` line."""
     values = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -57,42 +59,54 @@ def read_config_file(path):
                 raise UsageError(f"{path}:{ln}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in DEFAULTS and key not in {f"use_{name}" for name in LOSS_NAMES}:
+            if key not in DEFAULTS:
                 raise UsageError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = value
+            values[key] = (value, f"{path}:{ln}")
     return values
 
 
 def resolve(args, key, cast=None):
-    """CLI flag > config file > built-in default."""
+    """CLI flag > config file > built-in default. A config-file value that
+    ``cast`` rejects is a usage error naming its file, line and key."""
     cli_value = getattr(args, key, None)
     if cli_value is not None:
         return cli_value
     file_values = getattr(args, "_file_values", {})
     if key in file_values:
-        raw = file_values[key]
-        return cast(raw) if cast else raw
+        raw, where = file_values[key]
+        try:
+            return cast(raw) if cast else raw
+        except ValueError:
+            raise UsageError(f"{where}: cannot parse {key} = {raw!r}") from None
     return DEFAULTS.get(key)
 
 
-def _parse_widths(raw, d_in):
-    if raw == "auto":
+def _widths(raw):
+    """'auto' or a comma-separated list of layer widths."""
+    return raw if raw == "auto" else tuple(int(w) for w in raw.split(","))
+
+
+def _parse_widths(widths, d_in):
+    if widths == "auto":
         return (d_in, 1024, 1024, 1024)
-    widths = tuple(int(w) for w in str(raw).split(","))
     if widths[0] != d_in:
         raise DataError(f"encoder widths {widths} do not start at the data dim {d_in}")
     return widths
 
 
 def _bool(raw):
-    return str(raw).strip().lower() in ("1", "true", "yes", "on")
+    word = raw.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
 def build_train_config(args, d_audio, d_visual):
-    fv = getattr(args, "_file_values", {})
     model = ModelConfig(
-        audio_widths=_parse_widths(resolve(args, "audio_widths"), d_audio),
-        visual_widths=_parse_widths(resolve(args, "visual_widths"), d_visual),
+        audio_widths=_parse_widths(resolve(args, "audio_widths", _widths), d_audio),
+        visual_widths=_parse_widths(resolve(args, "visual_widths", _widths), d_visual),
         heads=resolve(args, "heads", int),
         proj_dim=resolve(args, "proj_dim", int),
         dropout=resolve(args, "dropout", float),
@@ -103,7 +117,7 @@ def build_train_config(args, d_audio, d_visual):
         clip_norm=resolve(args, "clip_norm", float),
         cosine_t_max=resolve(args, "t_max", int),
     )
-    use = {name: not getattr(args, f"no_{name}", False) and _bool(fv.get(f"use_{name}", "true"))
+    use = {name: not getattr(args, f"no_{name}", False) and resolve(args, f"use_{name}", _bool)
            for name in LOSS_NAMES}
     if not any(use.values()):
         raise UsageError("all loss terms disabled; enable at least one")
@@ -275,8 +289,8 @@ def _add_train_flags(p):
     p.add_argument("--proj-dim", type=int, dest="proj_dim")
     p.add_argument("--dropout", type=float)
     p.add_argument("--cca-post-dim", type=int, dest="cca_post_dim")
-    p.add_argument("--audio-widths", dest="audio_widths")
-    p.add_argument("--visual-widths", dest="visual_widths")
+    p.add_argument("--audio-widths", dest="audio_widths", type=_widths)
+    p.add_argument("--visual-widths", dest="visual_widths", type=_widths)
     p.add_argument("--no-cca", action="store_true")
     p.add_argument("--no-rec", action="store_true")
     p.add_argument("--no-infonce", action="store_true")

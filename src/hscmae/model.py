@@ -30,6 +30,8 @@ class ModelConfig:
             raise ValueError("encoder widths must contain at least one layer")
         if self.audio_widths[-1] != self.visual_widths[-1]:
             raise ValueError("encoder output widths must match for fusion")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.audio_widths[-1] % self.heads:
             raise ValueError(f"model dim {self.audio_widths[-1]} not divisible by {self.heads} heads")
         if self.proj_dim < 1:
@@ -276,6 +278,8 @@ def load_entries(path):
         if off + nlen + 8 > len(blob):
             raise CheckpointError(f"{path}: truncated record at offset {off}")
         name = blob[off:off + nlen].decode("utf-8")
+        if name in entries:
+            raise CheckpointError(f"{path}: duplicate entry {name!r}")
         off += nlen
         rows, cols = struct.unpack_from("<II", blob, off)
         off += 8

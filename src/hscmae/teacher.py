@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffcore import NumericError
+
 
 @dataclass(frozen=True)
 class AffinityTargets:
@@ -44,22 +46,45 @@ def anneal_momentum(epoch, total_epochs, lo=0.95, hi=0.999):
 
 
 def _mine_direction(scores, k, tau):
+    """Soft top-k rows for one direction, all anchors at once.
+
+    Row i's neighbourhood is i itself, then the min(k, n) - 1 highest
+    off-diagonal scores of row i in descending order, equal scores going to
+    the lower column index. Its weights are a softmax of score / tau taken
+    over the neighbourhood in that order; every other weight is zero.
+    Selection is O(n^2) for any k: a partition finds each row's m-th largest
+    score t, every score above t is taken, and the remaining slots go to the
+    scores equal to t from the lowest column up. Scores must be finite.
+    """
     n = scores.shape[0]
-    kk = min(k, n)
-    w = np.zeros((n, n))
-    # stable descending sort so equal scores break toward lower index
-    order = np.argsort(-scores, axis=1, kind="stable")
-    for i in range(n):
-        neigh = [i]  # paired sample is always included
-        for j in order[i]:
-            if len(neigh) == kk:
-                break
-            if j != i:
-                neigh.append(int(j))
-        neigh = np.asarray(neigh)
-        logits = scores[i, neigh] / tau
-        e = np.exp(logits - logits.max())
-        w[i, neigh] = e / e.sum()
+    m = min(k, n) - 1
+    rows = np.arange(n)
+    neigh = rows[:, None]
+    # one n x n buffer serves the partition and then the output: fresh pages
+    # cost more than the arithmetic at batch sizes in the hundreds
+    w = scores.copy()
+    if m > 0:
+        w[rows, rows] = -np.inf
+        w.partition(n - m, axis=1)
+        t = w[:, n - m, None]
+        sel = scores >= t
+        sel[rows, rows] = False  # the pair often beats t; keep such rows off the path below
+        # rows holding more scores equal to t than free slots keep the lowest columns
+        over = np.flatnonzero(sel.sum(axis=1) > m)
+        sub, t_over = scores[over], t[over]
+        sub[np.arange(over.size), over] = -np.inf
+        above = sub > t_over
+        tied = sub == t_over
+        tied &= np.cumsum(tied, axis=1) <= m - above.sum(axis=1, keepdims=True)
+        sel[over] = above | tied
+        cols = np.flatnonzero(sel).reshape(n, m) - n * rows[:, None]
+        # cols ascend per row, so a stable sort keeps ties toward the lower index
+        order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+        neigh = np.concatenate([neigh, np.take_along_axis(cols, order, axis=1)], axis=1)
+    logits = np.take_along_axis(scores, neigh, axis=1) / tau
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w[...] = 0.0
+    np.put_along_axis(w, neigh, e / e.sum(axis=1, keepdims=True), axis=1)
     return w
 
 
@@ -67,15 +92,18 @@ def mine_affinities(zt_a, zt_v, k=5, tau=0.05):
     """Cross-modal soft top-k mining on teacher embeddings.
 
     For each anchor the paired index is force-included, the remaining k-1
-    slots take the highest cosine scores, and the weights are a
-    temperature-scaled softmax over the neighborhood. Both directions are
-    mined; the result carries no gradient by construction (plain arrays).
+    slots take the highest cosine scores (ties toward the lower index), and
+    the weights are a temperature-scaled softmax over the neighborhood. Both
+    directions are mined; the result carries no gradient by construction
+    (plain arrays). Non-finite scores raise NumericError.
     """
     if k < 1:
         raise ValueError("mine_affinities: k must be >= 1")
     zt_a = np.asarray(zt_a, dtype=np.float64)
     zt_v = np.asarray(zt_v, dtype=np.float64)
     scores = zt_a @ zt_v.T
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("mine_affinities: non-finite similarity scores")
     return AffinityTargets(w_a2v=_mine_direction(scores, k, tau),
                            w_v2a=_mine_direction(scores.T, k, tau))
 

@@ -217,7 +217,9 @@ def save_checkpoint(path, result):
 def load_checkpoint(path):
     """(student, appended CCA) of a checkpoint; extra entries, such as the
     teacher copy older checkpoints hold, are ignored. A missing entry or a
-    student entry of the wrong shape raises CheckpointError naming both."""
+    student entry of the wrong shape raises CheckpointError naming both;
+    config/* entries that describe no valid model raise it naming the file
+    and the reason."""
     entries = load_entries(path)
     try:
         mp = ModelParams(config_from_entries(entries), init=False)
@@ -225,6 +227,8 @@ def load_checkpoint(path):
         return mp, cca_linear.from_checkpoint_entries(entries)
     except KeyError as exc:  # a config/* or cca/* entry
         raise CheckpointError(f"{path}: missing entry {exc.args[0]!r}") from None
+    except (ValueError, OverflowError, IndexError) as exc:  # unusable config/* values
+        raise CheckpointError(f"{path}: config/* entries describe no valid model: {exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 

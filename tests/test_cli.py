@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, run in process."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -123,6 +124,37 @@ def test_corrupt_checkpoint_exits_two(trained, data_files, tmp_path, capsys, ent
     assert bad in err and repr(entry) in err
 
 
+@pytest.mark.parametrize("heads, reason", [([[0.0]], "heads must be >= 1"),
+                                           ([[np.inf]], "infinity"),
+                                           (np.zeros((1, 0)), "out of bounds")],
+                         ids=("zero", "inf", "empty"))
+def test_invalid_config_entry_exits_two(trained, data_files, tmp_path, capsys, heads, reason):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    entries = load_entries(ckpt)
+    entries["config/heads"] = np.asarray(heads)
+    bad = str(tmp_path / "bad.ckpt")
+    save_entries(bad, entries)
+    assert main(["eval", "--checkpoint", bad, "--features", test_path]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: config/* entries describe no valid model" in err and reason in err
+
+
+def test_duplicate_checkpoint_entry_exits_two(trained, data_files, tmp_path, capsys):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    # save_entries takes a dict, so append a second 'enc.a.0.w' record by hand
+    weight = load_entries(ckpt)["enc.a.0.w"]
+    name = b"enc.a.0.w"
+    record = (struct.pack("<I", len(name)) + name + struct.pack("<II", *weight.shape)
+              + weight.astype("<f8").tobytes())
+    bad = tmp_path / "dup.ckpt"
+    with open(ckpt, "rb") as fh:
+        bad.write_bytes(fh.read() + record)
+    assert main(["eval", "--checkpoint", str(bad), "--features", test_path]) == 2
+    assert f"{bad}: duplicate entry 'enc.a.0.w'" in capsys.readouterr().err
+
+
 def test_baseline_commands(data_files, tmp_path):
     train_path, test_path = data_files
     for name in ("random", "cca"):
@@ -206,6 +238,22 @@ def test_config_typo_exits_one(data_files, tmp_path, capsys):
     assert f"{config}:2: unknown key 'epochz'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, key", [("epochs = abc", "epochs"), ("lr = 1e-3x", "lr"),
+                                       ("audio-widths = 12,x,8", "audio_widths"),
+                                       ("use_dis = flase", "use_dis")])
+def test_config_unparsable_value_exits_one(data_files, tmp_path, capsys, line, key):
+    train_path, _ = data_files
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"batch-size = 30\n{line}\n")
+    flags = list(SMALL_FLAGS)
+    flag = "--" + key.replace("_", "-")
+    if flag in flags:  # a flag would override the file value
+        del flags[flags.index(flag):flags.index(flag) + 2]
+    assert main(["train", "--features", train_path, "--out", str(tmp_path / "x.ckpt"),
+                 "--config", str(config), *flags]) == 1
+    assert f"{config}:2: cannot parse {key} = " in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(data_files, tmp_path, capsys):
     train_path, test_path = data_files
     assert main(["synth", "--out-train", str(tmp_path / "t.bin"),
@@ -215,6 +263,8 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
                  *SMALL_FLAGS]) == 1
     assert main(["baseline", "--name", "bogus", "--train-features", train_path,
                  "--test-features", test_path]) == 1
+    assert main(["train", "--features", train_path, "--out", str(tmp_path / "x.ckpt"),
+                 *SMALL_FLAGS, "--audio-widths", "12,x,8"]) == 1
     capsys.readouterr()
 
 

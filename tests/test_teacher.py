@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hscmae.diffcore import NumericError
 from hscmae.model import ModelParams
 from hscmae.teacher import (anneal_momentum, ema_update, identity_affinities,
                             mine_affinities)
@@ -128,6 +132,62 @@ def test_mining_directions_are_transposed_scores():
 def test_mining_validation():
     with pytest.raises(ValueError):
         mine_affinities(np.zeros((2, 2)), np.zeros((2, 2)), k=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mining_rejects_non_finite_scores(bad):
+    za = np.ones((4, 3))
+    za[2, 1] = bad
+    with pytest.raises(NumericError, match="mine_affinities"):
+        mine_affinities(za, np.ones((4, 3)), k=2)
+
+
+def loop_mine_direction(scores, k, tau):
+    """Reference oracle: the per-anchor loop mining once ran."""
+    n = scores.shape[0]
+    kk = min(k, n)
+    w = np.zeros((n, n))
+    # stable descending sort so equal scores break toward lower index
+    order = np.argsort(-scores, axis=1, kind="stable")
+    for i in range(n):
+        neigh = [i]  # paired sample is always included
+        for j in order[i]:
+            if len(neigh) == kk:
+                break
+            if j != i:
+                neigh.append(int(j))
+        neigh = np.asarray(neigh)
+        logits = scores[i, neigh] / tau
+        e = np.exp(logits - logits.max())
+        w[i, neigh] = e / e.sum()
+    return w
+
+
+def assert_matches_loop(scores, k, tau):
+    # za = scores, zv = I realises the scores exactly, as in the hand example
+    eye = np.eye(scores.shape[0])
+    targets = mine_affinities(scores, eye, k=k, tau=tau)
+    realised = scores @ eye.T
+    for got, want in ((targets.w_a2v, loop_mine_direction(realised, k, tau)),
+                      (targets.w_v2a, loop_mine_direction(realised.T, k, tau))):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mining_bit_identical_to_loop(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(1, n + 5), label="k")
+    tau = data.draw(st.sampled_from([0.05, 0.3, 2.0]), label="tau")
+    raw = data.draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)), label="scores")
+    assert_matches_loop(np.round(raw, 1), k, tau)  # one decimal makes ties common
+
+
+@pytest.mark.parametrize("n, k", [(250, 5), (300, 300)])
+def test_mining_bit_identical_to_loop_at_batch_scale(n, k):
+    # (300, 300) sums more than 128 weights per row, past numpy's pairwise block
+    rng = np.random.default_rng(n)
+    assert_matches_loop(np.round(rng.normal(size=(n, n)), 2), k, 0.05)
 
 
 def test_identity_affinities():
