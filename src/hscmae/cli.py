@@ -19,8 +19,9 @@ from . import __version__
 from .cca_linear import CcaFitError
 from .data_io import DataError, FeatureSet, SynthConfig, generate_synthetic, load_features, save_features
 from .diffcore import DiffError, NumericError
-from .evaluate import (BASELINES, DEFAULT_SWEEP_RATIOS, evaluate_model, mask_ratio_sweep,
-                       rank_list_rows, report_rows, retrieval_embeddings, run_baseline)
+from .evaluate import (BASELINES, DEFAULT_SWEEP_RATIOS, cross_modal_map, evaluate_model,
+                       mask_ratio_sweep, rank_list_rows, report_rows, retrieval_embeddings,
+                       run_baseline)
 from .model import LOSS_NAMES, CheckpointError, ModelConfig
 from .optim import OptimConfig
 from .trainer import TrainConfig, epoch_log_rows, load_checkpoint, save_checkpoint, train
@@ -104,6 +105,15 @@ def _bool(raw):
 
 
 def build_train_config(args, d_audio, d_visual):
+    """The TrainConfig of flags > config file > defaults; a value the config
+    constructors reject is a usage error."""
+    try:
+        return _train_config(args, d_audio, d_visual)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _train_config(args, d_audio, d_visual):
     model = ModelConfig(
         audio_widths=_parse_widths(resolve(args, "audio_widths", _widths), d_audio),
         visual_widths=_parse_widths(resolve(args, "visual_widths", _widths), d_visual),
@@ -206,11 +216,11 @@ def cmd_eval(args):
     data = load_features(args.features, split="test")
     if data.labels is None:
         raise DataError(f"{args.features}: evaluation needs class labels")
-    report = evaluate_model(mp, cca_model, data)
+    za, zv = retrieval_embeddings(mp, cca_model, data.audio, data.visual)
+    report = cross_modal_map(za, zv, data.labels)
     if args.report_csv:
         _write_lines(args.report_csv, report_rows([("model", report)]))
     if args.ranklists_csv:
-        za, zv = retrieval_embeddings(mp, cca_model, data.audio, data.visual)
         _write_lines(args.ranklists_csv, rank_list_rows(za, zv, data.labels))
     print(f"mAP A2V {report.map_a2v:.4f}  V2A {report.map_v2a:.4f}  avg {report.map_avg:.4f}")
     return 0

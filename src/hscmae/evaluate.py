@@ -4,6 +4,12 @@ mask-ratio sweep.
 Relevance is class membership; every test item queries the full test split of
 the other modality, ranked by cosine similarity (ties broken by ascending
 gallery index).
+
+AP needs only the ranks of a query's relevant items, and each rank is a
+count: rank(j) = 1 + #scores above s_j + #scores equal to s_j at a lower
+gallery index. Each row is sorted once by value; a binary search gives the
+count above, and only a score the sorted row holds twice is counted again,
+exactly, on the raw row. The counting assumes finite scores.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cca_linear
+from .diffcore import NumericError
 from .model import embed_arrays
 from .trainer import TrainConfig, train
 
@@ -41,31 +48,52 @@ def average_precision(relevance):
     return float(np.mean(np.cumsum(bits)[hits] / (hits + 1)))
 
 
-def _rank_gallery(sim_row):
-    # descending similarity, ties toward the lower gallery index
-    return np.lexsort((np.arange(sim_row.size), -sim_row))
-
-
 def _direction_aps(sims, query_labels, gallery_labels):
-    aps = []
-    for i in range(sims.shape[0]):
-        order = _rank_gallery(sims[i])
-        bits = gallery_labels[order] == query_labels[i]
-        if not bits.any():
-            warnings.warn(f"query {i}: no relevant gallery items, excluded")
+    """Per-query AP of one direction, in ascending query order; a query with
+    no relevant gallery item is warned about and left out."""
+    ordered = np.array(sims, order="C")  # rows sort fastest when contiguous
+    ordered.sort(axis=1)
+    g = sims.shape[1]
+    aps = np.zeros(sims.shape[0])
+    scored = np.zeros(sims.shape[0], dtype=bool)
+    for label in np.unique(query_labels):
+        rows = np.flatnonzero(query_labels == label)
+        rel = np.flatnonzero(gallery_labels == label)
+        if rel.size == 0:
             continue
-        aps.append(average_precision(bits))
-    return np.asarray(aps)
+        block = sims[np.ix_(rows, rel)]
+        # binary searches run about twice as fast on ascending keys
+        perm = np.argsort(block, axis=1)
+        block = np.take_along_axis(block, perm, axis=1)
+        right = np.empty(block.shape, dtype=np.int64)
+        for r, i in enumerate(rows):
+            right[r] = np.searchsorted(ordered[i], block[r], side="right")
+        ranks = g + 1 - right
+        # a score is shared only if its sorted row also holds it just below;
+        # at right == 1 the flat index reaches the previous row, masked out
+        shared = (right >= 2) & (ordered.take(rows[:, None] * g + right - 2) == block)
+        for r, k in zip(*np.nonzero(shared)):
+            ranks[r, k] += np.count_nonzero(sims[rows[r], :rel[perm[r, k]]] == block[r, k])
+        ranks.sort(axis=1)
+        # a row-wise mean sums each row in the same pairwise order as a 1-D mean
+        aps[rows] = (np.arange(1, rel.size + 1) / ranks).mean(axis=1)
+        scored[rows] = True
+    for i in np.flatnonzero(~scored):
+        warnings.warn(f"query {i}: no relevant gallery items, excluded")
+    return aps[scored]
 
 
 def cross_modal_map(z_a, z_v, labels):
-    """mAP in both directions on unit-normalized embeddings."""
+    """mAP in both directions on unit-normalized embeddings. Non-finite
+    similarities raise NumericError."""
     z_a = np.asarray(z_a, dtype=np.float64)
     z_v = np.asarray(z_v, dtype=np.float64)
     labels = np.asarray(labels)
     if not (z_a.shape[0] == z_v.shape[0] == labels.shape[0]):
         raise ValueError("cross_modal_map: inconsistent sample counts")
     sims = z_a @ z_v.T
+    if not np.isfinite(sims).all():
+        raise NumericError("cross_modal_map: non-finite similarity scores")
     ap_a2v = _direction_aps(sims, labels, labels)
     ap_v2a = _direction_aps(sims.T, labels, labels)
     map_a2v = float(ap_a2v.mean())
@@ -146,8 +174,9 @@ def rank_list_rows(z_a, z_v, labels, direction="a2v", top=10):
     sims = z_a @ z_v.T if direction == "a2v" else z_v @ z_a.T
     labels = np.asarray(labels)
     rows = ["query,rank,gallery,relevant"]
-    for i in range(sims.shape[0]):
-        order = _rank_gallery(sims[i])[:top]
+    # descending similarity; the stable sort keeps ties in gallery order
+    orders = np.argsort(-sims, axis=1, kind="stable")[:, :top]
+    for i, order in enumerate(orders):
         for rank, j in enumerate(order, start=1):
             rows.append(f"{i},{rank},{j},{int(labels[j] == labels[i])}")
     return rows

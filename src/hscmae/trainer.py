@@ -45,6 +45,14 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+
     def cca_config(self):
         r = self.cca_r if self.cca_r is not None else self.model.proj_dim
         return CcaConfig(r=r, eps=self.cca_eps)
@@ -214,16 +222,32 @@ def save_checkpoint(path, result):
     save_entries(path, entries)
 
 
+def _check_cca_entries(entries, dim):
+    """cca/* entries fit a projection of width ``dim``: means (1, dim),
+    directions (dim, p) and rho (1, p) with 1 <= p <= dim."""
+    rho = entries["cca/rho"]
+    p = rho.shape[1]
+    if rho.shape[0] != 1 or not 1 <= p <= dim:
+        raise CheckpointError(f"entry 'cca/rho' has shape {rho.shape}, "
+                              f"expected (1, p) with 1 <= p <= {dim}")
+    for name, shape in (("cca/mean_a", (1, dim)), ("cca/mean_v", (1, dim)),
+                        ("cca/A", (dim, p)), ("cca/B", (dim, p))):
+        if entries[name].shape != shape:
+            raise CheckpointError(f"entry {name!r} has shape {entries[name].shape}, "
+                                  f"expected {shape}")
+
+
 def load_checkpoint(path):
     """(student, appended CCA) of a checkpoint; extra entries, such as the
-    teacher copy older checkpoints hold, are ignored. A missing entry or a
-    student entry of the wrong shape raises CheckpointError naming both;
-    config/* entries that describe no valid model raise it naming the file
-    and the reason."""
+    teacher copy older checkpoints hold, are ignored. A missing entry or an
+    entry of the wrong shape raises CheckpointError naming both; config/*
+    entries that describe no valid model raise it naming the file and the
+    reason."""
     entries = load_entries(path)
     try:
         mp = ModelParams(config_from_entries(entries), init=False)
         mp.load_state_entries(entries)
+        _check_cca_entries(entries, mp.config.proj_dim)
         return mp, cca_linear.from_checkpoint_entries(entries)
     except KeyError as exc:  # a config/* or cca/* entry
         raise CheckpointError(f"{path}: missing entry {exc.args[0]!r}") from None

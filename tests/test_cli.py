@@ -107,16 +107,21 @@ def test_old_format_checkpoint_evaluates_the_same(trained, data_files, tmp_path,
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("entry, rows", [("cca/A", None), ("dec.v.1.w", None), ("enc.a.0.w", 1)],
-                         ids=("missing-cca", "missing-weight", "wrong-shape"))
-def test_corrupt_checkpoint_exits_two(trained, data_files, tmp_path, capsys, entry, rows):
+@pytest.mark.parametrize("entry, cut", [
+    ("cca/A", None), ("dec.v.1.w", None),
+    ("enc.a.0.w", np.s_[:1]),  # a (1, 8) weight would broadcast silently into (12, 8)
+    ("cca/A", np.s_[:1]), ("cca/B", np.s_[:, :1]), ("cca/mean_v", np.s_[:, :3]),
+    ("cca/mean_a", np.s_[[0, 0]]), ("cca/rho", np.s_[:, :0]),
+], ids=("missing-cca", "missing-weight", "wrong-shape", "cca-directions-rows",
+        "cca-directions-columns", "cca-mean-width", "cca-mean-rows", "cca-rho-empty"))
+def test_corrupt_checkpoint_exits_two(trained, data_files, tmp_path, capsys, entry, cut):
     ckpt, _, _ = trained
     _, test_path = data_files
     entries = load_entries(ckpt)
-    if rows is None:
+    if cut is None:
         del entries[entry]
-    else:  # a (1, 8) weight would broadcast silently into the (12, 8) slot
-        entries[entry] = entries[entry][:rows]
+    else:
+        entries[entry] = entries[entry][cut]
     bad = str(tmp_path / "bad.ckpt")
     save_entries(bad, entries)
     assert main(["eval", "--checkpoint", bad, "--features", test_path]) == 2
@@ -266,6 +271,23 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
     assert main(["train", "--features", train_path, "--out", str(tmp_path / "x.ckpt"),
                  *SMALL_FLAGS, "--audio-widths", "12,x,8"]) == 1
     capsys.readouterr()
+    # out-of-range values are rejected before any training starts
+    out = tmp_path / "never.ckpt"
+    for flag, value, reason in (("--lr", "-1", "lr0 must be positive"),
+                                ("--k", "0", "k must be >= 1"),
+                                ("--heads", "0", "heads must be >= 1"),
+                                ("--batch-size", "1", "batch_size must be >= 2"),
+                                ("--epochs", "0", "epochs must be >= 1")):
+        assert main(["train", "--features", train_path, "--out", str(out),
+                     *SMALL_FLAGS, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and reason in err
+    config = tmp_path / "range.cfg"
+    config.write_text("k = 0\n")
+    assert main(["baseline", "--name", "random", "--train-features", train_path,
+                 "--test-features", test_path, "--config", str(config), *SMALL_FLAGS]) == 1
+    assert "usage error: k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

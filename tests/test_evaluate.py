@@ -1,14 +1,52 @@
 """Unit tests for the retrieval harness and reference systems."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hscmae.data_io import FeatureSet
-from hscmae.evaluate import (average_precision, cross_modal_map, mask_ratio_sweep,
-                             rank_list_rows, report_rows, retrieval_embeddings,
-                             run_baseline)
+from hscmae.diffcore import NumericError
+from hscmae.evaluate import (_direction_aps, average_precision, cross_modal_map,
+                             mask_ratio_sweep, rank_list_rows, report_rows,
+                             retrieval_embeddings, run_baseline)
 
 from conftest import desk_train_config
+
+
+def rank_gallery(sim_row):
+    # descending similarity, ties toward the lower gallery index
+    return np.lexsort((np.arange(sim_row.size), -sim_row))
+
+
+def loop_direction_aps(sims, query_labels, gallery_labels):
+    """Reference: one full lexsort of the gallery per query."""
+    aps = []
+    for i in range(sims.shape[0]):
+        bits = gallery_labels[rank_gallery(sims[i])] == query_labels[i]
+        if not bits.any():
+            warnings.warn(f"query {i}: no relevant gallery items, excluded")
+            continue
+        aps.append(average_precision(bits))
+    return np.asarray(aps)
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def assert_matches_loop(sims, query_labels, gallery_labels):
+    got, got_warnings = recorded(_direction_aps, sims, query_labels, gallery_labels)
+    want, want_warnings = recorded(loop_direction_aps, sims, query_labels, gallery_labels)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got_warnings == want_warnings
 
 
 def brute_force_map(za, zv, labels):
@@ -67,6 +105,41 @@ def test_cross_modal_map_with_ties_matches_brute_force():
     a2v, v2a = brute_force_map(za, zv, labels)
     assert abs(report.map_a2v - a2v) <= 1e-12
     assert abs(report.map_v2a - v2a) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_direction_aps_bit_identical_to_loop(data):
+    n = data.draw(st.integers(1, 30), label="queries")
+    g = data.draw(st.integers(1, 30), label="gallery")
+    raw = data.draw(arrays(np.float64, (n, g), elements=st.floats(-1.0, 1.0)), label="scores")
+    # label 3 never occurs in the gallery, so some queries have nothing relevant
+    query_labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 3)), label="query labels")
+    gallery_labels = data.draw(arrays(np.int64, g, elements=st.integers(0, 2)),
+                               label="gallery labels")
+    sims = np.round(raw, 1)  # one decimal makes ties common, -0.0 included
+    assert_matches_loop(sims, query_labels, gallery_labels)
+    assert_matches_loop(sims.T, gallery_labels, query_labels)
+
+
+def test_direction_aps_bit_identical_to_loop_at_scale():
+    # about 150-200 relevant items per query, past numpy's 128-term pairwise block
+    rng = np.random.default_rng(4)
+    sims = np.round(rng.normal(size=(400, 300)), 2)
+    query_labels = rng.integers(0, 2, 400)
+    gallery_labels = rng.integers(0, 2, 300)
+    assert np.bincount(gallery_labels).min() > 128
+    assert_matches_loop(sims, query_labels, gallery_labels)
+    assert_matches_loop(sims.T, gallery_labels, query_labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cross_modal_map_rejects_non_finite_scores(bad):
+    z = np.ones((3, 2))
+    z_bad = z.copy()
+    z_bad[1, 1] = bad
+    with pytest.raises(NumericError, match="cross_modal_map: non-finite"):
+        cross_modal_map(z, z_bad, np.array([0, 0, 1]))
 
 
 def test_perfect_class_embeddings_score_one():
@@ -157,3 +230,20 @@ def test_report_and_rank_list_rows():
     assert rl[0] == "query,rank,gallery,relevant"
     assert rl[1] == "0,1,0,1"  # query 0 retrieves itself first
     assert len(rl) == 1 + 2 * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_list_rows_match_lexsort_ranking(data):
+    n = data.draw(st.integers(1, 40), label="n")  # past the 16-item insertion-sort cutoff
+    raw = data.draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)), label="z_v")
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 2)), label="labels")
+    z_a, z_v = np.eye(n), np.round(raw, 1)  # similarities are z_v's entries, ties common
+    top = data.draw(st.integers(1, n + 2), label="top")
+    for direction in ("a2v", "v2a"):
+        sims = z_a @ z_v.T if direction == "a2v" else z_v @ z_a.T
+        want = ["query,rank,gallery,relevant"]
+        for i in range(n):
+            for rank, j in enumerate(rank_gallery(sims[i])[:top], start=1):
+                want.append(f"{i},{rank},{j},{int(labels[j] == labels[i])}")
+        assert rank_list_rows(z_a, z_v, labels, direction=direction, top=top) == want
