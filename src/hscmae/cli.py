@@ -146,6 +146,13 @@ def _train_config(args, d_audio, d_visual):
     )
 
 
+def check_batch_size(cfg, n):
+    """Training drops incomplete batches, so a batch larger than the split
+    would leave no step to take."""
+    if cfg.batch_size > n:
+        raise UsageError(f"batch_size {cfg.batch_size} exceeds the {n} samples of the training split")
+
+
 def write_manifest(path, command, config, outputs, seed, elapsed=None):
     payload = {
         "command": command,
@@ -194,6 +201,7 @@ def cmd_synth(args):
 def cmd_train(args):
     data = load_features(args.features, split="train")
     cfg = build_train_config(args, data.audio.shape[1], data.visual.shape[1])
+    check_batch_size(cfg, data.n)
     eval_set = load_features(args.eval_features, split="test") if args.eval_features else None
     if args.manifest:
         write_manifest(args.manifest, "train", asdict(cfg),
@@ -230,6 +238,8 @@ def cmd_baseline(args):
     train_set = load_features(args.train_features, split="train")
     test_set = load_features(args.test_features, split="test")
     cfg = build_train_config(args, train_set.audio.shape[1], train_set.visual.shape[1])
+    if args.name == "infonce-single":  # the only baseline that trains
+        check_batch_size(cfg, train_set.n)
     report = run_baseline(args.name, train_set, test_set, cfg)
     if args.report_csv:
         _write_lines(args.report_csv, report_rows([(args.name, report)]))
@@ -242,7 +252,13 @@ def cmd_sweep(args):
     train_set = load_features(args.train_features, split="train")
     test_set = load_features(args.test_features, split="test")
     cfg = build_train_config(args, train_set.audio.shape[1], train_set.visual.shape[1])
-    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
+    check_batch_size(cfg, train_set.n)
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
+        for ratio in ratios:
+            replace(cfg, mask_ratio=ratio)  # range-checks each ratio before any training
+    except ValueError as exc:
+        raise UsageError(f"--ratios: {exc}") from None
     rows = mask_ratio_sweep(train_set, test_set, cfg, ratios)
     lines = ["ratio,map_a2v,map_v2a,map_avg,gap"]
     lines += [",".join(repr(v) for v in row) for row in rows]
@@ -266,6 +282,7 @@ def cmd_ablate(args):
     train_set = load_features(args.train_features, split="train")
     test_set = load_features(args.test_features, split="test")
     cfg = build_train_config(args, train_set.audio.shape[1], train_set.visual.shape[1])
+    check_batch_size(cfg, train_set.n)
     lines = ["cca,rec,infonce,dis,map_a2v,map_v2a,map_avg,gap"]
     for cca, rec, infonce, dis in ABLATION_ROWS:
         variant = replace(cfg, use_cca=cca, use_rec=rec, use_infonce=infonce, use_dis=dis)

@@ -83,6 +83,8 @@ def load_features(path, split="train"):
     if len(blob) < 21:
         raise DataError(f"{path}: truncated header ({len(blob)} bytes)")
     n, d_a, d_v, has_labels = struct.unpack_from("<IIIB", blob, 8)
+    if has_labels not in (0, 1):
+        raise DataError(f"{path}: has-labels byte is {has_labels}, expected 0 or 1")
     off = 21
     expected = off + 4 * n * (d_a + d_v) + (4 * n if has_labels else 0)
     if len(blob) != expected:
@@ -117,19 +119,28 @@ def _save_csv(path, fs):
 
 
 def _load_csv(path, split):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        d_a = sum(1 for c in header if c.startswith("a"))
-        d_v = sum(1 for c in header if c.startswith("v"))
-        has_labels = header[-1] == "label"
-        if d_a == 0 or d_v == 0:
-            raise DataError(f"{path}: header lacks a*/v* feature columns")
-        rows = []
-        for ln, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(parts)}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    header = lines[0].strip().split(",") if lines else []
+    d_a = sum(1 for c in header if c.startswith("a"))
+    d_v = sum(1 for c in header if c.startswith("v"))
+    if d_a == 0 or d_v == 0:
+        raise DataError(f"{path}: header lacks a*/v* feature columns")
+    has_labels = header[-1] == "label"
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.strip().split(",")
+        if len(parts) != len(header):
+            raise DataError(f"{path}:{ln}: expected {len(header)} fields, got {len(parts)}")
+        try:
             rows.append([float(v) for v in parts])
+        except ValueError as exc:  # "could not convert string to float: 'x'"
+            raise DataError(f"{path}:{ln}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: non-finite payload")

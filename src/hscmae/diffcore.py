@@ -2,8 +2,11 @@
 
 Provides exactly the primitives the model and losses need. Every primitive
 records a closure computing its analytic input gradients; ``backward`` walks
-the tape from a scalar loss and accumulates into reachable ``Parameter``
-objects. A tape is rebuilt on every forward pass and is single-threaded.
+the tape from a scalar loss once, accumulates into reachable ``Parameter``
+objects and lets go of each node's gradient, closure and parents as soon as
+it has used them, so nothing of the tape is kept afterwards. Inside
+``no_tape()`` primitives compute the same values but record nothing. A tape
+is rebuilt on every forward pass and is single-threaded.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ def _check_finite(op, value):
 class Tensor:
     """A 2-D float64 matrix plus tape bookkeeping."""
 
-    __slots__ = ("value", "grad", "op", "_parents", "_backward", "param")
+    __slots__ = ("value", "op", "_parents", "_backward", "param", "__weakref__")
 
     def __init__(self, value, op="const", parents=(), backward=None, param=None):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"{op}: expected a 2-D matrix, got shape {arr.shape}")
         self.value = arr
-        self.grad = None
         self.op = op
         self._parents = parents
         self._backward = backward
@@ -85,18 +87,39 @@ class Parameter:
         return f"<Parameter {self.name!r} {self.value.shape}>"
 
 
+_taping = True
+
+
+class no_tape:
+    """Context manager for forward-only passes: primitives still check their
+    values for finiteness but return tensors with no parents and no closure,
+    so each intermediate is freed once nothing refers to it."""
+
+    def __enter__(self):
+        global _taping
+        self._outer = _taping
+        _taping = False
+
+    def __exit__(self, *exc):
+        global _taping
+        _taping = self._outer
+
+
 def _node(op, value, parents, backward):
     value = np.asarray(value, dtype=np.float64)
     _check_finite(op, value)
+    if not _taping:
+        return Tensor(value, op=op)
     return Tensor(value, op=op, parents=tuple(parents), backward=backward)
 
 
 def backward(loss):
-    """Reverse pass from a scalar loss.
+    """Reverse pass from a scalar loss; *accumulates* into each reachable
+    ``Parameter.grad`` and returns None.
 
-    Sets ``.grad`` on every tape node reachable from ``loss`` (overwriting
-    previous per-node grads) and *accumulates* into each reachable
-    ``Parameter.grad``. Returns the node-grad map keyed by node id.
+    A tape can be walked once: each node's gradient is dropped, and its
+    closure and parent links cleared, as soon as the node has been processed,
+    so saved activations are freed once their last consumer has run.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward: root must be 1x1, got {loss.shape}")
@@ -118,26 +141,25 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones((1, 1))}
-    for node in reversed(order):
-        g = grads.get(id(node))
+    while order:
+        node = order.pop()
+        parents, node_backward = node._parents, node._backward
+        node._parents, node._backward = (), None
+        # None: reachable only through a severed edge (stop-gradient)
+        g = grads.pop(id(node), None)
         if g is None:
-            # Reachable only through a severed edge (stop-gradient).
-            node.grad = np.zeros_like(node.value)
             continue
-        node.grad = g
         if node.param is not None:
             node.param.grad += g
-        if node._backward is None:
+        if node_backward is None:
             continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        for p, pg in zip(parents, node_backward(g)):
             if pg is None:
                 continue
             if id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ class ModelConfig:
             raise ValueError(f"model dim {self.audio_widths[-1]} not divisible by {self.heads} heads")
         if self.proj_dim < 1:
             raise ValueError("proj_dim must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def model_dim(self):
@@ -231,8 +233,9 @@ def forward_embed(mp, xa, xv, train, rng=None):
 
 
 def embed_arrays(mp, audio, visual):
-    """Clean eval-mode embeddings as plain arrays (no gradients consumed)."""
-    za, zv, _, _ = forward_embed(mp, dc.const(audio), dc.const(visual), train=False)
+    """Clean eval-mode embeddings as plain arrays; records no tape."""
+    with dc.no_tape():
+        za, zv, _, _ = forward_embed(mp, dc.const(audio), dc.const(visual), train=False)
     return za.value, zv.value
 
 
@@ -277,7 +280,10 @@ def load_entries(path):
         off += 4
         if off + nlen + 8 > len(blob):
             raise CheckpointError(f"{path}: truncated record at offset {off}")
-        name = blob[off:off + nlen].decode("utf-8")
+        try:
+            name = blob[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name at offset {off} is not UTF-8") from None
         if name in entries:
             raise CheckpointError(f"{path}: duplicate entry {name!r}")
         off += nlen

@@ -29,6 +29,8 @@ class OptimConfig:
             raise ValueError("OptimConfig: lr0 must be positive")
         if self.clip_norm <= 0:
             raise ValueError("OptimConfig: clip_norm must be positive")
+        if self.cosine_t_max < 1:
+            raise ValueError(f"OptimConfig: cosine_t_max must be >= 1, got {self.cosine_t_max}")
 
 
 def clip_global_norm(params, max_norm):

@@ -52,6 +52,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 0.0 <= self.mask_ratio < 1.0:
+            raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if self.cca_post_dim < 1:
+            raise ValueError(f"cca_post_dim must be >= 1, got {self.cca_post_dim}")
 
     def cca_config(self):
         r = self.cca_r if self.cca_r is not None else self.model.proj_dim

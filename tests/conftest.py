@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hscmae.data_io import SynthConfig, generate_synthetic
 from hscmae.model import ModelConfig
@@ -38,6 +39,18 @@ def tiny_model_config(**overrides):
                 heads=2, proj_dim=3, dropout=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def corrupted(data, blob):
+    """A Hypothesis-drawn damaged copy of ``blob``: cut short, or with one to
+    four bytes changed."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4), label="flips")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        out[at] ^= data.draw(st.integers(1, 255), label="xor")
+    return bytes(out)
 
 
 @pytest.fixture(scope="session")

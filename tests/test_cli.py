@@ -160,6 +160,43 @@ def test_duplicate_checkpoint_entry_exits_two(trained, data_files, tmp_path, cap
     assert f"{bad}: duplicate entry 'enc.a.0.w'" in capsys.readouterr().err
 
 
+def test_non_utf8_entry_name_exits_two(trained, data_files, tmp_path, capsys):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    record = struct.pack("<I", 2) + b"a\xff" + struct.pack("<II", 1, 1) + np.zeros(1).tobytes()
+    bad = tmp_path / "name.ckpt"
+    with open(ckpt, "rb") as fh:
+        blob = fh.read()
+    bad.write_bytes(blob + record)
+    assert main(["eval", "--checkpoint", str(bad), "--features", test_path]) == 2
+    assert f"{bad}: entry name at offset {len(blob) + 4} is not UTF-8" in capsys.readouterr().err
+
+
+def test_malformed_features_exit_two(trained, data_files, tmp_path, capsys):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    test_set = load_features(test_path, split="test")
+    csv_path = tmp_path / "test.csv"
+    save_features(csv_path, test_set)
+    lines = csv_path.read_text().split("\n")
+    cells = lines[2].split(",")
+    cells[1] = "x"
+    bad_cell = tmp_path / "cell.csv"
+    bad_cell.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]))
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(lines[0] + "\n")
+    label_byte = tmp_path / "labels.bin"
+    blob = bytearray(open(test_path, "rb").read())
+    blob[20] = 7
+    label_byte.write_bytes(bytes(blob))
+    for path, reason in ((bad_cell, f"{bad_cell}:3: could not convert string to float: 'x'"),
+                         (header_only, f"{header_only}: no data rows"),
+                         (label_byte, f"{label_byte}: has-labels byte is 7, expected 0 or 1")):
+        assert main(["eval", "--checkpoint", ckpt, "--features", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and reason in err
+
+
 def test_baseline_commands(data_files, tmp_path):
     train_path, test_path = data_files
     for name in ("random", "cca"):
@@ -277,11 +314,24 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
                                 ("--k", "0", "k must be >= 1"),
                                 ("--heads", "0", "heads must be >= 1"),
                                 ("--batch-size", "1", "batch_size must be >= 2"),
-                                ("--epochs", "0", "epochs must be >= 1")):
+                                ("--epochs", "0", "epochs must be >= 1"),
+                                ("--mask-ratio", "1.5", "mask_ratio must be in [0, 1)"),
+                                ("--dropout", "1.0", "dropout must be in [0, 1)"),
+                                ("--tau", "0", "tau must be > 0"),
+                                ("--t-max", "0", "cosine_t_max must be >= 1"),
+                                ("--cca-post-dim", "0", "cca_post_dim must be >= 1"),
+                                ("--batch-size", "61", "batch_size 61 exceeds the 60 samples")):
         assert main(["train", "--features", train_path, "--out", str(out),
                      *SMALL_FLAGS, flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and reason in err
+    for command, extra in (("sweep", ["--out-csv", str(tmp_path / "s.csv"), "--ratios", "0.2,1.5"]),
+                           ("sweep", ["--out-csv", str(tmp_path / "s.csv"), "--batch-size", "61"]),
+                           ("ablate", ["--out-csv", str(tmp_path / "a.csv"), "--batch-size", "61"])):
+        assert main([command, "--train-features", train_path, "--test-features", test_path,
+                     *SMALL_FLAGS, *extra]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "a.csv").exists()
     config = tmp_path / "range.cfg"
     config.write_text("k = 0\n")
     assert main(["baseline", "--name", "random", "--train-features", train_path,

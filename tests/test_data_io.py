@@ -1,12 +1,17 @@
 """Unit tests for feature containers, the synthetic generator, and batching."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hscmae.data_io import (DataError, FeatureSet, SynthConfig, batches,
                             generate_synthetic, load_features, save_features)
+
+from conftest import corrupted
 
 
 def sample_set(n=7, d_a=3, d_v=5, labels=True, seed=0):
@@ -83,6 +88,38 @@ def test_csv_header_error(tmp_path):
         load_features(path)
 
 
+def test_csv_non_number_cell_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a0,v0,label\n1.0,2.0,0\n1.0,x,1\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: could not convert string to float: 'x'")):
+        load_features(path)
+
+
+def test_csv_header_only_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    for text in ("a0,v0,label\n", "a0,v0\n"):
+        path.write_text(text)
+        with pytest.raises(DataError, match="no data rows"):
+            load_features(path)
+
+
+def test_csv_not_utf8_error(tmp_path):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"a0,v0\n1.0,\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_features(path)
+
+
+def test_binary_has_labels_byte_must_be_zero_or_one(tmp_path):
+    path = tmp_path / "feat.bin"
+    save_features(path, sample_set(labels=False))
+    blob = bytearray(path.read_bytes())
+    blob[20] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="has-labels byte is 7"):
+        load_features(path)
+
+
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WRONGMAG" + b"\x00" * 20)
@@ -115,6 +152,19 @@ def test_binary_non_finite_payload(tmp_path):
         fh.write(np.array([1.0, 2.0], dtype="<f4").tobytes())
     with pytest.raises(DataError):
         load_features(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_feature_file_fuzz_loads_or_raises_data_error(tmp_path, data):
+    suffix = data.draw(st.sampled_from([".bin", ".csv"]), label="format")
+    path = tmp_path / f"feat{suffix}"
+    save_features(path, sample_set(n=3, d_a=2, d_v=2, labels=data.draw(st.booleans(), label="labels")))
+    path.write_bytes(corrupted(data, path.read_bytes()))
+    try:
+        load_features(path)
+    except DataError:
+        pass
 
 
 # ---------------------------------------------------------------------------

