@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .cca_linear import CcaFitError
 from .data_io import DataError, FeatureSet, SynthConfig, generate_synthetic, load_features, save_features
-from .diffcore import DiffError, NumericError
+from .diffcore import DiffError
 from .evaluate import (BASELINES, DEFAULT_SWEEP_RATIOS, cross_modal_map, evaluate_model,
                        mask_ratio_sweep, rank_list_rows, report_rows, retrieval_embeddings,
                        run_baseline)
@@ -400,10 +400,7 @@ def main(argv=None):
     except (DataError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, CcaFitError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except DiffError as exc:
+    except (DiffError, CcaFitError, np.linalg.LinAlgError) as exc:  # NumericError is a DiffError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

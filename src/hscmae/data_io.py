@@ -218,16 +218,10 @@ def generate_synthetic(config):
 # batching
 # ---------------------------------------------------------------------------
 
-def batches(n, batch_size, seed, drop_last=True):
-    """Epoch-seeded shuffle cut into batches; incomplete tail dropped by
-    default (batch statistics and covariance estimates need full batches)."""
+def batches(n, batch_size, seed):
+    """Epoch-seeded shuffle cut into full batches; the incomplete tail is
+    dropped (batch statistics and covariance estimates need full batches)."""
     if batch_size < 2:
         raise ValueError("batches: batch_size must be >= 2")
     order = np.random.default_rng(seed).permutation(n)
-    out = []
-    for start in range(0, n, batch_size):
-        chunk = order[start:start + batch_size]
-        if drop_last and chunk.size < batch_size:
-            break
-        out.append(chunk)
-    return out
+    return [order[start:start + batch_size] for start in range(0, n - batch_size + 1, batch_size)]

@@ -177,13 +177,6 @@ def matmul(a, b):
     return _node("matmul", av @ bv, (a, b), bwd)
 
 
-def transpose(a):
-    def bwd(g):
-        return (g.T,)
-
-    return _node("transpose", a.value.T, (a,), bwd)
-
-
 def add(a, b):
     """Elementwise add; ``b`` may be a 1 x cols bias row broadcast over rows."""
     if a.shape == b.shape:
@@ -239,21 +232,6 @@ def exp(a):
         return (g * y,)
 
     return _node("exp", y, (a,), bwd)
-
-
-def row_log_softmax(a, temp=1.0):
-    if temp <= 0:
-        raise ValueError("row_log_softmax: temperature must be positive")
-    z = a.value / temp
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-    y = z - lse
-    sm = np.exp(y)
-
-    def bwd(g):
-        return ((g - sm * g.sum(axis=1, keepdims=True)) / temp,)
-
-    return _node("row_log_softmax", y, (a,), bwd)
 
 
 _NORM_EPS = 1e-5

@@ -1,8 +1,8 @@
 """The four training objectives and their uncertainty-weighted combination.
 
-The canonical-correlation loss is a dedicated tape node with the closed-form
-gradient through the whitening construction; everything else composes
-diffcore primitives.
+The canonical-correlation and contrastive losses are dedicated tape nodes
+with closed-form gradients; reconstruction, distillation and the weighted
+total compose diffcore primitives.
 """
 
 from __future__ import annotations
@@ -42,10 +42,15 @@ class LossBundle:
 
 
 _EIG_CLAMP = 1e-10
+_RANK_TOL = 1e-12
 
 
 def _inv_sqrt(sym):
+    """S^{-1/2}; as in the linear CCA fit, an eigenvalue below 1e-12 raises."""
     w, q = np.linalg.eigh(sym)
+    if w.min() < _RANK_TOL:
+        raise dc.NumericError(f"dcca_loss: covariance rank-deficient after regularization "
+                              f"(min eig {w.min():.3e})")
     w = np.maximum(w, _EIG_CLAMP)
     return (q * (w ** -0.5)) @ q.T
 
@@ -99,27 +104,51 @@ def dcca_loss(za, zv, config):
     return dc._node("dcca", [[-corr]], (za, zv), bwd)
 
 
-def soft_infonce(za, zv, targets, tau):
-    """Symmetric affinity-weighted cross-modal InfoNCE.
+def _log_softmax_rows(lg, tau):
+    z = lg / tau
+    zmax = z.max(axis=1, keepdims=True)
+    return z - (zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))
 
-    Logits are the cosine similarities of the (unit-norm) rows scaled by
-    1/tau; each anchor's cross-entropy target is its mined weight row.
+
+def soft_infonce(za, zv, targets, tau):
+    """Symmetric affinity-weighted cross-modal InfoNCE as one tape node.
+
+    Logits L = za zv^T are cosine similarities of unit rows; each anchor's
+    cross-entropy target is its mined weight row, over softmax(L/tau) rows
+    (a2v) or softmax(L^T/tau) rows (v2a), and the two directions are averaged.
+    Gradient: dL = ((P_a2v - W_a2v) + (P_v2a - W_v2a)^T) / (2 n tau), with
+    dza = dL zv and dzv = dL^T za, evaluated in the operand order of a row
+    log-softmax chain so that it matches that chain bit for bit.
     """
     if tau <= 0:
         raise ValueError("soft_infonce: temperature must be positive")
     n = za.shape[0]
     if zv.shape != za.shape:
         raise dc.ShapeError(f"soft_infonce: {za.shape} vs {zv.shape}")
-    for name, w in (("a2v", targets.w_a2v), ("v2a", targets.w_v2a)):
+    w_a2v, w_v2a = targets.w_a2v, targets.w_v2a
+    for name, w in (("a2v", w_a2v), ("v2a", w_v2a)):
         if w.shape != (n, n):
             raise dc.ShapeError(f"soft_infonce: weight matrix {name} has shape {w.shape}")
         if np.abs(w.sum(axis=1) - 1.0).max() > 1e-6:
             raise ValueError(f"soft_infonce: {name} weight rows do not sum to 1")
 
-    logits = dc.matmul(za, dc.transpose(zv))
-    half_a = dc.scale(dc.sum_all(dc.mul(dc.const(targets.w_a2v), dc.row_log_softmax(logits, temp=tau))), -1.0 / n)
-    half_v = dc.scale(dc.sum_all(dc.mul(dc.const(targets.w_v2a), dc.row_log_softmax(dc.transpose(logits), temp=tau))), -1.0 / n)
-    return dc.scale(dc.add(half_a, half_v), 0.5)
+    za_v, zv_v = za.value, zv.value
+    logits = za_v @ zv_v.T
+    y_a = _log_softmax_rows(logits, tau)
+    y_v = _log_softmax_rows(logits.T, tau)
+    c = -1.0 / n
+    loss = (float((w_a2v * y_a).sum()) * c + float((w_v2a * y_v).sum()) * c) * 0.5
+
+    def direction(s, w, y):
+        gw = np.full(w.shape, s) * w
+        return (gw - np.exp(y) * gw.sum(axis=1, keepdims=True)) / tau
+
+    def bwd(g):
+        s = (g * 0.5 * c)[0, 0]
+        d = direction(s, w_a2v, y_a) + direction(s, w_v2a, y_v).T
+        return d @ zv_v, (za_v.T @ d).T
+
+    return dc._node("soft_infonce", [[loss]], (za, zv), bwd)
 
 
 def rec_loss(xa, xv, xa_hat, xv_hat):

@@ -1,10 +1,11 @@
-"""Sample-level value masking for the reconstruction path and gradient gates
-for the clean path.
+"""Sample-level value masking for the reconstruction path, and the gradient
+gate of a plan.
 
 A plan fixes, per sample and per modality, exactly floor(ratio * d) feature
 dimensions chosen uniformly without replacement. The gradient gate is the
-complement indicator of the value mask, so the clean path shares the same
-per-sample coordinate selection within a step.
+complement indicator of the value mask. Training does not use it: the clean
+pass runs on constant inputs, where a gate could change no output. It is kept
+for the gradient checks of acceptance criterion 1.
 """
 
 from __future__ import annotations

@@ -61,32 +61,49 @@ class ModelParams:
     ``params`` maps name -> Parameter, ``buffers`` maps name -> ndarray
     (running mean/var of the first-layer batch norms). Insertion order is
     fixed by construction and reused for checkpoints and optimizer walks.
+    With ``entries`` (name -> array, as ``state_entries`` or a checkpoint
+    holds them) each parameter and buffer copies its entry instead of its
+    seeded init; extra names are ignored, and a missing name or a differing
+    shape raises CheckpointError before anything of that shape is allocated.
     """
 
-    def __init__(self, config, seed=0, init=True):
+    def __init__(self, config, seed=0, entries=None):
         self.config = config
         self.params = {}
         self.buffers = {}
         self.zero_row_warnings = 0
         rng = np.random.default_rng(seed)
 
+        def value(name, shape, init):
+            if entries is None:
+                return init(shape)
+            if name not in entries:
+                raise CheckpointError(f"missing entry {name!r}")
+            if entries[name].shape != shape:
+                raise CheckpointError(f"entry {name!r} has shape {entries[name].shape}, "
+                                      f"the model expects {shape}")
+            return entries[name]
+
+        def param(name, shape, init, decay=True):
+            self.params[name] = dc.Parameter(value(name, shape, init), name=name, decay=decay)
+
         def linear(name, fan_in, fan_out):
             lim = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-lim, lim, (fan_in, fan_out)) if init else np.zeros((fan_in, fan_out))
-            self.params[f"{name}.w"] = dc.Parameter(w, name=f"{name}.w")
-            self.params[f"{name}.b"] = dc.Parameter(np.zeros((1, fan_out)), name=f"{name}.b")
+            param(f"{name}.w", (fan_in, fan_out), lambda shape: rng.uniform(-lim, lim, shape))
+            param(f"{name}.b", (1, fan_out), np.zeros)
 
         def norm(name, d):
-            self.params[f"{name}.gamma"] = dc.Parameter(np.ones((1, d)), name=f"{name}.gamma")
-            self.params[f"{name}.beta"] = dc.Parameter(np.zeros((1, d)), name=f"{name}.beta")
+            param(f"{name}.gamma", (1, d), np.ones)
+            param(f"{name}.beta", (1, d), np.zeros)
 
         for mod, widths in (("a", config.audio_widths), ("v", config.visual_widths)):
             for i in range(len(widths) - 1):
                 linear(f"enc.{mod}.{i}", widths[i], widths[i + 1])
                 if i == 0:
-                    norm(f"enc.{mod}.{i}.bn", widths[i + 1])
-                    self.buffers[f"enc.{mod}.{i}.bn.mean"] = np.zeros((1, widths[i + 1]))
-                    self.buffers[f"enc.{mod}.{i}.bn.var"] = np.ones((1, widths[i + 1]))
+                    bn, shape = f"enc.{mod}.{i}.bn", (1, widths[i + 1])
+                    norm(bn, widths[i + 1])
+                    self.buffers[f"{bn}.mean"] = np.array(value(f"{bn}.mean", shape, np.zeros))
+                    self.buffers[f"{bn}.var"] = np.array(value(f"{bn}.var", shape, np.ones))
                 else:
                     norm(f"enc.{mod}.{i}.ln", widths[i + 1])
 
@@ -96,8 +113,7 @@ class ModelParams:
             # skip the draws of the former Q/K weights so every other weight keeps its init
             rng.bit_generator.advance(2 * m * m)
             for proj in ("wv", "wo"):
-                w = rng.uniform(-lim, lim, (m, m)) if init else np.zeros((m, m))
-                self.params[f"fuse.{direction}.{proj}"] = dc.Parameter(w, name=f"fuse.{direction}.{proj}")
+                param(f"fuse.{direction}.{proj}", (m, m), lambda shape: rng.uniform(-lim, lim, shape))
             norm(f"fuse.{direction}.ln", m)
 
         for mod in ("a", "v"):
@@ -109,7 +125,7 @@ class ModelParams:
                 linear(f"dec.{mod}.{i}", dec_widths[i], dec_widths[i + 1])
 
         for name in LOSS_NAMES:
-            self.params[f"sigma.{name}"] = dc.Parameter(np.zeros((1, 1)), name=f"sigma.{name}", decay=False)
+            param(f"sigma.{name}", (1, 1), np.zeros, decay=False)
 
     # -- access helpers ----------------------------------------------------
 
@@ -127,26 +143,13 @@ class ModelParams:
             p.zero_grad()
 
     def copy(self):
-        other = ModelParams(self.config, init=False)
-        other.load_state_entries(self.state_entries())
-        return other
+        return ModelParams(self.config, entries=self.state_entries())
 
     def state_entries(self):
         """Name -> the live array of every parameter value and buffer."""
         entries = {name: p.value for name, p in self.params.items()}
         entries.update(self.buffers)
         return entries
-
-    def load_state_entries(self, entries):
-        """Copy ``entries`` into the parameters and buffers; extra names are
-        ignored, a missing name or a differing shape raises CheckpointError."""
-        for name, slot in self.state_entries().items():
-            if name not in entries:
-                raise CheckpointError(f"missing entry {name!r}")
-            if entries[name].shape != slot.shape:
-                raise CheckpointError(f"entry {name!r} has shape {entries[name].shape}, "
-                                      f"the model expects {slot.shape}")
-            slot[...] = entries[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """AdamW with decoupled weight decay, global-norm gradient clipping, and a
-cosine-annealing learning-rate schedule (per-epoch, restarting after T_max
-unless configured to clamp)."""
+cosine-annealing learning-rate schedule (per-epoch, from lr0 towards 0,
+restarting every T_max epochs)."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ class OptimConfig:
     eps: float = 1e-8
     clip_norm: float = 1.0
     cosine_t_max: int = 50
-    eta_min: float = 0.0
-    cosine_restart: bool = True  # False clamps at eta_min past T_max
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -74,13 +72,9 @@ def adamw_step(params, config, step_index, lr_t):
 
 
 def cosine_lr(epoch, config):
-    """Cosine annealing over epochs; cycles restart (or clamp) past T_max."""
+    """Cosine annealing over epochs from lr0 towards 0, restarting every T_max."""
     if epoch < 1:
         raise ValueError("cosine_lr: epoch starts at 1")
-    t = epoch - 1
     tmax = config.cosine_t_max
-    if config.cosine_restart:
-        t = t % tmax
-    elif t >= tmax:
-        return config.eta_min
-    return config.eta_min + (config.lr0 - config.eta_min) * (1.0 + math.cos(math.pi * t / tmax)) / 2.0
+    t = (epoch - 1) % tmax
+    return config.lr0 * (1.0 + math.cos(math.pi * t / tmax)) / 2.0

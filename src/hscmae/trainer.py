@@ -2,9 +2,10 @@
 
 Per step: mask plan -> masked student pass (reconstruction targets and
 contrastive embeddings) -> clean teacher pass (affinity mining, distillation
-targets) -> clean student pass with input gradient gate (canonical
-correlation) -> weighted total, backward, clip, AdamW, EMA update. After the
-last epoch a linear CCA is fitted on the clean-path training embeddings.
+targets) -> clean student pass (canonical correlation; its inputs are
+constants, so it needs no input gradient gate) -> weighted total, backward,
+clip, AdamW, EMA update. After the last epoch a linear CCA is fitted on the
+clean-path training embeddings.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import cca_linear, diffcore as dc
 from .data_io import TrainView, batches
 from .losses import CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss, soft_infonce, total_loss
-from .masking import apply_value_mask, make_grad_gate, make_plan
+from .masking import apply_value_mask, make_plan
 from .model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, config_entries,
                     config_from_entries, decode, embed_arrays, encode, forward_embed, fuse,
                     load_entries, project, save_entries)
@@ -138,12 +139,9 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
         if active["dis"]:
             bundle.dis = distill_loss(z_mae[0], z_mae[1], zt_a, zt_v)
 
-    # student clean path with input gradient gate
+    # student clean path
     if active["cca"]:
-        gate_a, gate_v = make_grad_gate(plan)
-        xa_gated = dc.gradient_gate(dc.const(xa), gate_a)
-        xv_gated = dc.gradient_gate(dc.const(xv), gate_v)
-        z_cca_a, z_cca_v, _, _ = forward_embed(mp, xa_gated, xv_gated, train=True, rng=rng_cca)
+        z_cca_a, z_cca_v, _, _ = forward_embed(mp, dc.const(xa), dc.const(xv), train=True, rng=rng_cca)
         bundle.cca = dcca_loss(z_cca_a, z_cca_v, cfg.cca_config())
 
     total, weights = total_loss(bundle, {name: mp.sigma(name) for name in LOSS_NAMES},
@@ -251,8 +249,7 @@ def load_checkpoint(path):
     reason."""
     entries = load_entries(path)
     try:
-        mp = ModelParams(config_from_entries(entries), init=False)
-        mp.load_state_entries(entries)
+        mp = ModelParams(config_from_entries(entries), entries=entries)
         _check_cca_entries(entries, mp.config.proj_dim)
         return mp, cca_linear.from_checkpoint_entries(entries)
     except KeyError as exc:  # a config/* or cca/* entry

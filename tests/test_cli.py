@@ -145,6 +145,19 @@ def test_invalid_config_entry_exits_two(trained, data_files, tmp_path, capsys, h
     assert f"{bad}: config/* entries describe no valid model" in err and reason in err
 
 
+def test_huge_config_width_exits_two(trained, data_files, tmp_path, capsys):
+    # the model is built from the entries, so the width is refused before 96 TiB is asked for
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    entries = load_entries(ckpt)
+    entries["config/audio_widths"] = np.array([[12.0, 2.0 ** 40, 8.0]])
+    bad = str(tmp_path / "huge.ckpt")
+    save_entries(bad, entries)
+    assert main(["eval", "--checkpoint", bad, "--features", test_path]) == 2
+    assert (f"{bad}: entry 'enc.a.0.w' has shape (12, 8), the model expects (12, {2 ** 40})"
+            in capsys.readouterr().err)
+
+
 def test_duplicate_checkpoint_entry_exits_two(trained, data_files, tmp_path, capsys):
     ckpt, _, _ = trained
     _, test_path = data_files

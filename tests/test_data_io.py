@@ -225,12 +225,6 @@ def test_batches_partition_without_tail():
     assert len(set(seen.tolist())) == 8
 
 
-def test_batches_keep_tail_when_asked():
-    out = batches(10, 4, seed=0, drop_last=False)
-    assert [b.size for b in out] == [4, 4, 2]
-    np.testing.assert_array_equal(np.sort(np.concatenate(out)), np.arange(10))
-
-
 def test_batches_deterministic_and_seed_sensitive():
     a = batches(20, 5, seed=1)
     b = batches(20, 5, seed=1)

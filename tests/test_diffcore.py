@@ -139,20 +139,6 @@ def test_mul_scalar_broadcast_forward():
     np.testing.assert_allclose(dc.mul(dc.const(b), dc.const(a)).value, 2.0 * b)
 
 
-def test_row_log_softmax_matches_softmax():
-    x = np.random.default_rng(1).normal(size=(4, 6))
-    ls = dc.row_log_softmax(dc.const(x), temp=0.7).value
-    e = np.exp(x / 0.7)
-    np.testing.assert_allclose(np.exp(ls), e / e.sum(axis=1, keepdims=True), atol=1e-12)
-
-
-def test_softmax_temperature_validation():
-    with pytest.raises(ValueError):
-        dc.row_log_softmax(dc.const(np.zeros((1, 2))), temp=0.0)
-    with pytest.raises(ValueError):
-        dc.row_log_softmax(dc.const(np.zeros((1, 2))), temp=-1.0)
-
-
 def test_mse_forward_is_mean_row_squared_distance():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[0.0, 0.0], [3.0, 2.0]])
@@ -168,12 +154,11 @@ def test_l2_normalize_unit_norms_and_zero_rows():
     np.testing.assert_allclose(y[2], [0.0, 0.0])
 
 
-def test_sum_mean_transpose_forward():
+def test_sum_mean_forward():
     x = np.arange(6, dtype=float).reshape(2, 3)
     assert dc.sum_all(dc.const(x)).value[0, 0] == 15.0
     # a mean is a sum scaled by 1/size, as the losses build it
     assert dc.scale(dc.sum_all(dc.const(x)), 1.0 / x.size).value[0, 0] == 2.5
-    np.testing.assert_allclose(dc.transpose(dc.const(x)).value, x.T)
 
 
 def test_batch_norm_train_forward_standardizes():
@@ -329,16 +314,9 @@ def test_grad_mul_broadcast():
     check(lambda: dc.sum_all(dc.mul(dc.tanh(m.tensor()), s.tensor())), [s, m])
 
 
-def test_grad_exp_scale_transpose():
+def test_grad_exp_scale():
     p = param((2, 4), seed=15)
-    check(lambda: dc.sum_all(dc.exp(dc.scale(dc.transpose(p.tensor()), 0.3))), [p])
-
-
-def test_grad_row_log_softmax():
-    p = param((4, 5), seed=18)
-    t = np.abs(np.random.default_rng(19).normal(size=(4, 5)))
-    check(lambda: dc.sum_all(dc.mul(dc.const(t), dc.row_log_softmax(p.tensor(), temp=0.05))),
-          [p], tol=1e-5)
+    check(lambda: dc.sum_all(dc.exp(dc.scale(p.tensor(), 0.3))), [p])
 
 
 def test_grad_batch_norm_train():

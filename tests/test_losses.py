@@ -1,12 +1,16 @@
 """Unit tests for the four objectives and their combination.
 
 The canonical-correlation term is checked against two independent references:
-the closed-form linear CCA fit and a scipy generalized-eigenvalue solve.
+the closed-form linear CCA fit and a scipy generalized-eigenvalue solve. The
+contrastive node is checked bit for bit against the chain of row log-softmax
+tape nodes it replaced.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
 from hscmae import cca_linear
@@ -90,6 +94,15 @@ def test_dcca_gradient_against_finite_differences():
     assert err < 1e-4
 
 
+def test_dcca_rank_deficient_covariance_raises_like_linear_fit():
+    # constant inputs leave only the regularizer, here far below the rank tolerance
+    za, zv = np.ones((10, 3)), np.ones((10, 3))
+    with pytest.raises(dc.NumericError, match="dcca_loss: covariance rank-deficient"):
+        dcca_loss(dc.const(za), dc.const(zv), CcaConfig(r=3, eps=1e-300))
+    with pytest.raises(cca_linear.CcaFitError):
+        cca_linear.fit(za, zv, p=3, eps=1e-300)
+
+
 def test_dcca_validation():
     cfg = CcaConfig(r=3, eps=1e-4)
     with pytest.raises(dc.ShapeError):
@@ -110,6 +123,84 @@ def test_dcca_validation():
 
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _transpose(a):
+    return dc._node("transpose", a.value.T, (a,), lambda g: (g.T,))
+
+
+def _row_log_softmax(a, temp):
+    z = a.value / temp
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    y = z - lse
+    sm = np.exp(y)
+
+    def bwd(g):
+        return ((g - sm * g.sum(axis=1, keepdims=True)) / temp,)
+
+    return dc._node("row_log_softmax", y, (a,), bwd)
+
+
+def composed_soft_infonce(za, zv, targets, tau):
+    """The contrastive loss composed from 13 tape nodes (transpose, matmul,
+    row log-softmax, product with the constant weights, sum, scale and add),
+    the reference oracle for the single node."""
+    n = za.shape[0]
+    logits = dc.matmul(za, _transpose(zv))
+    half_a = dc.scale(dc.sum_all(dc.mul(dc.const(targets.w_a2v), _row_log_softmax(logits, tau))), -1.0 / n)
+    half_v = dc.scale(dc.sum_all(dc.mul(dc.const(targets.w_v2a), _row_log_softmax(_transpose(logits), tau))), -1.0 / n)
+    return dc.scale(dc.add(half_a, half_v), 0.5)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def infonce_value_and_grads(loss_fn, za, zv, targets, tau, epoch, sigma):
+    """Loss value and both input gradients, with the upstream gradient that
+    total_loss sends: the warm-up weight at epoch 1, exp(-sigma) at epoch 6."""
+    pa, pv = dc.Parameter(za, name="za"), dc.Parameter(zv, name="zv")
+    term = loss_fn(pa.tensor(), pv.tensor(), targets, tau)
+    sigmas = {"infonce": dc.Parameter([[sigma]], name="sigma.infonce", decay=False)}
+    total, _ = total_loss(LossBundle(infonce=term), sigmas, epoch, warmup_epochs=5)
+    dc.backward(total)
+    return term.value, pa.grad, pv.grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 8), mined=st.booleans(), k=st.integers(1, 6),
+       tau=st.sampled_from([0.01, 0.05, 0.2, 1.0]), epoch=st.sampled_from([1, 6]),
+       sigma=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_soft_infonce_bit_identical_to_composed(n, d, mined, k, tau, epoch, sigma, seed):
+    rng = np.random.default_rng(seed)
+    za, zv, ta, tv = (unit_rows(rng.normal(size=(n, d))) for _ in range(4))
+    targets = mine_affinities(ta, tv, k=k, tau=tau) if mined else identity_affinities(n)
+    got = infonce_value_and_grads(soft_infonce, za, zv, targets, tau, epoch, sigma)
+    want = infonce_value_and_grads(composed_soft_infonce, za, zv, targets, tau, epoch, sigma)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(bits(g), bits(w))
+
+
+def test_soft_infonce_is_one_node_with_the_closed_form_gradient():
+    rng = np.random.default_rng(15)
+    n, tau = 7, 0.1
+    za, zv = unit_rows(rng.normal(size=(n, 4))), unit_rows(rng.normal(size=(n, 4)))
+    targets = mine_affinities(unit_rows(rng.normal(size=(n, 4))), unit_rows(rng.normal(size=(n, 4))),
+                              k=3, tau=tau)
+    pa, pv = dc.Parameter(za, name="za"), dc.Parameter(zv, name="zv")
+    loss = soft_infonce(pa.tensor(), pv.tensor(), targets, tau)
+    assert [p.op for p in loss._parents] == ["param", "param"]
+    dc.backward(loss)
+
+    def softmax(lg):
+        e = np.exp(lg - lg.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    logits = za @ zv.T
+    d = ((softmax(logits / tau) - targets.w_a2v)
+         + (softmax(logits.T / tau) - targets.w_v2a).T) / (2 * n * tau)
+    np.testing.assert_allclose(pa.grad, d @ zv, atol=1e-12)
+    np.testing.assert_allclose(pv.grad, d.T @ za, atol=1e-12)
 
 
 def test_soft_infonce_identity_equals_single_positive():

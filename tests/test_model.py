@@ -295,8 +295,7 @@ def test_state_roundtrip_through_container(tmp_path):
     save_entries(path, entries)
     loaded = load_entries(path)
     assert config_from_entries(loaded) == mp.config
-    fresh = ModelParams(config_from_entries(loaded), init=False)
-    fresh.load_state_entries(loaded)
+    fresh = ModelParams(config_from_entries(loaded), entries=loaded)
     for name, p in mp.params.items():
         np.testing.assert_array_equal(fresh.params[name].value, p.value)
     for name, b in mp.buffers.items():

@@ -1,18 +1,23 @@
 """Unit tests for the training loop: step mechanics, determinism, logging,
 and checkpoint assembly."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hscmae.diffcore as dc
+from hscmae import trainer
 from hscmae.data_io import FeatureSet
-from hscmae.model import LOSS_NAMES
+from hscmae.masking import make_grad_gate, make_plan
+from hscmae.model import LOSS_NAMES, ModelConfig, ModelParams
 from hscmae.optim import OptimConfig
 from hscmae.trainer import (TrainConfig, _step_seed, epoch_log_rows, load_checkpoint,
                             save_checkpoint, train, train_step)
 
-from conftest import tiny_model_config
+from conftest import desk_train_config, tiny_model_config
+from test_losses import composed_soft_infonce
 
 
 def tiny_train_config(**overrides):
@@ -129,11 +134,65 @@ def test_train_errors():
 def test_train_step_rejects_single_sample():
     data = tiny_data()
     cfg = tiny_train_config()
-    from hscmae.model import ModelParams
     mp = ModelParams(cfg.model, seed=0)
     with pytest.raises(ValueError):
         train_step(mp, mp.copy(), data.audio[:1], data.visual[:1], cfg,
                    epoch=1, step_seed=0, lr_t=1e-3, rho=0.95, adam_step=1)
+
+
+def state_digest(*models):
+    """SHA-256 over every value, gradient, Adam moment and buffer."""
+    h = hashlib.sha256()
+    for mp in models:
+        for p in mp.parameters():
+            for arr in (p.value, p.grad, p.adam_m, p.adam_v):
+                h.update(arr.tobytes())
+        for b in mp.buffers.values():
+            h.update(b.tobytes())
+    return h.hexdigest()
+
+
+def run_steps(cfg, batch, epochs, monkeypatch=None):
+    """Identically seeded train_steps on one batch; with ``monkeypatch`` they
+    run the former step: the composed contrastive loss, and the clean pass's
+    constant inputs behind the gradient gate of that step's mask plan."""
+    rng = np.random.default_rng(cfg.seed)
+    xa = rng.normal(size=(batch, cfg.model.d_audio))
+    xv = rng.normal(size=(batch, cfg.model.d_visual))
+    mp = ModelParams(cfg.model, seed=cfg.seed)
+    teacher = mp.copy()
+    current = {"gated": 0}
+    if monkeypatch is not None:
+        forward_embed = trainer.forward_embed
+
+        def gated_forward_embed(mp, xa, xv, train, rng=None):
+            current["gated"] += 1
+            plan = make_plan(xa.shape[0], cfg.model.d_audio, cfg.model.d_visual,
+                             cfg.mask_ratio, current["seed"])
+            gate_a, gate_v = make_grad_gate(plan)
+            return forward_embed(mp, dc.gradient_gate(xa, gate_a), dc.gradient_gate(xv, gate_v),
+                                 train=train, rng=rng)
+
+        monkeypatch.setattr(trainer, "soft_infonce", composed_soft_infonce)
+        monkeypatch.setattr(trainer, "forward_embed", gated_forward_embed)
+    out = []
+    for t, epoch in enumerate(epochs, start=1):
+        current["seed"] = _step_seed(cfg.seed, epoch, t)
+        out.append(train_step(mp, teacher, xa, xv, cfg, epoch, current["seed"],
+                              cfg.optim.lr0, 0.99, t))
+    if monkeypatch is not None:
+        monkeypatch.undo()
+        assert current["gated"] == len(epochs)
+    return out, state_digest(mp, teacher)
+
+
+@pytest.mark.parametrize("cfg, batch, epochs", [
+    (desk_train_config(seed=3), 64, (1, 2, 5, 6, 7)),
+    (desk_train_config(seed=4, identity_affinities=True, mask_ratio=0.5), 40, (3, 6)),
+    (desk_train_config(seed=5, model=ModelConfig()), 12, (2, 6)),
+], ids=("desk", "desk-identity", "paper-widths"))
+def test_train_step_bit_identical_to_composed_gated_step(monkeypatch, cfg, batch, epochs):
+    assert run_steps(cfg, batch, epochs) == run_steps(cfg, batch, epochs, monkeypatch)
 
 
 def test_checkpoint_roundtrip(tmp_path):
