@@ -1,12 +1,18 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 matrices.
 
 Provides exactly the primitives the model and losses need. Every primitive
-records a closure computing its analytic input gradients; ``backward`` walks
-the tape from a scalar loss once, accumulates into reachable ``Parameter``
-objects and lets go of each node's gradient, closure and parents as soon as
-it has used them, so nothing of the tape is kept afterwards. Inside
-``no_tape()`` primitives compute the same values but record nothing. A tape
-is rebuilt on every forward pass and is single-threaded.
+with an input that leads to a ``Parameter`` records a closure computing its
+analytic input gradients; one whose inputs are all constants records nothing.
+``backward`` walks the tape from a scalar loss once, accumulates into
+reachable ``Parameter`` objects and lets go of each node's gradient, closure
+and parents as soon as it has used them, so nothing of the tape is kept
+afterwards. Inside ``no_tape()`` primitives compute the same values but
+record nothing. A tape is rebuilt on every forward pass and is
+single-threaded.
+
+``ParamArena`` keeps the values, gradients and Adam moments of a model's
+parameters in four flat arrays, so that the optimizer and the EMA teacher can
+walk them in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -27,24 +33,28 @@ class NumericError(DiffError):
 
 
 def _check_finite(op, value):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"{op}: non-finite forward value")
 
 
 class Tensor:
-    """A 2-D float64 matrix plus tape bookkeeping."""
+    """A 2-D float64 matrix plus tape bookkeeping.
 
-    __slots__ = ("value", "op", "_parents", "_backward", "param", "__weakref__")
+    ``needs_grad`` is true for a parameter leaf and for a taped node, which
+    has at least one parent that needs a gradient."""
 
-    def __init__(self, value, op="const", parents=(), backward=None, param=None):
+    __slots__ = ("value", "op", "_parents", "_backward", "param", "needs_grad", "__weakref__")
+
+    def __init__(self, value, op="const", param=None):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"{op}: expected a 2-D matrix, got shape {arr.shape}")
         self.value = arr
         self.op = op
-        self._parents = parents
-        self._backward = backward
+        self._parents = ()
+        self._backward = None
         self.param = param
+        self.needs_grad = param is not None
 
     @property
     def shape(self):
@@ -87,6 +97,57 @@ class Parameter:
         return f"<Parameter {self.name!r} {self.value.shape}>"
 
 
+# float64 elements per block of an arena pass: 256 KiB, so that the few
+# arrays a pass touches stay in a core's L2 cache between its ufuncs
+BLOCK = 1 << 15
+
+
+class ParamArena:
+    """Values, gradients and Adam moments of many parameters, each kind in
+    one contiguous float64 array laid out in parameter order.
+
+    ``layout`` lists (name, shape, decay) triples; decayed parameters must
+    come first, so weight decay covers the prefix ``[0, decay_end)``.
+    ``params`` holds one ``Parameter`` per triple whose four arrays are
+    reshaped views into the arena; values start uninitialised, for the
+    caller to fill once. Gradients and moments start as ``np.zeros``, whose
+    pages are mapped on first write, so an arena that is never trained (a
+    teacher's, an eval model's) takes memory for its values only.
+    ``scratch`` serves the passes over the arena: two blocks (or twice the
+    arena, when smaller), or the largest parameter.
+    """
+
+    def __init__(self, layout):
+        sizes = [int(np.prod(shape)) for _, shape, _ in layout]
+        decays = [decay for _, _, decay in layout]
+        if decays != sorted(decays, reverse=True):
+            raise ValueError("ParamArena: decayed parameters must come first")
+        self.size = sum(sizes)
+        self.decay_end = sum(sizes[:decays.count(True)])
+        self.value = np.empty(self.size)
+        self.grad = np.zeros(self.size)
+        self.adam_m = np.zeros(self.size)
+        self.adam_v = np.zeros(self.size)
+        self.scratch = np.empty(max([2 * min(BLOCK, self.size)] + sizes))
+        self.params = []
+        start = 0
+        for (name, shape, decay), size in zip(layout, sizes):
+            stop = start + size
+            p = Parameter.__new__(Parameter)  # over views: nothing to copy or zero
+            p.name, p.decay = name, decay
+            p.value, p.grad, p.adam_m, p.adam_v = (
+                a[start:stop].reshape(shape) for a in (self.value, self.grad, self.adam_m, self.adam_v))
+            self.params.append(p)
+            start = stop
+
+    def layout(self):
+        return [(p.name, p.value.shape, p.decay) for p in self.params]
+
+    def blocks(self):
+        """(start, stop) of consecutive stretches of at most BLOCK elements."""
+        return ((start, min(start + BLOCK, self.size)) for start in range(0, self.size, BLOCK))
+
+
 _taping = True
 
 
@@ -106,11 +167,14 @@ class no_tape:
 
 
 def _node(op, value, parents, backward):
+    """A primitive's output; taped (with its parents and closure) only when
+    taping is on and some parent needs a gradient."""
     value = np.asarray(value, dtype=np.float64)
     _check_finite(op, value)
-    if not _taping:
-        return Tensor(value, op=op)
-    return Tensor(value, op=op, parents=tuple(parents), backward=backward)
+    out = Tensor(value, op=op)
+    if _taping and any(p.needs_grad for p in parents):
+        out._parents, out._backward, out.needs_grad = tuple(parents), backward, True
+    return out
 
 
 def backward(loss):
@@ -119,7 +183,8 @@ def backward(loss):
 
     A tape can be walked once: each node's gradient is dropped, and its
     closure and parent links cleared, as soon as the node has been processed,
-    so saved activations are freed once their last consumer has run.
+    so saved activations are freed once their last consumer has run. No
+    gradient is kept for a parent that needs none.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward: root must be 1x1, got {loss.shape}")
@@ -137,7 +202,7 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.needs_grad and id(p) not in seen:
                 stack.append((p, False))
 
     grads = {id(loss): np.ones((1, 1))}
@@ -154,7 +219,7 @@ def backward(loss):
         if node_backward is None:
             continue
         for p, pg in zip(parents, node_backward(g)):
-            if pg is None:
+            if pg is None or not p.needs_grad:
                 continue
             if id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg
@@ -170,11 +235,29 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
     av, bv = a.value, b.value
+    a_grad = a.needs_grad
 
     def bwd(g):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if a_grad else None), av.T @ g
 
     return _node("matmul", av @ bv, (a, b), bwd)
+
+
+def linear(x, w, b):
+    """x @ w + b with a 1 x cols bias row, as one node. Values and gradients
+    are those of ``add(matmul(x, w), b)``; the input gradient g @ w.T is not
+    computed when ``x`` needs none, as for a first layer on data."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+    xv, wv = x.value, w.value
+    x_grad = x.needs_grad
+    y = xv @ wv
+    y += b.value
+
+    def bwd(g):
+        return (g @ wv.T if x_grad else None), xv.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _node("linear", y, (x, w, b), bwd)
 
 
 def add(a, b):
@@ -220,7 +303,10 @@ def tanh(a):
     y = np.tanh(a.value)
 
     def bwd(g):
-        return (g * (1.0 - y * y),)
+        dy = y * y
+        np.subtract(1.0, dy, out=dy)
+        dy *= g
+        return (dy,)
 
     return _node("tanh", y, (a,), bwd)
 
@@ -237,6 +323,40 @@ def exp(a):
 _NORM_EPS = 1e-5
 
 
+def _standardize(x, axis):
+    """(mu, var, inv, xhat, spare) of x standardised over ``axis``.
+
+    x - mu is computed once and scaled by inv = 1/sqrt(var + eps) in place
+    into xhat; var is np.var's own arithmetic on the centred copy, bit for
+    bit. ``spare`` is a free buffer of x's shape for the output."""
+    mu = x.mean(axis=axis, keepdims=True)
+    xhat = x - mu
+    spare = xhat * xhat
+    var = spare.sum(axis=axis, keepdims=True) / x.shape[axis]
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
+    xhat *= inv
+    return mu, var, inv, xhat, spare
+
+
+def _norm_backward(g, gamma, xhat, inv, axis):
+    """Input, gamma and beta gradients of y = gamma * xhat + beta with xhat
+    standardised over ``axis`` of length m: inv/m * (m*dxhat - sum(dxhat)
+    - xhat*sum(dxhat*xhat)) in that operand order, on two buffers."""
+    m = xhat.shape[axis]
+    dx = g * gamma
+    tmp = dx * xhat
+    s2 = tmp.sum(axis=axis, keepdims=True)
+    s1 = dx.sum(axis=axis, keepdims=True)
+    np.multiply(g, xhat, out=tmp)
+    dgamma = tmp.sum(axis=0, keepdims=True)
+    dx *= m
+    dx -= s1
+    np.multiply(xhat, s2, out=tmp)
+    dx -= tmp
+    dx *= inv / m
+    return dx, dgamma, g.sum(axis=0, keepdims=True)
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=True, momentum=0.1):
     """Batch normalization over the row (sample) axis.
 
@@ -247,34 +367,28 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=Tr
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError(f"batch_norm: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
     if train:
-        n = x.shape[0]
-        if n < 2:
+        if x.shape[0] < 2:
             raise ShapeError("batch_norm: train mode needs at least 2 samples")
-        mu = x.value.mean(axis=0, keepdims=True)
-        var = x.value.var(axis=0, keepdims=True)
+        mu, var, inv, xhat, y = _standardize(x.value, 0)
         if update_stats:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mu
             running_var *= 1.0 - momentum
             running_var += momentum * var
-        inv = 1.0 / np.sqrt(var + _NORM_EPS)
-        xhat = (x.value - mu) * inv
-        y = gamma.value * xhat + beta.value
+        np.multiply(xhat, gamma.value, out=y)
 
         def bwd(g):
-            dxhat = g * gamma.value
-            dx = inv / n * (n * dxhat
-                            - dxhat.sum(axis=0, keepdims=True)
-                            - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
-            return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+            return _norm_backward(g, gamma.value, xhat, inv, 0)
     else:
         inv = 1.0 / np.sqrt(running_var + _NORM_EPS)
-        xhat = (x.value - running_mean) * inv
-        y = gamma.value * xhat + beta.value
+        xhat = x.value - running_mean
+        xhat *= inv
+        y = xhat * gamma.value
 
         def bwd(g):
             return g * gamma.value * inv, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
+    y += beta.value
     return _node("batch_norm", y, (x, gamma, beta), bwd)
 
 
@@ -283,18 +397,12 @@ def layer_norm(x, gamma, beta):
     d = x.shape[1]
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = x.value.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = (x.value - mu) * inv
-    y = gamma.value * xhat + beta.value
+    _, _, inv, xhat, y = _standardize(x.value, 1)
+    np.multiply(xhat, gamma.value, out=y)
+    y += beta.value
 
     def bwd(g):
-        dxhat = g * gamma.value
-        dx = inv / d * (d * dxhat
-                        - dxhat.sum(axis=1, keepdims=True)
-                        - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
-        return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+        return _norm_backward(g, gamma.value, xhat, inv, 1)
 
     return _node("layer_norm", y, (x, gamma, beta), bwd)
 
@@ -305,12 +413,19 @@ def dropout(x, rate, train, rng):
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     if not train or rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    # the tape keeps a boolean mask; (v * mask) * scale equals v * (mask / (1 - rate))
+    # bit for bit, since multiplying by 1.0 is exact
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
 
     def bwd(g):
-        return (g * keep,)
+        dx = g * keep
+        dx *= scale
+        return (dx,)
 
-    return _node("dropout", x.value * keep, (x,), bwd)
+    y = x.value * keep
+    y *= scale
+    return _node("dropout", y, (x,), bwd)
 
 
 def mse(a, b):
@@ -319,10 +434,11 @@ def mse(a, b):
         raise ShapeError(f"mse: {a.shape} vs {b.shape}")
     n = a.shape[0]
     diff = a.value - b.value
+    b_grad = b.needs_grad
 
     def bwd(g):
         d = g[0, 0] * 2.0 / n * diff
-        return d, -d
+        return d, (-d if b_grad else None)
 
     return _node("mse", [[float((diff * diff).sum() / n)]], (a, b), bwd)
 
@@ -342,8 +458,8 @@ def l2_normalize_rows(a, zero_tol=1e-12):
 
 
 def stop_gradient(a):
-    """Identity forward, zero backward."""
-    return _node("stop_gradient", a.value.copy(), (a,), lambda g: (None,))
+    """A copy of ``a`` that needs no gradient: nothing flows back through it."""
+    return Tensor(a.value.copy(), op="stop_gradient")
 
 
 def gradient_gate(a, gate):

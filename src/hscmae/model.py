@@ -61,35 +61,52 @@ class ModelParams:
     ``params`` maps name -> Parameter, ``buffers`` maps name -> ndarray
     (running mean/var of the first-layer batch norms). Insertion order is
     fixed by construction and reused for checkpoints and optimizer walks.
-    With ``entries`` (name -> array, as ``state_entries`` or a checkpoint
-    holds them) each parameter and buffer copies its entry instead of its
-    seeded init; extra names are ignored, and a missing name or a differing
-    shape raises CheckpointError before anything of that shape is allocated.
+    The parameters live in ``arena``, a ``dc.ParamArena`` in that order; the
+    decay-exempt ``sigma.*`` weights come last. With ``entries`` (name ->
+    array, as ``state_entries`` or a checkpoint holds them) each parameter
+    and buffer copies its entry instead of its seeded init; extra names are
+    ignored, and a missing name or a differing shape raises CheckpointError.
+    Every entry is checked before the arena is allocated, and each value is
+    written into the arena once.
     """
 
     def __init__(self, config, seed=0, entries=None):
         self.config = config
-        self.params = {}
         self.buffers = {}
         self.zero_row_warnings = 0
         rng = np.random.default_rng(seed)
+        layout, inits = [], []
 
-        def value(name, shape, init):
-            if entries is None:
-                return init(shape)
+        def check(name, shape):
             if name not in entries:
                 raise CheckpointError(f"missing entry {name!r}")
             if entries[name].shape != shape:
                 raise CheckpointError(f"entry {name!r} has shape {entries[name].shape}, "
                                       f"the model expects {shape}")
-            return entries[name]
 
         def param(name, shape, init, decay=True):
-            self.params[name] = dc.Parameter(value(name, shape, init), name=name, decay=decay)
+            if entries is not None:
+                check(name, shape)
+            layout.append((name, shape, decay))
+            inits.append(init)
+
+        def buffer(name, shape, init):
+            if entries is not None:
+                check(name, shape)
+            self.buffers[name] = np.array(init(shape) if entries is None else entries[name])
+
+        def glorot(skip=0):
+            # the limit is worked out only when drawing: checkpoint widths are
+            # checked against the entries and may be zero or negative
+            def draw(shape):
+                if skip:
+                    rng.bit_generator.advance(skip)
+                lim = np.sqrt(6.0 / (shape[0] + shape[1]))
+                return rng.uniform(-lim, lim, shape)
+            return draw
 
         def linear(name, fan_in, fan_out):
-            lim = np.sqrt(6.0 / (fan_in + fan_out))
-            param(f"{name}.w", (fan_in, fan_out), lambda shape: rng.uniform(-lim, lim, shape))
+            param(f"{name}.w", (fan_in, fan_out), glorot())
             param(f"{name}.b", (1, fan_out), np.zeros)
 
         def norm(name, d):
@@ -102,18 +119,16 @@ class ModelParams:
                 if i == 0:
                     bn, shape = f"enc.{mod}.{i}.bn", (1, widths[i + 1])
                     norm(bn, widths[i + 1])
-                    self.buffers[f"{bn}.mean"] = np.array(value(f"{bn}.mean", shape, np.zeros))
-                    self.buffers[f"{bn}.var"] = np.array(value(f"{bn}.var", shape, np.ones))
+                    buffer(f"{bn}.mean", shape, np.zeros)
+                    buffer(f"{bn}.var", shape, np.ones)
                 else:
                     norm(f"enc.{mod}.{i}.ln", widths[i + 1])
 
         m = config.model_dim
-        lim = np.sqrt(6.0 / (m + m))
         for direction in ("a2v", "v2a"):
             # skip the draws of the former Q/K weights so every other weight keeps its init
-            rng.bit_generator.advance(2 * m * m)
-            for proj in ("wv", "wo"):
-                param(f"fuse.{direction}.{proj}", (m, m), lambda shape: rng.uniform(-lim, lim, shape))
+            param(f"fuse.{direction}.wv", (m, m), glorot(skip=2 * m * m))
+            param(f"fuse.{direction}.wo", (m, m), glorot())
             norm(f"fuse.{direction}.ln", m)
 
         for mod in ("a", "v"):
@@ -127,6 +142,12 @@ class ModelParams:
         for name in LOSS_NAMES:
             param(f"sigma.{name}", (1, 1), np.zeros, decay=False)
 
+        # the init draws run here, in layout order, each written into its view once
+        self.arena = dc.ParamArena(layout)
+        self.params = {p.name: p for p in self.arena.params}
+        for p, init in zip(self.arena.params, inits):
+            p.value[...] = init(p.value.shape) if entries is None else entries[p.name]
+
     # -- access helpers ----------------------------------------------------
 
     def t(self, name):
@@ -139,8 +160,7 @@ class ModelParams:
         return list(self.params.values())
 
     def zero_grads(self):
-        for p in self.params.values():
-            p.zero_grad()
+        self.arena.grad.fill(0.0)
 
     def copy(self):
         return ModelParams(self.config, entries=self.state_entries())
@@ -167,7 +187,7 @@ def encode(mp, xa, xv, train, rng=None):
 
     def run(mod, widths, h):
         for i in range(len(widths) - 1):
-            h = dc.add(dc.matmul(h, mp.t(f"enc.{mod}.{i}.w")), mp.t(f"enc.{mod}.{i}.b"))
+            h = dc.linear(h, mp.t(f"enc.{mod}.{i}.w"), mp.t(f"enc.{mod}.{i}.b"))
             if i == 0:
                 h = dc.batch_norm(h, mp.t(f"enc.{mod}.{i}.bn.gamma"), mp.t(f"enc.{mod}.{i}.bn.beta"),
                                   mp.buffers[f"enc.{mod}.{i}.bn.mean"],
@@ -209,7 +229,7 @@ def project(mp, ua, uv):
     """
     out = []
     for mod, u in (("a", ua), ("v", uv)):
-        z = dc.add(dc.matmul(u, mp.t(f"proj.{mod}.w")), mp.t(f"proj.{mod}.b"))
+        z = dc.linear(u, mp.t(f"proj.{mod}.w"), mp.t(f"proj.{mod}.b"))
         mp.zero_row_warnings += int((np.linalg.norm(z.value, axis=1) < 1e-12).sum())
         out.append(dc.l2_normalize_rows(z))
     return tuple(out)
@@ -219,7 +239,7 @@ def decode(mp, ua, uv):
     """Mirror-image 3-layer MLP per modality; tanh hidden, linear output."""
     def run(mod, h):
         for i in range(3):
-            h = dc.add(dc.matmul(h, mp.t(f"dec.{mod}.{i}.w")), mp.t(f"dec.{mod}.{i}.b"))
+            h = dc.linear(h, mp.t(f"dec.{mod}.{i}.w"), mp.t(f"dec.{mod}.{i}.b"))
             if i < 2:
                 h = dc.tanh(h)
         return h

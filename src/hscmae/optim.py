@@ -31,44 +31,65 @@ class OptimConfig:
             raise ValueError(f"OptimConfig: cosine_t_max must be >= 1, got {self.cosine_t_max}")
 
 
-def clip_global_norm(params, max_norm):
-    """Scale all gradients so the global L2 norm is at most ``max_norm``.
+def clip_global_norm(arena, max_norm):
+    """Scale all gradients of a ``ParamArena`` so the global L2 norm is at
+    most ``max_norm``.
 
+    The squared norm is one sum per parameter, added in parameter order.
     Returns the pre-clip norm. A non-finite norm aborts the step."""
     if max_norm <= 0:
         raise ValueError("clip_global_norm: max_norm must be positive")
     total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad * p.grad))
+    for p in arena.params:
+        sq = np.multiply(p.grad, p.grad, out=arena.scratch[:p.grad.size].reshape(p.grad.shape))
+        total += float(np.sum(sq))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise NumericError("clip_global_norm: non-finite gradient norm")
     if norm > max_norm:
-        factor = max_norm / norm
-        for p in params:
-            p.grad *= factor
+        arena.grad *= max_norm / norm
     return norm
 
 
-def adamw_step(params, config, step_index, lr_t):
-    """One decoupled-decay Adam step with bias-corrected moments.
+def adamw_step(arena, config, step_index, lr_t):
+    """One decoupled-decay Adam step with bias-corrected moments over a
+    ``ParamArena``.
 
     Decay is applied as theta <- theta - lr_t * wd * theta before the Adam
-    delta; parameters flagged ``decay=False`` (the log-variance weights) are
-    exempt."""
+    delta; parameters flagged ``decay=False`` (the log-variance weights, the
+    arena's tail) are exempt. The arena is walked in cache-sized blocks, each
+    running the whole update through two scratch blocks; every operation is
+    elementwise, so the blocking cannot change a bit."""
     if step_index < 1:
         raise ValueError("adamw_step: step_index starts at 1")
     b1, b2 = config.beta1, config.beta2
     c1 = 1.0 - b1 ** step_index
     c2 = 1.0 - b2 ** step_index
-    for p in params:
-        if p.decay and config.weight_decay:
-            p.value -= lr_t * config.weight_decay * p.value
-        p.adam_m *= b1
-        p.adam_m += (1.0 - b1) * p.grad
-        p.adam_v *= b2
-        p.adam_v += (1.0 - b2) * p.grad * p.grad
-        p.value -= lr_t * (p.adam_m / c1) / (np.sqrt(p.adam_v / c2) + config.eps)
+    decay_end = arena.decay_end if config.weight_decay else 0
+    lr_wd = lr_t * config.weight_decay
+    for start, stop in arena.blocks():
+        n = stop - start
+        val, g = arena.value[start:stop], arena.grad[start:stop]
+        m, v = arena.adam_m[start:stop], arena.adam_v[start:stop]
+        s1, s2 = arena.scratch[:n], arena.scratch[n:2 * n]
+        k = min(stop, decay_end) - start
+        if k > 0:
+            np.multiply(lr_wd, val[:k], out=s1[:k])
+            val[:k] -= s1[:k]
+        m *= b1
+        np.multiply(1.0 - b1, g, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(1.0 - b2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += config.eps
+        np.divide(m, c1, out=s1)
+        np.multiply(lr_t, s1, out=s1)
+        s1 /= s2
+        val -= s1
 
 
 def cosine_lr(epoch, config):

@@ -22,15 +22,17 @@ class AffinityTargets:
 
 
 def ema_update(teacher, student, rho):
-    """theta_t <- rho * theta_t + (1 - rho) * theta, values and buffers alike."""
-    if set(teacher.params) != set(student.params):
-        raise ValueError("ema_update: parameter sets differ")
-    for name, tp in teacher.params.items():
-        sp = student.params[name]
-        if tp.value.shape != sp.value.shape:
-            raise ValueError(f"ema_update: shape mismatch on {name!r}")
-        tp.value *= rho
-        tp.value += (1.0 - rho) * sp.value
+    """theta_t <- rho * theta_t + (1 - rho) * theta, values and buffers alike.
+
+    The value arenas are walked in cache-sized blocks through one scratch
+    block of the teacher's."""
+    ta, sa = teacher.arena, student.arena
+    if ta.layout() != sa.layout():
+        raise ValueError("ema_update: teacher and student parameters differ")
+    for start, stop in ta.blocks():
+        tv = ta.value[start:stop]
+        tv *= rho
+        tv += np.multiply(1.0 - rho, sa.value[start:stop], out=ta.scratch[:stop - start])
     for name, tb in teacher.buffers.items():
         tb *= rho
         tb += (1.0 - rho) * student.buffers[name]

@@ -98,6 +98,12 @@ def _step_seed(seed, epoch, batch_index):
 def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step):
     """One optimizer step on a mini-batch; mutates student and teacher.
 
+    Batch-norm running statistics: the masked student pass updates the
+    student's running mean and variance with the masked batch's statistics,
+    then the clean student pass updates them with the clean batch's. The
+    eval-mode teacher pass reads its own and never updates them; the
+    teacher's buffers follow the student's by EMA.
+
     Returns (LossBundle value dict, effective weights, total value)."""
     n = xa.shape[0]
     if n < 2:
@@ -151,8 +157,8 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
         raise dc.NumericError(f"train_step: non-finite total loss; components {bundle.values()}")
 
     dc.backward(total)
-    clip_global_norm(mp.parameters(), cfg.optim.clip_norm)
-    adamw_step(mp.parameters(), cfg.optim, adam_step, lr_t)
+    clip_global_norm(mp.arena, cfg.optim.clip_norm)
+    adamw_step(mp.arena, cfg.optim, adam_step, lr_t)
     ema_update(teacher, mp, rho)
     return bundle.values(), weights, total_value
 

@@ -3,13 +3,18 @@
 Every primitive's forward is checked against plain numpy and its backward
 against the central finite-difference oracle in diffcore.grad_check. The
 freeing ``backward`` is checked against ``keeping_backward``, the reverse
-pass that keeps the whole tape alive until the walk ends.
+pass that keeps the whole tape alive until the walk ends; ``linear`` against
+``add(matmul(...))``, and the norms against ``formula_layer_norm`` and
+``formula_batch_norm``, the former textbook-formula implementations, all
+kept here as reference oracles.
 """
 
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
 
@@ -57,6 +62,79 @@ def keeping_backward(loss):
     return grads
 
 
+def formula_batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=True,
+                       momentum=0.1):
+    """Reference oracle for ``dc.batch_norm``: np.var and fresh arrays per step."""
+    eps = 1e-5
+    if train:
+        n = x.shape[0]
+        mu = x.value.mean(axis=0, keepdims=True)
+        var = x.value.var(axis=0, keepdims=True)
+        if update_stats:
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu
+            running_var *= 1.0 - momentum
+            running_var += momentum * var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x.value - mu) * inv
+        y = gamma.value * xhat + beta.value
+
+        def bwd(g):
+            dxhat = g * gamma.value
+            dx = inv / n * (n * dxhat
+                            - dxhat.sum(axis=0, keepdims=True)
+                            - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+            return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+    else:
+        inv = 1.0 / np.sqrt(running_var + eps)
+        xhat = (x.value - running_mean) * inv
+        y = gamma.value * xhat + beta.value
+
+        def bwd(g):
+            return g * gamma.value * inv, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return dc._node("batch_norm", y, (x, gamma, beta), bwd)
+
+
+def formula_layer_norm(x, gamma, beta):
+    """Reference oracle for ``dc.layer_norm``: np.var and fresh arrays per step."""
+    d = x.shape[1]
+    mu = x.value.mean(axis=1, keepdims=True)
+    var = x.value.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x.value - mu) * inv
+    y = gamma.value * xhat + beta.value
+
+    def bwd(g):
+        dxhat = g * gamma.value
+        dx = inv / d * (d * dxhat
+                        - dxhat.sum(axis=1, keepdims=True)
+                        - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+        return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return dc._node("layer_norm", y, (x, gamma, beta), bwd)
+
+
+def composed_linear(x, w, b):
+    """Reference oracle for ``dc.linear``: the former two-node layer."""
+    return dc.add(dc.matmul(x, w), b)
+
+
+def assert_bits_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def node_grads(node, g):
+    """The gradients a node's closure sends to each of its leaf inputs,
+    walking a composed chain's inner nodes by hand."""
+    out = []
+    for parent, pg in zip(node._parents, node._backward(g)):
+        out += node_grads(parent, pg) if parent._backward is not None else [pg]
+    return out
+
+
 def param(shape, seed=0, name="p"):
     return dc.Parameter(np.random.default_rng(seed).normal(size=shape), name=name)
 
@@ -85,6 +163,10 @@ def test_non_finite_forward_rejected():
     a = dc.const([[1.0, np.inf]])
     with pytest.raises(dc.NumericError):
         dc.tanh(dc.exp(dc.scale(a, 2.0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(dc.NumericError):
+            dc.scale(dc.const([[1.0, 2.0], [bad, 3.0]]), 1.0)
+    assert dc.scale(dc.const(np.zeros((0, 3))), 2.0).shape == (0, 3)
 
 
 def test_backward_requires_scalar_root():
@@ -292,7 +374,87 @@ def test_no_tape_records_nothing_and_restores_taping():
 def test_no_tape_still_rejects_non_finite_values():
     with pytest.raises(dc.NumericError), dc.no_tape():
         dc.scale(dc.const([[np.inf]]), 2.0)
-    assert dc.tanh(dc.const([[1.0]]))._backward is not None
+    assert dc.tanh(param((1, 1)).tensor())._backward is not None  # taping resumes after the block
+
+
+def test_constants_only_subgraph_tapes_nothing():
+    x = dc.const(np.random.default_rng(46).normal(size=(4, 3)))
+    h = dc.tanh(dc.add(dc.matmul(x, dc.const(np.ones((3, 3)))), dc.const(np.ones((1, 3)))))
+    for t in (x, h, dc.stop_gradient(param((2, 2)).tensor())):
+        assert not t.needs_grad and t._parents == () and t._backward is None
+    p = param((3, 3), seed=47)
+    y = dc.matmul(h, p.tensor())
+    assert y.needs_grad and y._parents[0] is h
+    dc.backward(dc.sum_all(y))
+    np.testing.assert_array_equal(p.grad, h.value.T @ np.ones((4, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d_in=st.integers(1, 20), d_out=st.integers(1, 20),
+       taped_input=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_linear_bit_identical_to_add_matmul(n, d_in, d_out, taped_input, seed):
+    rng = np.random.default_rng(seed)
+    x = param((n, d_in), seed=seed, name="x")
+    w, b = dc.Parameter(rng.normal(size=(d_in, d_out))), dc.Parameter(rng.normal(size=(1, d_out)))
+    g = rng.normal(size=(n, d_out))
+    xt = x.tensor() if taped_input else dc.const(x.value)
+    fused = dc.linear(xt, w.tensor(), b.tensor())
+    composed = composed_linear(x.tensor(), w.tensor(), b.tensor())
+    assert_bits_equal([fused.value], [composed.value])
+    want = node_grads(composed, g)
+    if not taped_input:
+        want[0] = None
+    got = list(fused._backward(g))
+    assert (got[0] is None) == (not taped_input)
+    assert_bits_equal([a for a in got if a is not None], [a for a in want if a is not None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 24), rate=st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+       seed=st.integers(0, 2 ** 16))
+def test_tanh_and_dropout_bit_identical_to_formula(n, d, rate, seed):
+    rng = np.random.default_rng(seed)
+    x = dc.Parameter(3.0 * rng.normal(size=(n, d)))
+    g = rng.normal(size=(n, d))
+    y = dc.tanh(x.tensor())
+    want = np.tanh(x.value)
+    assert_bits_equal([y.value, y._backward(g)[0]], [want, g * (1.0 - want * want)])
+    dropped = dc.dropout(x.tensor(), rate, train=True, rng=np.random.default_rng(seed))
+    keep = (np.random.default_rng(seed).random((n, d)) >= rate) / (1.0 - rate)
+    assert_bits_equal([dropped.value, dropped._backward(g)[0]], [x.value * keep, g * keep])
+
+
+NORM_SCALES = st.sampled_from([1e-3, 0.37, 1.0, 29.0, 1e3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 500), d=st.integers(1, 24), scale=NORM_SCALES, seed=st.integers(0, 2 ** 16))
+def test_layer_norm_bit_identical_to_formula(n, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = dc.Parameter(scale * rng.normal(loc=rng.normal(), size=(n, d)))
+    gamma, beta = dc.Parameter(rng.normal(size=(1, d))), dc.Parameter(rng.normal(size=(1, d)))
+    g = rng.normal(size=(n, d))
+    new = dc.layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
+    old = formula_layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
+    assert_bits_equal([new.value], [old.value])
+    assert_bits_equal(new._backward(g), old._backward(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 500), d=st.integers(1, 24), scale=NORM_SCALES, train=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_batch_norm_bit_identical_to_formula(n, d, scale, train, seed):
+    n = max(n, 2) if train else n
+    rng = np.random.default_rng(seed)
+    x = dc.Parameter(scale * rng.normal(loc=rng.normal(), size=(n, d)))
+    gamma, beta = dc.Parameter(rng.normal(size=(1, d))), dc.Parameter(rng.normal(size=(1, d)))
+    stats = [rng.normal(size=(1, d)), scale * scale * rng.uniform(0.5, 2.0, size=(1, d))]
+    g = rng.normal(size=(n, d))
+    new_stats, old_stats = [a.copy() for a in stats], [a.copy() for a in stats]
+    new = dc.batch_norm(x.tensor(), gamma.tensor(), beta.tensor(), *new_stats, train=train)
+    old = formula_batch_norm(x.tensor(), gamma.tensor(), beta.tensor(), *old_stats, train=train)
+    assert_bits_equal([new.value] + new_stats, [old.value] + old_stats)
+    assert_bits_equal(new._backward(g), old._backward(g))
 
 
 # ---------------------------------------------------------------------------

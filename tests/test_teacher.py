@@ -1,4 +1,8 @@
-"""Unit tests for EMA teacher maintenance and affinity mining."""
+"""Unit tests for EMA teacher maintenance and affinity mining.
+
+The blocked EMA pass is checked bit for bit against ``listwise_ema_update``,
+the former per-parameter update, kept here as the reference oracle.
+"""
 
 import numpy as np
 import pytest
@@ -6,12 +10,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hscmae.diffcore import NumericError
-from hscmae.model import ModelParams
+from hscmae.diffcore import BLOCK, NumericError
+from hscmae.model import ModelConfig, ModelParams
 from hscmae.teacher import (anneal_momentum, ema_update, identity_affinities,
                             mine_affinities)
 
 from conftest import tiny_model_config
+
+
+def listwise_ema_update(teacher, student, rho):
+    """Reference oracle: the per-parameter EMA update."""
+    for name, tp in teacher.params.items():
+        tp.value *= rho
+        tp.value += (1.0 - rho) * student.params[name].value
+    for name, tb in teacher.buffers.items():
+        tb *= rho
+        tb += (1.0 - rho) * student.buffers[name]
+
+
+@pytest.mark.parametrize("config", [
+    tiny_model_config(),
+    # about 55,000 parameters: the arena spans two blocks
+    ModelConfig(audio_widths=(40, 64, 64), visual_widths=(50, 64, 64), heads=2, proj_dim=8),
+], ids=("one-block", "two-blocks"))
+def test_ema_bit_identical_to_listwise(config):
+    student = ModelParams(config, seed=5)
+    teachers = [ModelParams(config, seed=6) for _ in range(2)]
+    for name, b in student.buffers.items():
+        b[...] = np.random.default_rng(7).normal(size=b.shape)
+    if config.model_dim == 64:
+        assert student.arena.size > BLOCK
+    for rho in (0.95, 0.9973, 0.999):
+        ema_update(teachers[0], student, rho)
+        listwise_ema_update(teachers[1], student, rho)
+    for (name, a), b in zip(teachers[0].state_entries().items(), teachers[1].state_entries().values()):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
+
+
+def test_ema_rejects_a_different_model():
+    with pytest.raises(ValueError):
+        ema_update(ModelParams(tiny_model_config(proj_dim=2), seed=0),
+                   ModelParams(tiny_model_config(), seed=0), 0.9)
 
 
 def test_ema_fixed_point():

@@ -2,22 +2,29 @@
 and checkpoint assembly."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
-from hscmae import trainer
+from hscmae import cca_linear, trainer
 from hscmae.data_io import FeatureSet
-from hscmae.masking import make_grad_gate, make_plan
-from hscmae.model import LOSS_NAMES, ModelConfig, ModelParams
+from hscmae.masking import apply_value_mask, make_grad_gate, make_plan
+from hscmae.model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, config_entries,
+                          embed_arrays, save_entries)
 from hscmae.optim import OptimConfig
 from hscmae.trainer import (TrainConfig, _step_seed, epoch_log_rows, load_checkpoint,
                             save_checkpoint, train, train_step)
 
 from conftest import desk_train_config, tiny_model_config
+from test_diffcore import composed_linear, formula_batch_norm, formula_layer_norm
 from test_losses import composed_soft_infonce
+from test_optim import listwise_adamw_step, listwise_clip_global_norm
+from test_teacher import listwise_ema_update
 
 
 def tiny_train_config(**overrides):
@@ -152,10 +159,24 @@ def state_digest(*models):
     return h.hexdigest()
 
 
+def patch_former_step(monkeypatch):
+    """The former pieces of a step: per-parameter clipping, AdamW and EMA,
+    two-node linear layers and the textbook-formula norms."""
+    monkeypatch.setattr(trainer, "clip_global_norm",
+                        lambda arena, max_norm: listwise_clip_global_norm(arena.params, max_norm))
+    monkeypatch.setattr(trainer, "adamw_step",
+                        lambda arena, *args: listwise_adamw_step(arena.params, *args))
+    monkeypatch.setattr(trainer, "ema_update", listwise_ema_update)
+    monkeypatch.setattr(dc, "linear", composed_linear)
+    monkeypatch.setattr(dc, "layer_norm", formula_layer_norm)
+    monkeypatch.setattr(dc, "batch_norm", formula_batch_norm)
+
+
 def run_steps(cfg, batch, epochs, monkeypatch=None):
     """Identically seeded train_steps on one batch; with ``monkeypatch`` they
-    run the former step: the composed contrastive loss, and the clean pass's
-    constant inputs behind the gradient gate of that step's mask plan."""
+    run the former step: the composed contrastive loss, the clean pass's
+    constant inputs behind the gradient gate of that step's mask plan, and
+    the pieces of ``patch_former_step``."""
     rng = np.random.default_rng(cfg.seed)
     xa = rng.normal(size=(batch, cfg.model.d_audio))
     xv = rng.normal(size=(batch, cfg.model.d_visual))
@@ -175,6 +196,7 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
 
         monkeypatch.setattr(trainer, "soft_infonce", composed_soft_infonce)
         monkeypatch.setattr(trainer, "forward_embed", gated_forward_embed)
+        patch_former_step(monkeypatch)
     out = []
     for t, epoch in enumerate(epochs, start=1):
         current["seed"] = _step_seed(cfg.seed, epoch, t)
@@ -193,6 +215,123 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
 ], ids=("desk", "desk-identity", "paper-widths"))
 def test_train_step_bit_identical_to_composed_gated_step(monkeypatch, cfg, batch, epochs):
     assert run_steps(cfg, batch, epochs) == run_steps(cfg, batch, epochs, monkeypatch)
+
+
+def test_first_layers_never_compute_an_input_gradient(monkeypatch):
+    """A linear layer fed by data skips g @ w.T: both first layers, in both
+    taped passes; every other layer computes it."""
+    seen = []
+    make_node = dc._node
+
+    def spying_node(op, value, parents, backward):
+        if op != "linear":
+            return make_node(op, value, parents, backward)
+
+        def spied(g):
+            grads = backward(g)
+            seen.append((parents[0].op, grads[0] is None))
+            return grads
+
+        return make_node(op, value, parents, spied)
+
+    monkeypatch.setattr(dc, "_node", spying_node)
+    cfg = desk_train_config(seed=6)
+    rng = np.random.default_rng(6)
+    train_step(ModelParams(cfg.model, seed=6), ModelParams(cfg.model, seed=6),
+               rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg, 2, 5, 1e-3, 0.99, 1)
+    assert len(seen) == 22
+    assert [skipped for op, skipped in seen if op == "const"] == [True] * 4
+    assert not any(skipped for op, skipped in seen if op != "const")
+
+
+def test_batch_norm_statistics_follow_the_masked_then_the_clean_pass():
+    """The masked student pass updates the running statistics, then the
+    clean student pass does; the eval-mode teacher pass does not, and the
+    teacher's buffers follow the student's by EMA."""
+    cfg = desk_train_config(seed=8)
+    rng = np.random.default_rng(8)
+    x = {"audio": rng.normal(size=(30, 12)), "visual": rng.normal(size=(30, 24))}
+    mp = ModelParams(cfg.model, seed=8)
+    teacher = mp.copy()
+    mp.buffers["enc.a.0.bn.mean"][...] = rng.normal(size=(1, 10))
+    mp.buffers["enc.v.0.bn.var"][...] = rng.uniform(0.5, 2.0, size=(1, 10))
+    before = {name: arr.copy() for name, arr in mp.state_entries().items()}
+    teacher_before = {name: b.copy() for name, b in teacher.buffers.items()}
+    rho, step_seed = 0.97, 9
+    train_step(mp, teacher, x["audio"], x["visual"], cfg, 3, step_seed, 1e-3, rho, 1)
+    plan = make_plan(30, 12, 24, cfg.mask_ratio, step_seed)
+    for mod, modality in (("a", "audio"), ("v", "visual")):
+        bn = f"enc.{mod}.0.bn"
+        mean, var = before[f"{bn}.mean"].copy(), before[f"{bn}.var"].copy()
+        for batch in (apply_value_mask(x[modality], plan, modality), x[modality]):
+            h = batch @ before[f"enc.{mod}.0.w"] + before[f"enc.{mod}.0.b"]
+            for running, stat in ((mean, h.mean(axis=0, keepdims=True)), (var, h.var(axis=0, keepdims=True))):
+                running *= 1.0 - 0.1
+                running += 0.1 * stat
+        for kind, want in (("mean", mean), ("var", var)):
+            name = f"{bn}.{kind}"
+            np.testing.assert_array_equal(mp.buffers[name].view(np.uint64), want.view(np.uint64))
+            ema = teacher_before[name] * rho
+            ema += (1.0 - rho) * want
+            np.testing.assert_array_equal(teacher.buffers[name].view(np.uint64), ema.view(np.uint64))
+
+
+_CONFIG_VALUES = st.one_of(st.integers(-2, 12).map(float),
+                           st.sampled_from([0.5, 2.5, -0.0, 2.0 ** 40, 1e300, math.nan,
+                                            math.inf, -math.inf]))
+
+
+def small_checkpoint_entries():
+    """Config, tiny-model state and appended-CCA entries of a checkpoint."""
+    cfg = tiny_model_config()
+    mp = ModelParams(cfg, seed=30)
+    rng = np.random.default_rng(30)
+    za, zv = embed_arrays(mp, rng.normal(size=(20, 3)), rng.normal(size=(20, 5)))
+    entries = config_entries(cfg)
+    entries.update(mp.state_entries())
+    entries.update(cca_linear.checkpoint_entries(cca_linear.fit(za, zv, p=2)))
+    return entries
+
+
+def config_matrix(key):
+    """Cells for a config/* entry: any shape, or (for widths) one row ending
+    at the tiny model's width, so that the config stays valid often and a
+    huge, zero or negative inner width reaches ModelParams."""
+    any_shape = st.tuples(st.sampled_from([0, 1, 1, 1, 2]), st.integers(0, 5)).flatmap(
+        lambda shape: st.lists(_CONFIG_VALUES, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda cells: np.array(cells, dtype=np.float64).reshape(shape)))
+    if not key.endswith("widths"):
+        return any_shape
+    return st.one_of(any_shape, st.lists(_CONFIG_VALUES, min_size=1, max_size=3).map(
+        lambda inner: np.array([inner + [4.0]])))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_entry_fuzz_loads_or_raises_checkpoint_error(tmp_path, data):
+    """Any config/* rewrite loads or raises CheckpointError, never MemoryError:
+    every entry is checked before anything of the config's size is allocated."""
+    entries = small_checkpoint_entries()
+    keys = sorted(k for k in entries if k.startswith("config/"))
+    for key in data.draw(st.sets(st.sampled_from(keys), min_size=1), label="keys"):
+        entries[key] = data.draw(config_matrix(key), label=key)
+    path = tmp_path / "fuzz.ckpt"
+    save_entries(path, entries)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("widths", [[2.0, -2.0, 4.0], [0.0, 0.0, 4.0], [3.0, -4.0, 4.0]])
+def test_config_widths_summing_to_zero_raise_checkpoint_error(tmp_path, widths):
+    # a layer whose fan-in and fan-out cancel once divided by zero in the init limit
+    entries = small_checkpoint_entries()
+    entries["config/audio_widths"] = np.array([widths])
+    save_entries(tmp_path / "zero.ckpt", entries)
+    with pytest.raises(CheckpointError, match="entry 'enc.a.0.w' has shape"):
+        load_checkpoint(tmp_path / "zero.ckpt")
 
 
 def test_checkpoint_roundtrip(tmp_path):
