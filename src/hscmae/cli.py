@@ -1,7 +1,9 @@
 """Command-line front end: synth, train, eval, baseline, sweep, ablate.
 
-Defaults follow the AVE training recipe; a plain-text config file
-(key = value) can override them, and explicit flags override the file.
+Every knob is a field of a config class (``SynthConfig``, ``ModelConfig``,
+``OptimConfig``, ``TrainConfig``), and that class holds its default. A
+plain-text config file (key = value) can set knobs, and explicit flags
+override the file.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -11,13 +13,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .cca_linear import CcaFitError
-from .data_io import DataError, FeatureSet, SynthConfig, generate_synthetic, load_features, save_features
+from .data_io import DataError, SynthConfig, generate_synthetic, load_features, save_features
 from .diffcore import DiffError
 from .evaluate import (BASELINES, DEFAULT_SWEEP_RATIOS, cross_modal_map, evaluate_model,
                        mask_ratio_sweep, rank_list_rows, report_rows, retrieval_embeddings,
@@ -36,63 +38,9 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-DEFAULTS = {
-    "epochs": 100, "batch_size": 400, "mask_ratio": 0.2, "k": 5, "tau": 0.05,
-    "warmup_epochs": 5, "seed": 0, "eval_every": 0,
-    "lr": 3e-4, "weight_decay": 1e-4, "clip_norm": 1.0, "t_max": 50,
-    "heads": 64, "proj_dim": 32, "dropout": 0.2, "cca_post_dim": 10,
-    "audio_widths": "auto", "visual_widths": "auto",
-    "classes": 8, "per_class": 250, "d_audio": 12, "d_visual": 24,
-    "noise": 0.8, "mean_scale": 1.0,
-    **{f"use_{name}": True for name in LOSS_NAMES},
-}
-
-
-def read_config_file(path):
-    """key -> (raw value, "file:line") for each ``key = value`` line."""
-    values = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{ln}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in DEFAULTS:
-                raise UsageError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = (value, f"{path}:{ln}")
-    return values
-
-
-def resolve(args, key, cast=None):
-    """CLI flag > config file > built-in default. A config-file value that
-    ``cast`` rejects is a usage error naming its file, line and key."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        raw, where = file_values[key]
-        try:
-            return cast(raw) if cast else raw
-        except ValueError:
-            raise UsageError(f"{where}: cannot parse {key} = {raw!r}") from None
-    return DEFAULTS.get(key)
-
-
 def _widths(raw):
     """'auto' or a comma-separated list of layer widths."""
     return raw if raw == "auto" else tuple(int(w) for w in raw.split(","))
-
-
-def _parse_widths(widths, d_in):
-    if widths == "auto":
-        return (d_in, 1024, 1024, 1024)
-    if widths[0] != d_in:
-        raise DataError(f"encoder widths {widths} do not start at the data dim {d_in}")
-    return widths
 
 
 def _bool(raw):
@@ -104,46 +52,111 @@ def _bool(raw):
     raise ValueError(raw)
 
 
-def build_train_config(args, d_audio, d_visual):
-    """The TrainConfig of flags > config file > defaults; a value the config
-    constructors reject is a usage error."""
+# CLI key -> (config field, cast). The key is the config-file key and, with
+# "-" for "_", the flag; a loss switch use_X is turned off by the flag --no-X.
+# A knob sets the field of that name in every config class that has one.
+KNOBS = {
+    "epochs": ("epochs", int), "batch_size": ("batch_size", int),
+    "mask_ratio": ("mask_ratio", float), "k": ("k", int), "tau": ("tau", float),
+    "warmup_epochs": ("warmup_epochs", int), "seed": ("seed", int),
+    "lr": ("lr0", float), "weight_decay": ("weight_decay", float),
+    "clip_norm": ("clip_norm", float), "t_max": ("cosine_t_max", int),
+    "heads": ("heads", int), "proj_dim": ("proj_dim", int), "dropout": ("dropout", float),
+    "cca_post_dim": ("cca_post_dim", int),
+    "audio_widths": ("audio_widths", _widths), "visual_widths": ("visual_widths", _widths),
+    **{f"use_{name}": (f"use_{name}", _bool) for name in LOSS_NAMES},
+    "eval_every": ("eval_every", int),
+    "classes": ("classes", int), "per_class": ("per_class", int),
+    "d_audio": ("d_audio", int), "d_visual": ("d_visual", int),
+    "noise": ("noise_scale", float), "mean_scale": ("mean_scale", float),
+}
+
+
+def _knob_keys(*classes):
+    names = {f.name for cls in classes for f in fields(cls)}
+    return [key for key, (name, _) in KNOBS.items() if name in names]
+
+
+def read_config_file(path):
+    """key -> (raw value, "file:line") for each ``key = value`` line."""
     try:
-        return _train_config(args, d_audio, d_visual)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except IsADirectoryError:
+        raise UsageError(f"{path}: is a directory, not a config file") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config file is not UTF-8 text (byte {exc.start})") from None
+    values = {}
+    for ln, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{ln}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in KNOBS:
+            raise UsageError(f"{path}:{ln}: unknown key {key!r}")
+        values[key] = (value, f"{path}:{ln}")
+    return values
+
+
+def knob(args, key):
+    """A knob's flag value, else its config-file value, else None. A file
+    value its cast rejects is a usage error naming its file, line and key."""
+    value = getattr(args, key, None)
+    if value is None and key in args._file_values:
+        raw, where = args._file_values[key]
+        try:
+            value = KNOBS[key][1](raw)
+        except ValueError:
+            raise UsageError(f"{where}: cannot parse {key} = {raw!r}") from None
+    return value
+
+
+def build(config_class, args, **fixed):
+    """``config_class`` with the fields that a flag or the config file sets,
+    then ``fixed``; every other field keeps the class's default. A value the
+    class rejects is a usage error."""
+    values = {KNOBS[key][0]: value for key in _knob_keys(config_class)
+              if (value := knob(args, key)) is not None}
+    try:
+        return config_class(**{**values, **fixed})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _train_config(args, d_audio, d_visual):
-    model = ModelConfig(
-        audio_widths=_parse_widths(resolve(args, "audio_widths", _widths), d_audio),
-        visual_widths=_parse_widths(resolve(args, "visual_widths", _widths), d_visual),
-        heads=resolve(args, "heads", int),
-        proj_dim=resolve(args, "proj_dim", int),
-        dropout=resolve(args, "dropout", float),
-    )
-    optim = OptimConfig(
-        lr0=resolve(args, "lr", float),
-        weight_decay=resolve(args, "weight_decay", float),
-        clip_norm=resolve(args, "clip_norm", float),
-        cosine_t_max=resolve(args, "t_max", int),
-    )
-    use = {name: not getattr(args, f"no_{name}", False) and resolve(args, f"use_{name}", _bool)
-           for name in LOSS_NAMES}
-    if not any(use.values()):
-        raise UsageError("all loss terms disabled; enable at least one")
-    return TrainConfig(
-        model=model, optim=optim,
-        epochs=resolve(args, "epochs", int),
-        batch_size=resolve(args, "batch_size", int),
-        mask_ratio=resolve(args, "mask_ratio", float),
-        k=resolve(args, "k", int),
-        tau=resolve(args, "tau", float),
-        warmup_epochs=resolve(args, "warmup_epochs", int),
-        use_rec=use["rec"], use_cca=use["cca"], use_infonce=use["infonce"], use_dis=use["dis"],
-        cca_post_dim=resolve(args, "cca_post_dim", int),
-        seed=resolve(args, "seed", int),
-        eval_every=resolve(args, "eval_every", int),
-    )
+def _trunk(args, key, d_in):
+    """Encoder widths from a knob; 'auto' or unset is ModelConfig's trunk
+    on the data dim."""
+    widths = knob(args, key)
+    if widths in (None, "auto"):
+        return (d_in,) + getattr(ModelConfig, key)[1:]
+    if widths[0] != d_in:
+        raise DataError(f"encoder widths {widths} do not start at the data dim {d_in}")
+    return widths
+
+
+def build_train_config(args, d_audio, d_visual):
+    """The TrainConfig of flags > config file > the config classes' defaults."""
+    model = build(ModelConfig, args, audio_widths=_trunk(args, "audio_widths", d_audio),
+                  visual_widths=_trunk(args, "visual_widths", d_visual))
+    return build(TrainConfig, args, model=model, optim=build(OptimConfig, args))
+
+
+def _dims(data):
+    return data.audio.shape[1], data.visual.shape[1]
+
+
+def load_matching(path, split, dims, source):
+    """``load_features`` of a file that must have the audio/visual dims
+    ``dims`` of ``source``; any other dims are a data error."""
+    data = load_features(path, split=split)
+    d_audio, d_visual = _dims(data)
+    if (d_audio, d_visual) != dims:
+        raise DataError(f"{path}: feature dims {d_audio}/{d_visual} differ from the "
+                        f"{dims[0]}/{dims[1]} of {source}")
+    return data
 
 
 def check_batch_size(cfg, n):
@@ -177,16 +190,7 @@ def _write_lines(path, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args):
-    cfg = SynthConfig(
-        classes=resolve(args, "classes", int),
-        per_class=resolve(args, "per_class", int),
-        d_audio=resolve(args, "d_audio", int),
-        d_visual=resolve(args, "d_visual", int),
-        mean_scale=resolve(args, "mean_scale", float),
-        noise_scale=resolve(args, "noise", float),
-        warp=not args.no_warp,
-        seed=resolve(args, "seed", int),
-    )
+    cfg = build(SynthConfig, args, warp=not args.no_warp)
     if args.manifest:
         write_manifest(args.manifest, "synth", asdict(cfg),
                        {"train": args.out_train, "test": args.out_test}, cfg.seed)
@@ -200,9 +204,10 @@ def cmd_synth(args):
 
 def cmd_train(args):
     data = load_features(args.features, split="train")
-    cfg = build_train_config(args, data.audio.shape[1], data.visual.shape[1])
+    eval_set = (load_matching(args.eval_features, "test", _dims(data), f"training split {args.features}")
+                if args.eval_features else None)
+    cfg = build_train_config(args, *_dims(data))
     check_batch_size(cfg, data.n)
-    eval_set = load_features(args.eval_features, split="test") if args.eval_features else None
     if args.manifest:
         write_manifest(args.manifest, "train", asdict(cfg),
                        {"checkpoint": args.out, "log_csv": args.log_csv}, cfg.seed)
@@ -221,7 +226,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     mp, cca_model = load_checkpoint(args.checkpoint)
-    data = load_features(args.features, split="test")
+    data = load_matching(args.features, "test", (mp.config.d_audio, mp.config.d_visual),
+                         f"checkpoint {args.checkpoint}")
     if data.labels is None:
         raise DataError(f"{args.features}: evaluation needs class labels")
     za, zv = retrieval_embeddings(mp, cca_model, data.audio, data.visual)
@@ -234,10 +240,17 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_baseline(args):
+def load_experiment(args):
+    """The training split, the test split and the TrainConfig of baseline,
+    sweep and ablate."""
     train_set = load_features(args.train_features, split="train")
-    test_set = load_features(args.test_features, split="test")
-    cfg = build_train_config(args, train_set.audio.shape[1], train_set.visual.shape[1])
+    test_set = load_matching(args.test_features, "test", _dims(train_set),
+                             f"training split {args.train_features}")
+    return train_set, test_set, build_train_config(args, *_dims(train_set))
+
+
+def cmd_baseline(args):
+    train_set, test_set, cfg = load_experiment(args)
     if args.name == "infonce-single":  # the only baseline that trains
         check_batch_size(cfg, train_set.n)
     report = run_baseline(args.name, train_set, test_set, cfg)
@@ -249,9 +262,7 @@ def cmd_baseline(args):
 
 
 def cmd_sweep(args):
-    train_set = load_features(args.train_features, split="train")
-    test_set = load_features(args.test_features, split="test")
-    cfg = build_train_config(args, train_set.audio.shape[1], train_set.visual.shape[1])
+    train_set, test_set, cfg = load_experiment(args)
     check_batch_size(cfg, train_set.n)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
@@ -279,9 +290,7 @@ ABLATION_ROWS = (  # (cca, rec, infonce, dis) flag combinations
 
 
 def cmd_ablate(args):
-    train_set = load_features(args.train_features, split="train")
-    test_set = load_features(args.test_features, split="test")
-    cfg = build_train_config(args, train_set.audio.shape[1], train_set.visual.shape[1])
+    train_set, test_set, cfg = load_experiment(args)
     check_batch_size(cfg, train_set.n)
     lines = ["cca,rec,infonce,dis,map_a2v,map_v2a,map_avg,gap"]
     for cca, rec, infonce, dis in ABLATION_ROWS:
@@ -299,48 +308,31 @@ def cmd_ablate(args):
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_train_flags(p):
+def _add_knob_flags(p, keys):
+    """--config plus one flag per knob in ``keys``; an unset flag is None,
+    so the config file and then the config class decide."""
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--mask-ratio", type=float, dest="mask_ratio")
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--warmup-epochs", type=int, dest="warmup_epochs")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    p.add_argument("--t-max", type=int, dest="t_max")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--proj-dim", type=int, dest="proj_dim")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--cca-post-dim", type=int, dest="cca_post_dim")
-    p.add_argument("--audio-widths", dest="audio_widths", type=_widths)
-    p.add_argument("--visual-widths", dest="visual_widths", type=_widths)
-    p.add_argument("--no-cca", action="store_true")
-    p.add_argument("--no-rec", action="store_true")
-    p.add_argument("--no-infonce", action="store_true")
-    p.add_argument("--no-dis", action="store_true")
+    for key in keys:
+        cast = KNOBS[key][1]
+        if cast is _bool:
+            p.add_argument("--no-" + key.removeprefix("use_"), dest=key, action="store_false",
+                           default=None)
+        else:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast)
 
 
 def build_parser():
     parser = Parser(prog="hscmae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    train_keys = _knob_keys(TrainConfig, ModelConfig, OptimConfig)
+    experiment_keys = [key for key in train_keys if key != "eval_every"]
 
     p = sub.add_parser("synth", help="generate synthetic paired feature files")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", type=int, dest="per_class")
-    p.add_argument("--d-audio", type=int, dest="d_audio")
-    p.add_argument("--d-visual", type=int, dest="d_visual")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--mean-scale", type=float, dest="mean_scale")
     p.add_argument("--no-warp", action="store_true")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
     p.add_argument("--manifest")
+    _add_knob_flags(p, _knob_keys(SynthConfig))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train on a paired feature file")
@@ -349,8 +341,7 @@ def build_parser():
     p.add_argument("--log-csv", dest="log_csv")
     p.add_argument("--manifest")
     p.add_argument("--eval-features", dest="eval_features")
-    p.add_argument("--eval-every", type=int, dest="eval_every")
-    _add_train_flags(p)
+    _add_knob_flags(p, train_keys)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a labeled test file")
@@ -365,7 +356,7 @@ def build_parser():
     p.add_argument("--train-features", required=True, dest="train_features")
     p.add_argument("--test-features", required=True, dest="test_features")
     p.add_argument("--report-csv", dest="report_csv")
-    _add_train_flags(p)
+    _add_knob_flags(p, experiment_keys)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("sweep", help="mask-ratio sweep, one training per ratio")
@@ -373,26 +364,29 @@ def build_parser():
     p.add_argument("--test-features", required=True, dest="test_features")
     p.add_argument("--out-csv", required=True, dest="out_csv")
     p.add_argument("--ratios")
-    _add_train_flags(p)
+    _add_knob_flags(p, experiment_keys)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="run the loss-flag ablation grid")
     p.add_argument("--train-features", required=True, dest="train_features")
     p.add_argument("--test-features", required=True, dest="test_features")
     p.add_argument("--out-csv", required=True, dest="out_csv")
-    _add_train_flags(p)
+    _add_knob_flags(p, experiment_keys)
     p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
+def parse_args(argv=None):
+    """The parsed flags, with the ``--config`` file's values attached."""
+    args = build_parser().parse_args(argv)
+    args._file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args._file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-        if getattr(args, "classes", None) is not None and args.classes < 2:
-            raise UsageError("--classes must be at least 2")
+        args = parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

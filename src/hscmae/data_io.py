@@ -8,7 +8,7 @@ label-stripped view so no training code path can reach them.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -169,6 +169,8 @@ class SynthConfig:
             raise ValueError("SynthConfig: need at least 2 classes")
         if self.mean_scale <= 0 or self.noise_scale < 0:
             raise ValueError("SynthConfig: scales must be positive")
+        if min(self.per_class, self.d_audio, self.d_visual, self.latent_dim) < 1:
+            raise ValueError("SynthConfig: per_class, d_audio, d_visual and latent_dim must be >= 1")
 
 
 def generate_synthetic(config):

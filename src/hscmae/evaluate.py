@@ -22,7 +22,7 @@ import numpy as np
 from . import cca_linear
 from .diffcore import NumericError
 from .model import embed_arrays
-from .trainer import TrainConfig, train
+from .trainer import train
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.audio_widths) < 2 or len(self.visual_widths) < 2:
             raise ValueError("encoder widths must contain at least one layer")
+        if min(*self.audio_widths, *self.visual_widths) < 1:
+            raise ValueError(f"encoder widths must be >= 1, got {self.audio_widths}/{self.visual_widths}")
         if self.audio_widths[-1] != self.visual_widths[-1]:
             raise ValueError("encoder output widths must match for fusion")
         if self.heads < 1:
@@ -96,8 +98,8 @@ class ModelParams:
             self.buffers[name] = np.array(init(shape) if entries is None else entries[name])
 
         def glorot(skip=0):
-            # the limit is worked out only when drawing: checkpoint widths are
-            # checked against the entries and may be zero or negative
+            # draws only when the arena is filled; a model built from
+            # checkpoint entries draws nothing
             def draw(shape):
                 if skip:
                     rng.bit_generator.advance(skip)

@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.cca_post_dim < 1:
             raise ValueError(f"cca_post_dim must be >= 1, got {self.cca_post_dim}")
+        if not any(self.active_losses().values()):
+            raise ValueError("all loss terms disabled; enable at least one")
 
     def cca_config(self):
         r = self.cca_r if self.cca_r is not None else self.model.proj_dim
@@ -109,8 +111,6 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     if n < 2:
         raise ValueError("train_step: batch size must be >= 2")
     active = cfg.active_losses()
-    if not any(active.values()):
-        raise ValueError("train_step: all loss terms disabled")
 
     mp.zero_grads()
     ss = np.random.SeedSequence(step_seed)

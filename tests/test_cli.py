@@ -1,15 +1,17 @@
 """End-to-end tests of the command-line front end, run in process."""
 
+import argparse
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from hscmae.cli import main
-from hscmae.data_io import FeatureSet, load_features, save_features
-from hscmae.model import load_entries, save_entries
-from hscmae.trainer import load_checkpoint
+from hscmae.cli import build, build_parser, build_train_config, main, parse_args
+from hscmae.data_io import FeatureSet, SynthConfig, load_features, save_features
+from hscmae.model import ModelConfig, load_entries, save_entries
+from hscmae.trainer import TrainConfig, load_checkpoint
 
 SMALL_FLAGS = [
     "--audio-widths", "12,8,8", "--visual-widths", "24,8,8",
@@ -210,6 +212,47 @@ def test_malformed_features_exit_two(trained, data_files, tmp_path, capsys):
         assert err.startswith("data error: ") and reason in err
 
 
+def test_mismatched_feature_dims_exit_two(trained, data_files, tmp_path, capsys):
+    # a file whose dims differ from the checkpoint's or the training split's is
+    # refused before any work: nothing is trained and no output is written
+    ckpt, _, _ = trained
+    train_path, _ = data_files
+    other = str(tmp_path / "other.bin")
+    save_features(other, FeatureSet(audio=np.zeros((20, 7)), visual=np.zeros((20, 9)),
+                                     labels=np.arange(20) % 2))
+    out = tmp_path / "out"
+    runs = (
+        (["eval", "--checkpoint", ckpt, "--features", other, "--report-csv", str(out)],
+         f"checkpoint {ckpt}"),
+        (["train", "--features", train_path, "--out", str(out), "--eval-features", other,
+          *SMALL_FLAGS], f"training split {train_path}"),
+        (["baseline", "--name", "cca", "--train-features", train_path, "--test-features", other,
+          "--report-csv", str(out), *SMALL_FLAGS], f"training split {train_path}"),
+        (["sweep", "--train-features", train_path, "--test-features", other,
+          "--out-csv", str(out), *SMALL_FLAGS], f"training split {train_path}"),
+        (["ablate", "--train-features", train_path, "--test-features", other,
+          "--out-csv", str(out), *SMALL_FLAGS], f"training split {train_path}"),
+    )
+    for argv, source in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{other}: feature dims 7/9 differ from the 12/24 of {source}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("widths", [[[12.0, 0.0, 8.0]], [[12.0, -3.0, 8.0]]], ids=("zero", "negative"))
+def test_nonpositive_config_width_exits_two(trained, data_files, tmp_path, capsys, widths):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    entries = load_entries(ckpt)
+    entries["config/audio_widths"] = np.array(widths)
+    bad = str(tmp_path / "bad.ckpt")
+    save_entries(bad, entries)
+    assert main(["eval", "--checkpoint", bad, "--features", test_path]) == 2
+    assert "encoder widths must be >= 1" in capsys.readouterr().err
+
+
 def test_baseline_commands(data_files, tmp_path):
     train_path, test_path = data_files
     for name in ("random", "cca"):
@@ -321,6 +364,38 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
     assert main(["train", "--features", train_path, "--out", str(tmp_path / "x.ckpt"),
                  *SMALL_FLAGS, "--audio-widths", "12,x,8"]) == 1
     capsys.readouterr()
+    # synth values that SynthConfig rejects write nothing
+    synth_out = ["--out-train", str(tmp_path / "t.bin"), "--out-test", str(tmp_path / "e.bin")]
+    for flag, value, reason in (("--noise", "-1", "scales must be positive"),
+                                ("--per-class", "-1", "per_class, d_audio"),
+                                ("--per-class", "0", "per_class, d_audio"),
+                                ("--d-audio", "0", "per_class, d_audio")):
+        assert main(["synth", *synth_out, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and reason in err
+    assert not (tmp_path / "t.bin").exists() and not (tmp_path / "e.bin").exists()
+    classes = tmp_path / "classes.cfg"
+    classes.write_text("classes = 1\n")
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes("k = 3 # caf\xe9\n".encode("latin-1"))
+    directory = tmp_path / "dir.cfg"
+    directory.mkdir()
+    for config, reason in ((classes, "need at least 2 classes"),
+                           (not_utf8, f"{not_utf8}: config file is not UTF-8"),
+                           (directory, f"{directory}: is a directory")):
+        assert main(["synth", *synth_out, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and reason in err
+    # widths below 1, given or derived from a zero data dim
+    zero_dim = str(tmp_path / "zero.bin")
+    save_features(zero_dim, FeatureSet(audio=np.zeros((60, 0)), visual=np.ones((60, 4)), labels=None))
+    for features, widths in ((train_path, ["--audio-widths", "12,-3,8"]),
+                             (train_path, ["--audio-widths", "12,0,8"]),
+                             (zero_dim, ["--audio-widths", "auto", "--visual-widths", "auto"])):
+        assert main(["train", "--features", features, "--out", str(tmp_path / "x.ckpt"),
+                     *SMALL_FLAGS, *widths]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "encoder widths must be >= 1" in err
     # out-of-range values are rejected before any training starts
     out = tmp_path / "never.ckpt"
     for flag, value, reason in (("--lr", "-1", "lr0 must be positive"),
@@ -376,3 +451,99 @@ def test_numeric_failure_exits_three(tmp_path, capsys):
                "--batch-size", "6", "--warmup-epochs", "1", "--cca-post-dim", "8"])
     assert rc == 3
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface against the config classes
+# ---------------------------------------------------------------------------
+
+TRAIN_OPTIONS = [
+    "--audio-widths", "--batch-size", "--cca-post-dim", "--clip-norm", "--config", "--dropout",
+    "--epochs", "--heads", "--k", "--lr", "--mask-ratio", "--no-cca", "--no-dis", "--no-infonce",
+    "--no-rec", "--proj-dim", "--seed", "--t-max", "--tau", "--visual-widths", "--warmup-epochs",
+    "--weight-decay",
+]
+OPTIONS = {
+    "synth": ["--classes", "--config", "--d-audio", "--d-visual", "--manifest", "--mean-scale",
+              "--no-warp", "--noise", "--out-test", "--out-train", "--per-class", "--seed"],
+    "train": TRAIN_OPTIONS + ["--eval-every", "--eval-features", "--features", "--log-csv",
+                              "--manifest", "--out"],
+    "eval": ["--checkpoint", "--features", "--ranklists-csv", "--report-csv"],
+    "baseline": TRAIN_OPTIONS + ["--name", "--report-csv", "--test-features", "--train-features"],
+    "sweep": TRAIN_OPTIONS + ["--out-csv", "--ratios", "--test-features", "--train-features"],
+    "ablate": TRAIN_OPTIONS + ["--out-csv", "--test-features", "--train-features"],
+}
+CONFIG_KEYS = {
+    "epochs", "batch_size", "mask_ratio", "k", "tau", "warmup_epochs", "seed", "eval_every",
+    "lr", "weight_decay", "clip_norm", "t_max", "heads", "proj_dim", "dropout", "cca_post_dim",
+    "audio_widths", "visual_widths", "classes", "per_class", "d_audio", "d_visual", "noise",
+    "mean_scale", "use_rec", "use_cca", "use_infonce", "use_dis",
+}
+# a valid value other than the default for every config key
+NON_DEFAULT = {
+    "epochs": "7", "batch_size": "64", "mask_ratio": "0.3", "k": "3", "tau": "0.1",
+    "warmup_epochs": "2", "seed": "9", "eval_every": "2", "lr": "0.001", "weight_decay": "0.01",
+    "clip_norm": "2.5", "t_max": "20", "heads": "2", "proj_dim": "6", "dropout": "0.1",
+    "cca_post_dim": "3", "audio_widths": "12,16,1024", "visual_widths": "24,32,1024",
+    "classes": "3", "per_class": "20", "d_audio": "5", "d_visual": "6", "noise": "0.5",
+    "mean_scale": "2.0", "use_rec": "off", "use_cca": "no", "use_infonce": "false", "use_dis": "0",
+}
+SYNTH_KEYS = {"classes", "per_class", "d_audio", "d_visual", "noise", "mean_scale", "seed"}
+
+
+def test_option_strings_per_subcommand():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(OPTIONS)
+    for command, expected in OPTIONS.items():
+        found = [s for a in subparsers.choices[command]._actions for s in a.option_strings
+                 if s not in ("-h", "--help")]
+        assert sorted(found) == sorted(expected), command
+    assert [len(OPTIONS[c]) for c in OPTIONS] == [12, 28, 4, 26, 26, 25]
+
+
+def test_config_file_keys(tmp_path):
+    assert len(CONFIG_KEYS) == 28 and set(NON_DEFAULT) == CONFIG_KEYS
+    for sep in ("_", "-"):
+        config = tmp_path / f"all{sep}.cfg"
+        config.write_text("".join(f"{key.replace('_', sep)} = {NON_DEFAULT[key]}\n"
+                                  for key in sorted(CONFIG_KEYS)))
+        args = parse_args(["train", "--features", "f", "--out", "o", "--config", str(config)])
+        assert set(args._file_values) == CONFIG_KEYS
+
+
+def test_unset_knobs_take_the_config_classes_defaults(tmp_path):
+    args = parse_args(["train", "--features", "f", "--out", "o"])
+    assert build_train_config(args, 12, 24) == TrainConfig(
+        model=ModelConfig(audio_widths=(12, 1024, 1024, 1024), visual_widths=(24, 1024, 1024, 1024)))
+    manifest = tmp_path / "synth.json"
+    assert main(["synth", "--out-train", str(tmp_path / "t.bin"), "--out-test",
+                 str(tmp_path / "e.bin"), "--manifest", str(manifest)]) == 0
+    assert json.loads(manifest.read_text())["config"] == asdict(SynthConfig())
+
+
+def _flag(key, value):
+    return ["--no-" + key[4:]] if key.startswith("use_") else ["--" + key.replace("_", "-"), value]
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_flag_and_config_file_set_the_same_config(tmp_path, key):
+    config = tmp_path / "one.cfg"
+    config.write_text(f"{key} = {NON_DEFAULT[key]}\n")
+    if key in SYNTH_KEYS:
+        head = ["synth", "--out-train", "t", "--out-test", "e"]
+        resolve = lambda args: build(SynthConfig, args)  # noqa: E731
+    else:
+        head = ["train", "--features", "f", "--out", "o"]
+        resolve = lambda args: build_train_config(args, 12, 24)  # noqa: E731
+    by_flag = resolve(parse_args([*head, *_flag(key, NON_DEFAULT[key])]))
+    by_file = resolve(parse_args([*head, "--config", str(config)]))
+    assert by_flag == by_file != resolve(parse_args(head))
+
+
+def test_loss_flag_beats_config_file(tmp_path):
+    config = tmp_path / "dis.cfg"
+    config.write_text("use_dis = true\nuse_rec = off\n")
+    args = parse_args(["train", "--features", "f", "--out", "o", "--config", str(config), "--no-dis"])
+    cfg = build_train_config(args, 12, 24)
+    assert (cfg.use_dis, cfg.use_rec, cfg.use_cca, cfg.use_infonce) == (False, False, True, True)

@@ -212,6 +212,10 @@ def test_generator_validation():
         SynthConfig(noise_scale=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(mean_scale=0.0)
+    for field in ("per_class", "d_audio", "d_visual", "latent_dim"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                SynthConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------

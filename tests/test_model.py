@@ -30,6 +30,9 @@ def test_config_validation():
         ModelConfig(audio_widths=(4, 6), visual_widths=(4, 6), heads=4)
     with pytest.raises(ValueError):
         ModelConfig(audio_widths=(4, 8), visual_widths=(4, 8), heads=2, proj_dim=0)
+    for widths in ((4, -3, 8), (4, 0, 8), (0, 8, 8)):
+        with pytest.raises(ValueError, match="encoder widths must be >= 1"):
+            ModelConfig(audio_widths=widths, visual_widths=(4, 8, 8), heads=2)
 
 
 def test_config_properties():

@@ -131,7 +131,7 @@ def test_train_errors():
     data = tiny_data(n=10)
     with pytest.raises(ValueError):
         train(data.unlabeled(), tiny_train_config(batch_size=50))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all loss terms disabled"):
         train(data.unlabeled(), tiny_train_config(
             use_rec=False, use_cca=False, use_infonce=False, use_dis=False))
     with pytest.raises(ValueError):
@@ -326,11 +326,12 @@ def test_config_entry_fuzz_loads_or_raises_checkpoint_error(tmp_path, data):
 
 @pytest.mark.parametrize("widths", [[2.0, -2.0, 4.0], [0.0, 0.0, 4.0], [3.0, -4.0, 4.0]])
 def test_config_widths_summing_to_zero_raise_checkpoint_error(tmp_path, widths):
-    # a layer whose fan-in and fan-out cancel once divided by zero in the init limit
+    # a layer whose fan-in and fan-out cancel once divided by zero in the init
+    # limit; ModelConfig refuses the widths before any entry is compared
     entries = small_checkpoint_entries()
     entries["config/audio_widths"] = np.array([widths])
     save_entries(tmp_path / "zero.ckpt", entries)
-    with pytest.raises(CheckpointError, match="entry 'enc.a.0.w' has shape"):
+    with pytest.raises(CheckpointError, match="encoder widths must be >= 1"):
         load_checkpoint(tmp_path / "zero.ckpt")
 
 
