@@ -4,13 +4,15 @@ Every knob is a field of a config class (``SynthConfig``, ``ModelConfig``,
 ``OptimConfig``, ``TrainConfig``), and that class holds its default. A
 plain-text config file (key = value) can set knobs, and explicit flags
 override the file.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (an unreadable input or
+an unwritable output among them), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -84,6 +86,8 @@ def read_config_file(path):
             text = fh.read()
     except IsADirectoryError:
         raise UsageError(f"{path}: is a directory, not a config file") from None
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: config file is not UTF-8 text (byte {exc.start})") from None
     values = {}
@@ -164,6 +168,28 @@ def check_batch_size(cfg, n):
     would leave no step to take."""
     if cfg.batch_size > n:
         raise UsageError(f"batch_size {cfg.batch_size} exceeds the {n} samples of the training split")
+
+
+# the options of every subcommand that name a file it writes
+OUTPUTS = ("out_train", "out_test", "out", "log_csv", "manifest", "report_csv", "ranklists_csv", "out_csv")
+
+
+def check_outputs(args):
+    """Open every output path for appending before any work starts, so that
+    a path that cannot be written fails at once, as a data error naming it.
+    A file this creates is removed again; an existing one is left as it was."""
+    for key in OUTPUTS:
+        path = getattr(args, key, None)
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise DataError(f"{path}: cannot write: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
 
 
 def write_manifest(path, command, config, outputs, seed, elapsed=None):
@@ -387,11 +413,12 @@ def parse_args(argv=None):
 def main(argv=None):
     try:
         args = parse_args(argv)
+        check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (DiffError, CcaFitError, np.linalg.LinAlgError) as exc:  # NumericError is a DiffError

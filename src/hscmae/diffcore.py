@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff over dense 2-D float64 matrices.
+"""Minimal reverse-mode autodiff over dense 2-D float32 or float64 matrices.
 
 Provides exactly the primitives the model and losses need. Every primitive
 with an input that leads to a ``Parameter`` records a closure computing its
@@ -10,9 +10,17 @@ afterwards. Inside ``no_tape()`` primitives compute the same values but
 record nothing. A tape is rebuilt on every forward pass and is
 single-threaded.
 
+A tensor keeps a float32 or a float64 value; anything else becomes float64.
+Every primitive computes in the dtype of its inputs and returns each input
+gradient in that input's dtype, so a float32 pass stays float32 forward and
+backward. Scalars that enter a float32 computation are Python floats: under
+NumPy 2 promotion (NEP 50) a float64 numpy scalar would turn the result
+float64.
+
 ``ParamArena`` keeps the values, gradients and Adam moments of a model's
-parameters in four flat arrays, so that the optimizer and the EMA teacher can
-walk them in cache-sized blocks.
+parameters in four flat float64 arrays, so that the optimizer and the EMA
+teacher can walk them in cache-sized blocks, plus a float32 mirror of the
+values that float32 passes read.
 """
 
 from __future__ import annotations
@@ -37,8 +45,14 @@ def _check_finite(op, value):
         raise NumericError(f"{op}: non-finite forward value")
 
 
+def _matrix(value):
+    """``value`` as an array: float32 and float64 kept, anything else float64."""
+    arr = np.asarray(value)
+    return arr if arr.dtype.char in "fd" else arr.astype(np.float64)
+
+
 class Tensor:
-    """A 2-D float64 matrix plus tape bookkeeping.
+    """A 2-D float32 or float64 matrix plus tape bookkeeping.
 
     ``needs_grad`` is true for a parameter leaf and for a taped node, which
     has at least one parent that needs a gradient."""
@@ -46,7 +60,7 @@ class Tensor:
     __slots__ = ("value", "op", "_parents", "_backward", "param", "needs_grad", "__weakref__")
 
     def __init__(self, value, op="const", param=None):
-        arr = np.asarray(value, dtype=np.float64)
+        arr = _matrix(value)
         if arr.ndim != 2:
             raise ShapeError(f"{op}: expected a 2-D matrix, got shape {arr.shape}")
         self.value = arr
@@ -69,9 +83,13 @@ def const(value, op="const"):
 
 
 class Parameter:
-    """Learnable matrix with a gradient accumulator and Adam moments."""
+    """Learnable float64 matrix with a gradient accumulator and Adam moments.
 
-    __slots__ = ("name", "value", "grad", "adam_m", "adam_v", "decay")
+    ``value32`` is the float32 mirror of ``value`` inside a ``ParamArena``
+    once the arena's ``refresh_mirror`` has run (None before, and outside an
+    arena); it holds what the last refresh copied."""
+
+    __slots__ = ("name", "value", "value32", "grad", "adam_m", "adam_v", "decay")
 
     def __init__(self, value, name="", decay=True):
         arr = np.array(value, dtype=np.float64)
@@ -79,6 +97,7 @@ class Parameter:
             raise ShapeError(f"parameter {name!r}: expected 2-D, got {arr.shape}")
         self.name = name
         self.value = arr
+        self.value32 = None
         # np.zeros (not zeros_like) maps pages on first write, so buffers that
         # are never written, such as a teacher's or an eval model's, take no memory
         self.grad = np.zeros(arr.shape)
@@ -86,9 +105,11 @@ class Parameter:
         self.adam_v = np.zeros(arr.shape)
         self.decay = decay
 
-    def tensor(self):
-        """Wrap the current value as a tape leaf tied to this parameter."""
-        return Tensor(self.value, op="param", param=self)
+    def tensor(self, dtype=np.float64):
+        """Wrap the current value as a tape leaf tied to this parameter; for
+        float32, the mirror. Its gradient, in either dtype, accumulates into
+        the float64 ``grad``."""
+        return Tensor(self.value if dtype == np.float64 else self.value32, op="param", param=self)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -104,7 +125,8 @@ BLOCK = 1 << 15
 
 class ParamArena:
     """Values, gradients and Adam moments of many parameters, each kind in
-    one contiguous float64 array laid out in parameter order.
+    one contiguous float64 array laid out in parameter order, plus
+    ``value32``, a float32 mirror of the values.
 
     ``layout`` lists (name, shape, decay) triples; decayed parameters must
     come first, so weight decay covers the prefix ``[0, decay_end)``.
@@ -112,7 +134,9 @@ class ParamArena:
     reshaped views into the arena; values start uninitialised, for the
     caller to fill once. Gradients and moments start as ``np.zeros``, whose
     pages are mapped on first write, so an arena that is never trained (a
-    teacher's, an eval model's) takes memory for its values only.
+    teacher's, an eval model's) takes memory for its values only. The
+    mirror is allocated by the first ``refresh_mirror``, its only writer, so
+    an arena that never runs a float32 pass has none.
     ``scratch`` serves the passes over the arena: two blocks (or twice the
     arena, when smaller), or the largest parameter.
     """
@@ -125,6 +149,7 @@ class ParamArena:
         self.size = sum(sizes)
         self.decay_end = sum(sizes[:decays.count(True)])
         self.value = np.empty(self.size)
+        self.value32 = None
         self.grad = np.zeros(self.size)
         self.adam_m = np.zeros(self.size)
         self.adam_v = np.zeros(self.size)
@@ -137,11 +162,22 @@ class ParamArena:
             p.name, p.decay = name, decay
             p.value, p.grad, p.adam_m, p.adam_v = (
                 a[start:stop].reshape(shape) for a in (self.value, self.grad, self.adam_m, self.adam_v))
+            p.value32 = None
             self.params.append(p)
             start = stop
 
     def layout(self):
         return [(p.name, p.value.shape, p.decay) for p in self.params]
+
+    def refresh_mirror(self):
+        """Round the values into the float32 mirror, allocated on the first call."""
+        if self.value32 is None:
+            self.value32 = np.empty(self.size, dtype=np.float32)
+            start = 0
+            for p in self.params:
+                p.value32 = self.value32[start:start + p.value.size].reshape(p.value.shape)
+                start += p.value.size
+        np.copyto(self.value32, self.value, casting="same_kind")
 
     def blocks(self):
         """(start, stop) of consecutive stretches of at most BLOCK elements."""
@@ -169,7 +205,7 @@ class no_tape:
 def _node(op, value, parents, backward):
     """A primitive's output; taped (with its parents and closure) only when
     taping is on and some parent needs a gradient."""
-    value = np.asarray(value, dtype=np.float64)
+    value = _matrix(value)
     _check_finite(op, value)
     out = Tensor(value, op=op)
     if _taping and any(p.needs_grad for p in parents):
@@ -360,8 +396,9 @@ def _norm_backward(g, gamma, xhat, inv, axis):
 def batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=True, momentum=0.1):
     """Batch normalization over the row (sample) axis.
 
-    ``running_mean``/``running_var`` are plain 1 x d arrays mutated in place
-    when ``train and update_stats``; eval mode normalizes with them.
+    ``running_mean``/``running_var`` are plain float64 1 x d arrays mutated
+    in place when ``train and update_stats``; eval mode normalizes with
+    them, cast to the input's dtype.
     """
     d = x.shape[1]
     if gamma.shape != (1, d) or beta.shape != (1, d):
@@ -380,8 +417,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=Tr
         def bwd(g):
             return _norm_backward(g, gamma.value, xhat, inv, 0)
     else:
-        inv = 1.0 / np.sqrt(running_var + _NORM_EPS)
-        xhat = x.value - running_mean
+        dtype = x.value.dtype
+        inv = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + _NORM_EPS)
+        xhat = x.value - running_mean.astype(dtype, copy=False)
         xhat *= inv
         y = xhat * gamma.value
 
@@ -429,7 +467,8 @@ def dropout(x, rate, train, rng):
 
 
 def mse(a, b):
-    """Mean over rows of the squared L2 row difference."""
+    """Mean over rows of the squared L2 row difference, computed in the
+    wider dtype of the two inputs."""
     if a.shape != b.shape:
         raise ShapeError(f"mse: {a.shape} vs {b.shape}")
     n = a.shape[0]
@@ -437,8 +476,9 @@ def mse(a, b):
     b_grad = b.needs_grad
 
     def bwd(g):
-        d = g[0, 0] * 2.0 / n * diff
-        return d, (-d if b_grad else None)
+        d = float(g[0, 0]) * 2.0 / n * diff
+        db = (-d).astype(b.value.dtype, copy=False) if b_grad else None
+        return d.astype(a.value.dtype, copy=False), db
 
     return _node("mse", [[float((diff * diff).sum() / n)]], (a, b), bwd)
 
@@ -464,7 +504,7 @@ def stop_gradient(a):
 
 def gradient_gate(a, gate):
     """Identity forward; backward multiplies the incoming gradient by ``gate``."""
-    gate = np.asarray(gate, dtype=np.float64)
+    gate = np.asarray(gate, dtype=a.value.dtype)
     if gate.shape != a.shape:
         raise ShapeError(f"gradient_gate: {a.shape} vs gate {gate.shape}")
 
@@ -476,7 +516,7 @@ def gradient_gate(a, gate):
 
 def sum_all(a):
     def bwd(g):
-        return (np.full(a.shape, g[0, 0]),)
+        return (np.full(a.shape, g[0, 0], dtype=a.value.dtype),)
 
     return _node("sum_all", [[float(a.value.sum())]], (a,), bwd)
 

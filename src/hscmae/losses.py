@@ -3,6 +3,13 @@
 The canonical-correlation and contrastive losses are dedicated tape nodes
 with closed-form gradients; reconstruction, distillation and the weighted
 total compose diffcore primitives.
+
+Every loss value is a float64 1 x 1. The canonical-correlation and
+contrastive heads compute in float64 on their n x r inputs whatever those
+inputs' dtype (the covariances, ``eigh`` and ``svd`` among them) and return
+each input gradient in that input's dtype; distillation computes in float64
+against float64 teacher embeddings, and reconstruction in the dtype of the
+decoder output and its target.
 """
 
 from __future__ import annotations
@@ -41,6 +48,16 @@ class LossBundle:
         return {n: (float(t.value[0, 0]) if t is not None else 0.0) for n, t in self.items()}
 
 
+def _float64(*tensors):
+    """The tensors' values as float64 arrays, for a head to compute on."""
+    return [t.value.astype(np.float64, copy=False) for t in tensors]
+
+
+def _like(t, grad):
+    """``grad`` in the dtype of the input tensor ``t`` it belongs to."""
+    return grad.astype(t.value.dtype, copy=False)
+
+
 _EIG_CLAMP = 1e-10
 _RANK_TOL = 1e-12
 
@@ -72,8 +89,9 @@ def dcca_loss(za, zv, config):
     if r > min(da, dv):
         raise ValueError(f"dcca_loss: r={r} exceeds min embedding dim {min(da, dv)}")
 
-    ha = za.value - za.value.mean(axis=0, keepdims=True)
-    hv = zv.value - zv.value.mean(axis=0, keepdims=True)
+    a, v = _float64(za, zv)
+    ha = a - a.mean(axis=0, keepdims=True)
+    hv = v - v.mean(axis=0, keepdims=True)
     denom = n - 1
     s_aa = ha.T @ ha / denom + config.eps * np.eye(da)
     s_vv = hv.T @ hv / denom + config.eps * np.eye(dv)
@@ -99,15 +117,20 @@ def dcca_loss(za, zv, config):
 
     def bwd(g):
         s = g[0, 0]
-        return -s * grad_a, -s * grad_v
+        return _like(za, -s * grad_a), _like(zv, -s * grad_v)
 
     return dc._node("dcca", [[-corr]], (za, zv), bwd)
 
 
 def _log_softmax_rows(lg, tau):
+    """z - (zmax + log(sum(exp(z - zmax)))) with z = lg / tau, by rows, on
+    two n x n arrays: the result and the exponentials."""
     z = lg / tau
     zmax = z.max(axis=1, keepdims=True)
-    return z - (zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))
+    e = z - zmax
+    np.exp(e, out=e)
+    z -= zmax + np.log(e.sum(axis=1, keepdims=True))
+    return z
 
 
 def soft_infonce(za, zv, targets, tau):
@@ -132,21 +155,29 @@ def soft_infonce(za, zv, targets, tau):
         if np.abs(w.sum(axis=1) - 1.0).max() > 1e-6:
             raise ValueError(f"soft_infonce: {name} weight rows do not sum to 1")
 
-    za_v, zv_v = za.value, zv.value
+    za_v, zv_v = _float64(za, zv)
     logits = za_v @ zv_v.T
     y_a = _log_softmax_rows(logits, tau)
     y_v = _log_softmax_rows(logits.T, tau)
     c = -1.0 / n
     loss = (float((w_a2v * y_a).sum()) * c + float((w_v2a * y_v).sum()) * c) * 0.5
 
+    # in place on two n x n arrays per direction: a desk step's n x n
+    # temporaries are freed at its end, and the fewer there are, the less
+    # memory the allocator hands back to the system and faults in again
     def direction(s, w, y):
-        gw = np.full(w.shape, s) * w
-        return (gw - np.exp(y) * gw.sum(axis=1, keepdims=True)) / tau
+        gw = w * s
+        p = np.exp(y)
+        p *= gw.sum(axis=1, keepdims=True)
+        gw -= p
+        gw /= tau
+        return gw
 
     def bwd(g):
         s = (g * 0.5 * c)[0, 0]
-        d = direction(s, w_a2v, y_a) + direction(s, w_v2a, y_v).T
-        return d @ zv_v, (za_v.T @ d).T
+        d = direction(s, w_a2v, y_a)
+        d += direction(s, w_v2a, y_v).T
+        return _like(za, d @ zv_v), _like(zv, (za_v.T @ d).T)
 
     return dc._node("soft_infonce", [[loss]], (za, zv), bwd)
 
@@ -161,7 +192,8 @@ def rec_loss(xa, xv, xa_hat, xv_hat):
 
 def distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
     """Mean squared row distance of student embeddings to (gradient-free)
-    teacher embeddings, averaged over modalities."""
+    teacher embeddings, averaged over modalities; ``mse`` computes it in
+    float64 when the teacher's embeddings are float64."""
     def freeze(z):
         return dc.stop_gradient(z) if isinstance(z, dc.Tensor) else dc.const(z)
 

@@ -55,8 +55,11 @@ def mask_indicator(plan, modality):
 
 
 def apply_value_mask(x, plan, modality):
-    """Zero the planned positions of ``x``; all others bit-identical."""
-    x = np.asarray(x, dtype=np.float64)
+    """Zero the planned positions of ``x``; all others bit-identical. A
+    float32 ``x`` stays float32; anything else becomes float64."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if modality == "audio":
         d, idx = plan.d_audio, plan.audio_idx
     elif modality == "visual":

@@ -152,8 +152,8 @@ class ModelParams:
 
     # -- access helpers ----------------------------------------------------
 
-    def t(self, name):
-        return self.params[name].tensor()
+    def t(self, name, dtype=np.float64):
+        return self.params[name].tensor(dtype)
 
     def sigma(self, loss_name):
         return self.params[f"sigma.{loss_name}"]
@@ -178,6 +178,10 @@ class ModelParams:
 # forward passes
 # ---------------------------------------------------------------------------
 
+# Each pass takes its parameter tensors in the dtype of its input tensors:
+# float64 values, or in float32 the arena's mirror, which holds what the last
+# ``arena.refresh_mirror()`` copied (``train_step`` refreshes it per step).
+
 def encode(mp, xa, xv, train, rng=None):
     """Per-modality MLP pipeline: linear -> norm -> tanh -> dropout."""
     cfg = mp.config
@@ -188,15 +192,18 @@ def encode(mp, xa, xv, train, rng=None):
                             f"{cfg.d_audio}/{cfg.d_visual}")
 
     def run(mod, widths, h):
+        dtype = h.value.dtype
         for i in range(len(widths) - 1):
-            h = dc.linear(h, mp.t(f"enc.{mod}.{i}.w"), mp.t(f"enc.{mod}.{i}.b"))
+            h = dc.linear(h, mp.t(f"enc.{mod}.{i}.w", dtype), mp.t(f"enc.{mod}.{i}.b", dtype))
             if i == 0:
-                h = dc.batch_norm(h, mp.t(f"enc.{mod}.{i}.bn.gamma"), mp.t(f"enc.{mod}.{i}.bn.beta"),
+                h = dc.batch_norm(h, mp.t(f"enc.{mod}.{i}.bn.gamma", dtype),
+                                  mp.t(f"enc.{mod}.{i}.bn.beta", dtype),
                                   mp.buffers[f"enc.{mod}.{i}.bn.mean"],
                                   mp.buffers[f"enc.{mod}.{i}.bn.var"],
                                   train, update_stats=train)
             else:
-                h = dc.layer_norm(h, mp.t(f"enc.{mod}.{i}.ln.gamma"), mp.t(f"enc.{mod}.{i}.ln.beta"))
+                h = dc.layer_norm(h, mp.t(f"enc.{mod}.{i}.ln.gamma", dtype),
+                                  mp.t(f"enc.{mod}.{i}.ln.beta", dtype))
             h = dc.tanh(h)
             h = dc.dropout(h, cfg.dropout, train, rng)
         return h
@@ -215,10 +222,13 @@ def fuse(mp, ha, hv):
     if ha.shape != hv.shape or ha.shape[1] != mp.config.model_dim:
         raise dc.ShapeError(f"fuse: {ha.shape} vs {hv.shape}, model dim {mp.config.model_dim}")
 
+    dtype = ha.value.dtype
+
     def one(direction, hq, hkv):
-        attended = dc.matmul(dc.matmul(hkv, mp.t(f"fuse.{direction}.wv")), mp.t(f"fuse.{direction}.wo"))
-        return dc.layer_norm(dc.add(hq, attended),
-                             mp.t(f"fuse.{direction}.ln.gamma"), mp.t(f"fuse.{direction}.ln.beta"))
+        attended = dc.matmul(dc.matmul(hkv, mp.t(f"fuse.{direction}.wv", dtype)),
+                             mp.t(f"fuse.{direction}.wo", dtype))
+        return dc.layer_norm(dc.add(hq, attended), mp.t(f"fuse.{direction}.ln.gamma", dtype),
+                             mp.t(f"fuse.{direction}.ln.beta", dtype))
 
     return one("a2v", ha, hv), one("v2a", hv, ha)
 
@@ -231,7 +241,8 @@ def project(mp, ua, uv):
     """
     out = []
     for mod, u in (("a", ua), ("v", uv)):
-        z = dc.linear(u, mp.t(f"proj.{mod}.w"), mp.t(f"proj.{mod}.b"))
+        dtype = u.value.dtype
+        z = dc.linear(u, mp.t(f"proj.{mod}.w", dtype), mp.t(f"proj.{mod}.b", dtype))
         mp.zero_row_warnings += int((np.linalg.norm(z.value, axis=1) < 1e-12).sum())
         out.append(dc.l2_normalize_rows(z))
     return tuple(out)
@@ -240,8 +251,9 @@ def project(mp, ua, uv):
 def decode(mp, ua, uv):
     """Mirror-image 3-layer MLP per modality; tanh hidden, linear output."""
     def run(mod, h):
+        dtype = h.value.dtype
         for i in range(3):
-            h = dc.linear(h, mp.t(f"dec.{mod}.{i}.w"), mp.t(f"dec.{mod}.{i}.b"))
+            h = dc.linear(h, mp.t(f"dec.{mod}.{i}.w", dtype), mp.t(f"dec.{mod}.{i}.b", dtype))
             if i < 2:
                 h = dc.tanh(h)
         return h
@@ -258,7 +270,9 @@ def forward_embed(mp, xa, xv, train, rng=None):
 
 
 def embed_arrays(mp, audio, visual):
-    """Clean eval-mode embeddings as plain arrays; records no tape."""
+    """Clean eval-mode float64 embeddings as plain arrays, whatever the
+    inputs' dtype; records no tape."""
+    audio, visual = (np.asarray(x, dtype=np.float64) for x in (audio, visual))
     with dc.no_tape():
         za, zv, _, _ = forward_embed(mp, dc.const(audio), dc.const(visual), train=False)
     return za.value, zv.value

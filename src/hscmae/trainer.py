@@ -6,6 +6,12 @@ targets) -> clean student pass (canonical correlation; its inputs are
 constants, so it needs no input gradient gate) -> weighted total, backward,
 clip, AdamW, EMA update. After the last epoch a linear CCA is fitted on the
 clean-path training embeddings.
+
+Precision: the two taped student passes (masked and clean, forward and
+backward through encoders, fusion, projectors and decoders) run in float32
+on the batch and on the parameter arena's float32 mirror. The master
+values, gradients and Adam moments, clipping, AdamW, the EMA, the teacher
+pass, the loss heads and every evaluation stay float64.
 """
 
 from __future__ import annotations
@@ -106,12 +112,18 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     eval-mode teacher pass reads its own and never updates them; the
     teacher's buffers follow the student's by EMA.
 
+    The student passes compute in float32: the batch is rounded to float32
+    (exactly, for data read from a feature file) and so are the parameters,
+    once per step into the arena's mirror.
+
     Returns (LossBundle value dict, effective weights, total value)."""
     n = xa.shape[0]
     if n < 2:
         raise ValueError("train_step: batch size must be >= 2")
     active = cfg.active_losses()
 
+    mp.arena.refresh_mirror()
+    xa32, xv32 = (np.asarray(x, dtype=np.float32) for x in (xa, xv))
     mp.zero_grads()
     ss = np.random.SeedSequence(step_seed)
     rng_mae, rng_cca = (np.random.default_rng(child) for child in ss.spawn(2))
@@ -122,14 +134,14 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
 
     # student masked path
     if active["rec"] or active["infonce"] or active["dis"]:
-        xa_masked = dc.const(apply_value_mask(xa, plan, "audio"))
-        xv_masked = dc.const(apply_value_mask(xv, plan, "visual"))
+        xa_masked = dc.const(apply_value_mask(xa32, plan, "audio"))
+        xv_masked = dc.const(apply_value_mask(xv32, plan, "visual"))
         ha, hv = encode(mp, xa_masked, xv_masked, train=True, rng=rng_mae)
         ua, uv = fuse(mp, ha, hv)
         z_mae = project(mp, ua, uv)
         if active["rec"]:
             xa_hat, xv_hat = decode(mp, ua, uv)
-            bundle.rec = rec_loss(xa, xv, xa_hat, xv_hat)
+            bundle.rec = rec_loss(xa32, xv32, xa_hat, xv_hat)
 
     # teacher clean path (eval mode, gradient-free)
     targets = None
@@ -147,7 +159,7 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
 
     # student clean path
     if active["cca"]:
-        z_cca_a, z_cca_v, _, _ = forward_embed(mp, dc.const(xa), dc.const(xv), train=True, rng=rng_cca)
+        z_cca_a, z_cca_v, _, _ = forward_embed(mp, dc.const(xa32), dc.const(xv32), train=True, rng=rng_cca)
         bundle.cca = dcca_loss(z_cca_a, z_cca_v, cfg.cca_config())
 
     total, weights = total_loss(bundle, {name: mp.sigma(name) for name in LOSS_NAMES},

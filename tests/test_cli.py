@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import os
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from hscmae import cli
 from hscmae.cli import build, build_parser, build_train_config, main, parse_args
 from hscmae.data_io import FeatureSet, SynthConfig, load_features, save_features
 from hscmae.model import ModelConfig, load_entries, save_entries
@@ -436,6 +438,78 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad),
                  "--features", str(tmp_path / "missing.bin")]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_outputs_exit_two_before_any_work(data_files, tmp_path, capsys, monkeypatch):
+    """An output path that is a directory, or lies in a missing directory,
+    exits 2 with one line naming it before any data is generated or read;
+    the check leaves no file behind and an existing one as it was."""
+    train_path, test_path = data_files
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for name in ("generate_synthetic", "load_features", "load_checkpoint", "train"):
+        monkeypatch.setattr(cli, name, never)
+    directory = str(tmp_path / "a-dir")
+    (tmp_path / "a-dir").mkdir()
+    missing = str(tmp_path / "missing" / "x.out")
+    fresh = str(tmp_path / "fresh.out")
+    kept = tmp_path / "kept.out"
+    kept.write_text("kept\n")
+    experiment = ["--train-features", train_path, "--test-features", test_path]
+    cases = [
+        (["synth", "--out-train", directory, "--out-test", fresh], directory),
+        (["synth", "--out-train", str(kept), "--out-test", missing], missing),
+        (["synth", "--out-train", fresh, "--out-test", fresh, "--manifest", directory], directory),
+        (["train", "--features", train_path, "--out", directory], directory),
+        (["train", "--features", train_path, "--out", missing], missing),
+        (["train", "--features", train_path, "--out", str(kept), "--log-csv", directory], directory),
+        (["train", "--features", train_path, "--out", fresh, "--manifest", missing], missing),
+        (["eval", "--checkpoint", str(kept), "--features", test_path, "--report-csv", directory], directory),
+        (["eval", "--checkpoint", str(kept), "--features", test_path, "--ranklists-csv", missing], missing),
+        (["baseline", "--name", "cca", *experiment, "--report-csv", directory], directory),
+        (["sweep", *experiment, "--out-csv", missing], missing),
+        (["ablate", *experiment, "--out-csv", directory], directory),
+    ]
+    for argv, bad in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: cannot write: ") and err.count("\n") == 1, err
+        assert not os.path.exists(fresh)
+        assert kept.read_text() == "kept\n"
+
+
+def test_output_write_failure_exits_two(data_files, tmp_path, capsys, monkeypatch):
+    """An output that fails once work has started is a data error too."""
+    train_path, _ = data_files
+    out = str(tmp_path / "x.ckpt")
+
+    def full_disk(path, result):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "save_checkpoint", full_disk)
+    assert main(["train", "--features", train_path, "--out", out, *SMALL_FLAGS, "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and out in err and err.count("\n") == 1
+
+
+def test_unreadable_config_file_exits_one(tmp_path, capsys):
+    """A --config file that is missing, a directory or not UTF-8 is a usage
+    error, and nothing is written."""
+    synth_out = ["--out-train", str(tmp_path / "t.bin"), "--out-test", str(tmp_path / "e.bin")]
+    missing = tmp_path / "missing.cfg"
+    directory = tmp_path / "dir.cfg"
+    directory.mkdir()
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes("k = 3 # caf\xe9\n".encode("latin-1"))
+    for config, reason in ((missing, f"{missing}: cannot read config file: No such file"),
+                           (directory, f"{directory}: is a directory"),
+                           (not_utf8, f"{not_utf8}: config file is not UTF-8")):
+        assert main(["synth", *synth_out, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and reason in err
+    assert not (tmp_path / "t.bin").exists() and not (tmp_path / "e.bin").exists()
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys):

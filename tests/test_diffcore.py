@@ -159,6 +159,77 @@ def test_parameter_requires_2d():
         dc.Parameter(np.zeros(3))
 
 
+def test_tensors_keep_float32_and_float64_and_make_anything_else_float64():
+    for dtype in (np.float32, np.float64):
+        assert dc.const(np.ones((2, 2), dtype=dtype)).value.dtype == dtype
+        assert dc.tanh(dc.const(np.ones((2, 2), dtype=dtype))).value.dtype == dtype
+    for value in ([[1, 2]], np.ones((1, 2), dtype=np.float16), np.ones((1, 2), dtype=bool)):
+        assert dc.const(value).value.dtype == np.float64
+
+
+def float32_leaf(shape, seed):
+    """A float32 tape leaf tied to a float64 parameter."""
+    p = param(shape, seed)
+    return dc.Tensor(p.value.astype(np.float32), op="param", param=p)
+
+
+FLOAT32_CASES = ("matmul", "linear", "add", "add_row", "scale", "mul", "mul_scalar", "tanh", "exp",
+                 "batch_norm", "batch_norm_eval", "layer_norm", "dropout", "l2_normalize_rows",
+                 "gradient_gate", "mse", "mse_float64_target", "sum_all")
+
+
+@pytest.mark.parametrize("name", FLOAT32_CASES)
+def test_primitives_compute_in_float32_and_return_gradients_in_each_inputs_dtype(name):
+    """On float32 inputs every primitive gives a float32 value (a float64
+    1 x 1 for the scalar reductions) and sends each input its gradient in
+    that input's dtype."""
+    x, y, w = float32_leaf((5, 4), 1), float32_leaf((5, 4), 2), float32_leaf((4, 3), 3)
+    row, s = float32_leaf((1, 4), 4), float32_leaf((1, 1), 5)
+    stats = (np.zeros((1, 4)), np.ones((1, 4)))
+    node = {
+        "matmul": lambda: dc.matmul(x, w),
+        "linear": lambda: dc.linear(x, w, float32_leaf((1, 3), 6)),
+        "add": lambda: dc.add(x, y),
+        "add_row": lambda: dc.add(x, row),
+        "scale": lambda: dc.scale(x, 0.3),
+        "mul": lambda: dc.mul(x, y),
+        "mul_scalar": lambda: dc.mul(s, x),
+        "tanh": lambda: dc.tanh(x),
+        "exp": lambda: dc.exp(x),
+        "batch_norm": lambda: dc.batch_norm(x, row, row, *stats, train=True),
+        "batch_norm_eval": lambda: dc.batch_norm(x, row, row, *stats, train=False),
+        "layer_norm": lambda: dc.layer_norm(x, row, row),
+        "dropout": lambda: dc.dropout(x, 0.5, True, np.random.default_rng(0)),
+        "l2_normalize_rows": lambda: dc.l2_normalize_rows(x),
+        "gradient_gate": lambda: dc.gradient_gate(x, np.ones((5, 4))),
+        "mse": lambda: dc.mse(x, y),
+        "mse_float64_target": lambda: dc.mse(x, param((5, 4), 7).tensor()),
+        "sum_all": lambda: dc.sum_all(x),
+    }[name]()
+    scalar = name.startswith(("mse", "sum_all"))
+    assert node.value.dtype == (np.float64 if scalar else np.float32)
+    grads = node._backward(np.ones(node.shape, dtype=node.value.dtype))
+    assert [pg.dtype for pg in grads] == [p.value.dtype for p in node._parents]
+
+
+def test_float32_leaf_reads_the_arena_mirror_and_accumulates_into_float64():
+    arena = dc.ParamArena([("w", (3, 2), True), ("s", (1, 1), False)])
+    w = arena.params[0]
+    arena.value[...] = np.random.default_rng(2).normal(size=arena.size)
+    assert arena.value32 is None and w.value32 is None  # allocated by the first refresh
+    arena.refresh_mirror()
+    np.testing.assert_array_equal(arena.value32, arena.value.astype(np.float32))
+    leaf = w.tensor(np.float32)
+    assert leaf.value.dtype == np.float32 and np.shares_memory(leaf.value, arena.value32)
+    loss = dc.sum_all(dc.tanh(leaf))
+    assert loss.value.dtype == np.float64
+    dc.backward(loss)
+    want = 1.0 - np.tanh(w.value32) ** 2
+    assert want.dtype == np.float32
+    np.testing.assert_array_equal(w.grad, want.astype(np.float64))
+    assert w.grad.dtype == np.float64 and np.shares_memory(w.grad, arena.grad)
+
+
 def test_non_finite_forward_rejected():
     a = dc.const([[1.0, np.inf]])
     with pytest.raises(dc.NumericError):

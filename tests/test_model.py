@@ -213,6 +213,19 @@ def test_embed_arrays_records_no_tape_and_matches_the_taped_pass(monkeypatch):
     np.testing.assert_array_equal(zv.view(np.uint64), taped[1].value.view(np.uint64))
 
 
+def test_embed_arrays_is_float64_whatever_the_input_dtype():
+    """Evaluation cannot turn float32: float32 inputs are cast to float64 and
+    give the bits of the float64 call."""
+    mp = ModelParams(desk_train_config().model, seed=24)
+    rng = np.random.default_rng(25)
+    xa, xv = rng.normal(size=(40, 12)).astype(np.float32), rng.normal(size=(40, 24)).astype(np.float32)
+    got = embed_arrays(mp, xa, xv)
+    want = embed_arrays(mp, xa.astype(np.float64), xv.astype(np.float64))
+    for z, ref in zip(got, want):
+        assert z.dtype == np.float64
+        np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
 def state_digests(mp, teacher):
     """(kind, name) -> digest of the uint64 bits of every array a train_step
     writes: student values, gradients, Adam moments and buffers, and the

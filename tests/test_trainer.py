@@ -172,6 +172,17 @@ def patch_former_step(monkeypatch):
     monkeypatch.setattr(dc, "batch_norm", formula_batch_norm)
 
 
+def upcast(a):
+    """``a`` as a float64 node whose gradient goes back in ``a``'s dtype."""
+    return dc._node("upcast", a.value.astype(np.float64), (a,), lambda g: (g.astype(a.value.dtype),))
+
+
+def float64_composed_soft_infonce(za, zv, targets, tau):
+    """The composed contrastive loss on float64 copies of float32 embeddings,
+    as the loss heads compute under the float32 policy."""
+    return composed_soft_infonce(upcast(za), upcast(zv), targets, tau)
+
+
 def run_steps(cfg, batch, epochs, monkeypatch=None):
     """Identically seeded train_steps on one batch; with ``monkeypatch`` they
     run the former step: the composed contrastive loss, the clean pass's
@@ -194,7 +205,7 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
             return forward_embed(mp, dc.gradient_gate(xa, gate_a), dc.gradient_gate(xv, gate_v),
                                  train=train, rng=rng)
 
-        monkeypatch.setattr(trainer, "soft_infonce", composed_soft_infonce)
+        monkeypatch.setattr(trainer, "soft_infonce", float64_composed_soft_infonce)
         monkeypatch.setattr(trainer, "forward_embed", gated_forward_embed)
         patch_former_step(monkeypatch)
     out = []
@@ -244,10 +255,51 @@ def test_first_layers_never_compute_an_input_gradient(monkeypatch):
     assert not any(skipped for op, skipped in seen if op != "const")
 
 
+def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch):
+    """Every multi-element value of the taped student passes is float32,
+    every loss value is a float64 1 x 1, the untaped teacher pass is float64
+    (the teacher has no float32 mirror), and every node sends each input its
+    gradient in that input's dtype."""
+    values, grads = [], []
+    make_node = dc._node
+
+    def spying_node(op, value, parents, backward):
+        def spied(g):
+            out = backward(g)
+            grads.extend((op, p.value.dtype, pg.dtype) for p, pg in zip(parents, out) if pg is not None)
+            return out
+
+        node = make_node(op, value, parents, spied)
+        values.append((op, node.shape, node.value.dtype, node.needs_grad))
+        return node
+
+    monkeypatch.setattr(dc, "_node", spying_node)
+    cfg = desk_train_config(seed=7)
+    rng = np.random.default_rng(7)
+    mp = ModelParams(cfg.model, seed=7)
+    teacher = mp.copy()
+    train_step(mp, teacher, rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
+               cfg.warmup_epochs + 1, 5, 1e-3, 0.99, 1)
+    assert mp.arena.value32.dtype == np.float32 and teacher.arena.value32 is None
+    trunk = {(op, dtype) for op, shape, dtype, taped in values if taped and shape != (1, 1)}
+    scalars = {(op, dtype) for op, shape, dtype, taped in values if taped and shape == (1, 1)}
+    untaped = {(op, dtype) for op, shape, dtype, taped in values if not taped}
+    assert {op for op, _ in trunk} == {"linear", "batch_norm", "layer_norm", "tanh", "dropout",
+                                       "matmul", "add", "l2_normalize_rows"}
+    assert {dtype for _, dtype in trunk} == {np.dtype(np.float32)}
+    assert {"mse", "dcca", "soft_infonce"} <= {op for op, _ in scalars}
+    assert {dtype for _, dtype in scalars} == {np.dtype(np.float64)}
+    assert {op for op, _ in untaped} >= {"linear", "batch_norm", "layer_norm", "tanh"}
+    assert {dtype for _, dtype in untaped} == {np.dtype(np.float64)}
+    assert {dtype for _, dtype, _ in grads} == {np.dtype(np.float32), np.dtype(np.float64)}
+    assert [(op, want, got) for op, want, got in grads if got != want] == []
+
+
 def test_batch_norm_statistics_follow_the_masked_then_the_clean_pass():
     """The masked student pass updates the running statistics, then the
-    clean student pass does; the eval-mode teacher pass does not, and the
-    teacher's buffers follow the student's by EMA."""
+    clean student pass does, each with the statistics of its float32 batch
+    through the float32 first layer; the eval-mode teacher pass does not,
+    and the teacher's buffers follow the student's by EMA."""
     cfg = desk_train_config(seed=8)
     rng = np.random.default_rng(8)
     x = {"audio": rng.normal(size=(30, 12)), "visual": rng.normal(size=(30, 24))}
@@ -263,8 +315,9 @@ def test_batch_norm_statistics_follow_the_masked_then_the_clean_pass():
     for mod, modality in (("a", "audio"), ("v", "visual")):
         bn = f"enc.{mod}.0.bn"
         mean, var = before[f"{bn}.mean"].copy(), before[f"{bn}.var"].copy()
+        w, b = (before[f"enc.{mod}.0.{p}"].astype(np.float32) for p in ("w", "b"))
         for batch in (apply_value_mask(x[modality], plan, modality), x[modality]):
-            h = batch @ before[f"enc.{mod}.0.w"] + before[f"enc.{mod}.0.b"]
+            h = batch.astype(np.float32) @ w + b
             for running, stat in ((mean, h.mean(axis=0, keepdims=True)), (var, h.var(axis=0, keepdims=True))):
                 running *= 1.0 - 0.1
                 running += 0.1 * stat
