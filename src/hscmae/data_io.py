@@ -89,6 +89,8 @@ def load_features(path, split="train"):
     expected = off + 4 * n * (d_a + d_v) + (4 * n if has_labels else 0)
     if len(blob) != expected:
         raise DataError(f"{path}: expected {expected} bytes, found {len(blob)}")
+    if n == 0:
+        raise DataError(f"{path}: no samples")
     audio = np.frombuffer(blob, dtype="<f4", count=n * d_a, offset=off).reshape(n, d_a)
     off += 4 * n * d_a
     visual = np.frombuffer(blob, dtype="<f4", count=n * d_v, offset=off).reshape(n, d_v)
@@ -118,6 +120,25 @@ def _save_csv(path, fs):
             fh.write(",".join(row) + "\n")
 
 
+def _csv_columns(path, header):
+    """(d_a, d_v, has_labels) of a header that reads exactly a0..a{d_a-1},
+    then v0..v{d_v-1}, then an optional ``label``, with d_a, d_v >= 1."""
+    i = 0
+    while i < len(header) and header[i] == f"a{i}":
+        i += 1
+    d_a = i
+    while d_a and i < len(header) and header[i] == f"v{i - d_a}":
+        i += 1
+    d_v = i - d_a
+    has_labels = bool(d_v) and i < len(header) and header[i] == "label"
+    i += has_labels
+    if d_v == 0 or i < len(header):
+        found = f"column {i + 1} is {header[i]!r}" if i < len(header) else f"header ends after {i} columns"
+        raise DataError(f"{path}: {found}; expected a0, a1, ..., then v0, v1, ..., "
+                        "then an optional label")
+    return d_a, d_v, has_labels
+
+
 def _load_csv(path, split):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -125,11 +146,7 @@ def _load_csv(path, split):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     header = lines[0].strip().split(",") if lines else []
-    d_a = sum(1 for c in header if c.startswith("a"))
-    d_v = sum(1 for c in header if c.startswith("v"))
-    if d_a == 0 or d_v == 0:
-        raise DataError(f"{path}: header lacks a*/v* feature columns")
-    has_labels = header[-1] == "label"
+    d_a, d_v, has_labels = _csv_columns(path, header)
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")

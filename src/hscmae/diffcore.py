@@ -19,11 +19,13 @@ float64.
 
 ``ParamArena`` keeps the values, gradients and Adam moments of a model's
 parameters in four flat float64 arrays, so that the optimizer and the EMA
-teacher can walk them in cache-sized blocks, plus a float32 mirror of the
-values that float32 passes read.
+teacher can walk them in cache-sized blocks, one share of the blocks per CPU,
+plus a float32 mirror of the values that float32 passes read.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -86,8 +88,8 @@ class Parameter:
     """Learnable float64 matrix with a gradient accumulator and Adam moments.
 
     ``value32`` is the float32 mirror of ``value`` inside a ``ParamArena``
-    once the arena's ``refresh_mirror`` has run (None before, and outside an
-    arena); it holds what the last refresh copied."""
+    once the arena's ``prepare_step`` has run (None before, and outside an
+    arena); it holds what the last ``prepare_step`` copied."""
 
     __slots__ = ("name", "value", "value32", "grad", "adam_m", "adam_v", "decay")
 
@@ -122,6 +124,34 @@ class Parameter:
 # arrays a pass touches stay in a core's L2 cache between its ufuncs
 BLOCK = 1 << 15
 
+# threads that share an arena walk, the calling one included: one per CPU
+# this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_executor = None
+_worker_scratch = []  # 2 * BLOCK float64 for each pool thread of a walk
+
+
+def _pool():
+    """The process's thread pool for arena walks, started by the first walk
+    that needs one."""
+    global _executor
+    if _executor is None:
+        # imported here: a process that never needs the pool, such as a desk
+        # training, is spared the module's memory
+        from concurrent.futures import ThreadPoolExecutor
+        _executor = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="arena")
+    return _executor
+
+
+def _forget_pool():
+    global _executor
+    _executor = None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool object but none of its threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
 
 class ParamArena:
     """Values, gradients and Adam moments of many parameters, each kind in
@@ -135,10 +165,15 @@ class ParamArena:
     caller to fill once. Gradients and moments start as ``np.zeros``, whose
     pages are mapped on first write, so an arena that is never trained (a
     teacher's, an eval model's) takes memory for its values only. The
-    mirror is allocated by the first ``refresh_mirror``, its only writer, so
+    mirror is allocated by the first ``prepare_step``, its only writer, so
     an arena that never runs a float32 pass has none.
-    ``scratch`` serves the passes over the arena: two blocks (or twice the
-    arena, when smaller), or the largest parameter.
+
+    The elementwise passes over an arena (``prepare_step``, the optimizer's
+    and the EMA teacher's) go through ``walk``, which spreads the blocks over
+    one thread per CPU. Each element gets the same ufuncs whatever the thread
+    count, so every bit is independent of it. ``scratch`` serves the passes:
+    two blocks (or twice the arena, when smaller) for the calling thread, or
+    the largest parameter.
     """
 
     def __init__(self, layout):
@@ -169,19 +204,58 @@ class ParamArena:
     def layout(self):
         return [(p.name, p.value.shape, p.decay) for p in self.params]
 
-    def refresh_mirror(self):
-        """Round the values into the float32 mirror, allocated on the first call."""
+    def prepare_step(self):
+        """Zero the gradients and round the values into the float32 mirror,
+        allocated on the first call, in one walk."""
         if self.value32 is None:
             self.value32 = np.empty(self.size, dtype=np.float32)
             start = 0
             for p in self.params:
                 p.value32 = self.value32[start:start + p.value.size].reshape(p.value.shape)
                 start += p.value.size
-        np.copyto(self.value32, self.value, casting="same_kind")
 
-    def blocks(self):
-        """(start, stop) of consecutive stretches of at most BLOCK elements."""
-        return ((start, min(start + BLOCK, self.size)) for start in range(0, self.size, BLOCK))
+        def block(start, stop, scratch):
+            self.grad[start:stop] = 0.0
+            np.copyto(self.value32[start:stop], self.value[start:stop], casting="same_kind")
+
+        self.walk(block)
+
+    def walk(self, fn):
+        """Call ``fn(start, stop, scratch)`` once for each consecutive stretch
+        of at most ``BLOCK`` elements; ``scratch`` holds at least
+        ``2 * (stop - start)`` float64 that no concurrent call shares.
+
+        The blocks are cut into one contiguous share per worker, with one
+        worker per CPU up to one per block. The calling thread walks the
+        first share and the process's pool threads the others; with a single
+        worker the walk runs inline and starts no thread. ``fn`` runs on
+        several threads at once, so it must write only its own stretch and
+        call only numpy. An exception raised in any share is re-raised here
+        once every share has stopped."""
+        nblocks = -(-self.size // BLOCK)
+        workers = min(_WORKERS, nblocks)
+        if workers <= 1:
+            for start in range(0, self.size, BLOCK):
+                fn(start, min(start + BLOCK, self.size), self.scratch)
+            return
+        bounds = [k * nblocks // workers * BLOCK for k in range(workers)] + [self.size]
+
+        def share(lo, hi, scratch):
+            for start in range(lo, hi, BLOCK):
+                fn(start, min(start + BLOCK, hi), scratch)
+
+        while len(_worker_scratch) < workers - 1:
+            _worker_scratch.append(np.empty(2 * BLOCK))
+        pool = _pool()
+        futures = [pool.submit(share, bounds[k], bounds[k + 1], _worker_scratch[k - 1])
+                   for k in range(1, workers)]
+        try:
+            share(bounds[0], bounds[1], self.scratch)
+        finally:
+            errors = [f.exception() for f in futures]
+        for exc in errors:
+            if exc is not None:
+                raise exc
 
 
 _taping = True

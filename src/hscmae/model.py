@@ -161,9 +161,6 @@ class ModelParams:
     def parameters(self):
         return list(self.params.values())
 
-    def zero_grads(self):
-        self.arena.grad.fill(0.0)
-
     def copy(self):
         return ModelParams(self.config, entries=self.state_entries())
 
@@ -180,7 +177,7 @@ class ModelParams:
 
 # Each pass takes its parameter tensors in the dtype of its input tensors:
 # float64 values, or in float32 the arena's mirror, which holds what the last
-# ``arena.refresh_mirror()`` copied (``train_step`` refreshes it per step).
+# ``arena.prepare_step()`` copied (``train_step`` calls it once per step).
 
 def encode(mp, xa, xv, train, rng=None):
     """Per-modality MLP pipeline: linear -> norm -> tanh -> dropout."""

@@ -35,8 +35,10 @@ def clip_global_norm(arena, max_norm):
     """Scale all gradients of a ``ParamArena`` so the global L2 norm is at
     most ``max_norm``.
 
-    The squared norm is one sum per parameter, added in parameter order.
-    Returns the pre-clip norm. A non-finite norm aborts the step."""
+    The squared norm is one sum per parameter, added in parameter order on
+    the calling thread; only the scaling walks the arena over its workers.
+    Returns the pre-clip norm. A non-finite norm aborts the step before any
+    gradient is scaled."""
     if max_norm <= 0:
         raise ValueError("clip_global_norm: max_norm must be positive")
     total = 0.0
@@ -47,7 +49,12 @@ def clip_global_norm(arena, max_norm):
     if not math.isfinite(norm):
         raise NumericError("clip_global_norm: non-finite gradient norm")
     if norm > max_norm:
-        arena.grad *= max_norm / norm
+        factor = max_norm / norm
+
+        def block(start, stop, scratch):
+            arena.grad[start:stop] *= factor
+
+        arena.walk(block)
     return norm
 
 
@@ -57,9 +64,10 @@ def adamw_step(arena, config, step_index, lr_t):
 
     Decay is applied as theta <- theta - lr_t * wd * theta before the Adam
     delta; parameters flagged ``decay=False`` (the log-variance weights, the
-    arena's tail) are exempt. The arena is walked in cache-sized blocks, each
-    running the whole update through two scratch blocks; every operation is
-    elementwise, so the blocking cannot change a bit."""
+    arena's tail) are exempt. ``arena.walk`` spreads the cache-sized blocks
+    over the workers, each block running the whole update through two
+    scratch blocks; every operation is elementwise, so neither the blocking
+    nor the worker count can change a bit."""
     if step_index < 1:
         raise ValueError("adamw_step: step_index starts at 1")
     b1, b2 = config.beta1, config.beta2
@@ -67,11 +75,12 @@ def adamw_step(arena, config, step_index, lr_t):
     c2 = 1.0 - b2 ** step_index
     decay_end = arena.decay_end if config.weight_decay else 0
     lr_wd = lr_t * config.weight_decay
-    for start, stop in arena.blocks():
+
+    def block(start, stop, scratch):
         n = stop - start
         val, g = arena.value[start:stop], arena.grad[start:stop]
         m, v = arena.adam_m[start:stop], arena.adam_v[start:stop]
-        s1, s2 = arena.scratch[:n], arena.scratch[n:2 * n]
+        s1, s2 = scratch[:n], scratch[n:2 * n]
         k = min(stop, decay_end) - start
         if k > 0:
             np.multiply(lr_wd, val[:k], out=s1[:k])
@@ -90,6 +99,8 @@ def adamw_step(arena, config, step_index, lr_t):
         np.multiply(lr_t, s1, out=s1)
         s1 /= s2
         val -= s1
+
+    arena.walk(block)
 
 
 def cosine_lr(epoch, config):

@@ -24,15 +24,20 @@ class AffinityTargets:
 def ema_update(teacher, student, rho):
     """theta_t <- rho * theta_t + (1 - rho) * theta, values and buffers alike.
 
-    The value arenas are walked in cache-sized blocks through one scratch
-    block of the teacher's."""
+    The teacher's value arena is walked in cache-sized blocks spread over
+    its workers (``ParamArena.walk``), one scratch block each; the update is
+    elementwise, so the worker count cannot change a bit. The few buffers
+    follow on the calling thread."""
     ta, sa = teacher.arena, student.arena
     if ta.layout() != sa.layout():
         raise ValueError("ema_update: teacher and student parameters differ")
-    for start, stop in ta.blocks():
+
+    def block(start, stop, scratch):
         tv = ta.value[start:stop]
         tv *= rho
-        tv += np.multiply(1.0 - rho, sa.value[start:stop], out=ta.scratch[:stop - start])
+        tv += np.multiply(1.0 - rho, sa.value[start:stop], out=scratch[:stop - start])
+
+    ta.walk(block)
     for name, tb in teacher.buffers.items():
         tb *= rho
         tb += (1.0 - rho) * student.buffers[name]

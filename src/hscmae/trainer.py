@@ -122,9 +122,8 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
         raise ValueError("train_step: batch size must be >= 2")
     active = cfg.active_losses()
 
-    mp.arena.refresh_mirror()
+    mp.arena.prepare_step()
     xa32, xv32 = (np.asarray(x, dtype=np.float32) for x in (xa, xv))
-    mp.zero_grads()
     ss = np.random.SeedSequence(step_seed)
     rng_mae, rng_cca = (np.random.default_rng(child) for child in ss.spawn(2))
     plan = make_plan(n, cfg.model.d_audio, cfg.model.d_visual, cfg.mask_ratio, step_seed)

@@ -214,6 +214,30 @@ def test_malformed_features_exit_two(trained, data_files, tmp_path, capsys):
         assert err.startswith("data error: ") and reason in err
 
 
+def test_feature_file_without_samples_exits_two(trained, data_files, tmp_path, capsys):
+    # a container with n = 0 is refused on load, as a header-only CSV is:
+    # before the first train step, and before mAP over no queries reads nan
+    ckpt, _, _ = trained
+    train_path, test_path = data_files
+    empty = str(tmp_path / "empty.bin")
+    save_features(empty, FeatureSet(audio=np.zeros((0, 12)), visual=np.zeros((0, 24)),
+                                    labels=np.zeros(0, dtype=int)))
+    out = tmp_path / "out"
+    runs = (["eval", "--checkpoint", ckpt, "--features", empty, "--report-csv", str(out)],
+            ["baseline", "--name", "cca", "--train-features", train_path, "--test-features", empty,
+             "--report-csv", str(out), *SMALL_FLAGS],
+            ["baseline", "--name", "random", "--train-features", train_path, "--test-features", empty,
+             "--report-csv", str(out), *SMALL_FLAGS],
+            ["train", "--features", empty, "--out", str(out), *SMALL_FLAGS],
+            ["train", "--features", train_path, "--out", str(out), "--eval-features", empty,
+             *SMALL_FLAGS])
+    for argv in runs:
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert err == f"data error: {empty}: no samples\n" and "nan" not in out_text
+    assert not out.exists()
+
+
 def test_mismatched_feature_dims_exit_two(trained, data_files, tmp_path, capsys):
     # a file whose dims differ from the checkpoint's or the training split's is
     # refused before any work: nothing is trained and no output is written

@@ -103,6 +103,43 @@ def test_csv_header_only_error(tmp_path):
             load_features(path)
 
 
+@pytest.mark.parametrize("header, found", [
+    ("v0,v1,a0,label", "column 1 is 'v0'"),
+    ("a0,a0,v0,extra", "column 2 is 'a0'"),
+    ("a0,v0,extra", "column 3 is 'extra'"),
+    ("a0,v0,label,extra", "column 4 is 'extra'"),
+    ("a0,a1,label", "column 3 is 'label'"),
+    ("a1,v0", "column 1 is 'a1'"),
+    ("a0,v1", "column 2 is 'v1'"),
+    ("a0,v0,v2", "column 3 is 'v2'"),
+    ("a0, v0", "column 2 is ' v0'"),
+    ("a0", "header ends after 1 columns"),
+], ids=("modalities-swapped", "repeated", "extra", "extra-after-label", "no-visual",
+        "audio-from-one", "visual-from-one", "visual-gap", "space", "audio-only"))
+def test_csv_header_names_the_first_unexpected_column(tmp_path, header, found):
+    path = tmp_path / "bad.csv"
+    width = len(header.split(","))
+    path.write_text(header + "\n" + ",".join(["1.0"] * width) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: {found}; expected a0, a1, ..., then v0")):
+        load_features(path)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(order=st.permutations(range(5)))
+def test_csv_columns_match_by_name_not_position(tmp_path, order):
+    """A header is accepted only in its one canonical order."""
+    fs = sample_set(n=2, d_a=2, d_v=2)
+    path = tmp_path / "feat.csv"
+    save_features(path, fs)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(cells[k] for k in order) + "\n" for cells in lines))
+    if list(order) == sorted(order):
+        np.testing.assert_array_equal(load_features(path).visual, fs.visual)
+    else:
+        with pytest.raises(DataError, match="expected a0, a1, ..., then v0, v1, ..., then an optional label"):
+            load_features(path)
+
+
 def test_csv_not_utf8_error(tmp_path):
     path = tmp_path / "bytes.csv"
     path.write_bytes(b"a0,v0\n1.0,\xff\n")
@@ -117,6 +154,15 @@ def test_binary_has_labels_byte_must_be_zero_or_one(tmp_path):
     blob[20] = 7
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="has-labels byte is 7"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=("labelled", "unlabelled"))
+def test_binary_without_samples_error(tmp_path, labels):
+    path = tmp_path / "empty.bin"
+    save_features(path, sample_set(n=0, labels=labels))
+    assert path.stat().st_size == 21
+    with pytest.raises(DataError, match=re.escape(f"{path}: no samples")):
         load_features(path)
 
 

@@ -216,8 +216,8 @@ def test_float32_leaf_reads_the_arena_mirror_and_accumulates_into_float64():
     arena = dc.ParamArena([("w", (3, 2), True), ("s", (1, 1), False)])
     w = arena.params[0]
     arena.value[...] = np.random.default_rng(2).normal(size=arena.size)
-    assert arena.value32 is None and w.value32 is None  # allocated by the first refresh
-    arena.refresh_mirror()
+    assert arena.value32 is None and w.value32 is None  # allocated by the first prepare_step
+    arena.prepare_step()
     np.testing.assert_array_equal(arena.value32, arena.value.astype(np.float32))
     leaf = w.tensor(np.float32)
     assert leaf.value.dtype == np.float32 and np.shares_memory(leaf.value, arena.value32)

@@ -1,19 +1,27 @@
-"""Unit tests for gradient clipping, AdamW, and the cosine schedule.
+"""Unit tests for gradient clipping, AdamW, the cosine schedule and the
+walk that spreads an arena's blocks over worker threads.
 
 The blocked passes over a parameter arena are checked bit for bit against
 ``listwise_clip_global_norm`` and ``listwise_adamw_step``, the former
-per-parameter passes, kept here as the reference oracles.
+per-parameter passes, kept here as the reference oracles, and against
+themselves on one worker.
 """
 
 import math
+import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hscmae.diffcore as dc
 from hscmae.diffcore import BLOCK, NumericError, ParamArena, Parameter
 from hscmae.optim import OptimConfig, adamw_step, clip_global_norm, cosine_lr
+from hscmae.teacher import ema_update
 
 
 def listwise_clip_global_norm(params, max_norm):
@@ -170,6 +178,135 @@ def test_blocked_passes_bit_identical_to_listwise(sizes, exempt, weight_decay, s
         for kind in ("value", "grad", "adam_m", "adam_v"):
             np.testing.assert_array_equal(getattr(p, kind).view(np.uint64),
                                           getattr(q, kind).view(np.uint64), err_msg=f"{p.name}.{kind}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(SIZES, min_size=1, max_size=4), exempt=st.integers(1, 2),
+       workers=st.integers(2, 4), max_norm=st.sampled_from([1e-3, 1e6]),
+       seed=st.integers(0, 2 ** 16))
+def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers, max_norm, seed):
+    """The zero/mirror walk, clipping (norm and gradients), AdamW and the EMA
+    leave the same bits on several workers as on one; the exempt tail puts
+    the decay boundary inside a block."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, n) if n % 2 else (2, n // 2) for n in sizes] + [(1, 1)] * exempt
+    decay = [True] * len(sizes) + [False] * exempt
+    values = [rng.normal(size=shape) for shape in shapes]
+    grads = [[rng.normal(size=shape) for shape in shapes] for _ in range(3)]
+    cfg = OptimConfig(lr0=0.01, weight_decay=0.3)
+    runs = []
+    for count in (1, workers):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dc, "_WORKERS", count)
+            student = SimpleNamespace(arena=make_arena(*values, decay=decay), buffers={})
+            teacher = SimpleNamespace(arena=make_arena(*[-v for v in values], decay=decay), buffers={})
+            arena, norms = student.arena, []
+            for step, gs in enumerate(grads, start=1):
+                arena.grad[...] = 1.0
+                arena.prepare_step()
+                assert not arena.grad.any()
+                for p, g in zip(arena.params, gs):
+                    p.grad[...] = g
+                norms.append(clip_global_norm(arena, max_norm))
+                adamw_step(arena, cfg, step, lr_t=0.003)
+                ema_update(teacher, student, 0.99)
+            runs.append((norms, [a.tobytes() for a in (arena.value, arena.grad, arena.adam_m,
+                                                       arena.adam_v, arena.value32,
+                                                       teacher.arena.value)]))
+    assert runs[0] == runs[1]
+
+
+def test_one_block_arena_never_starts_the_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("a one-block walk started the pool")
+
+    monkeypatch.setattr(dc, "_pool", no_pool)
+    monkeypatch.setattr(dc, "_WORKERS", 4)
+    values = [np.ones((2, BLOCK // 2 - 1)), np.ones((1, 2))]
+    student = SimpleNamespace(arena=make_arena(*values, decay=[True, False]), buffers={})
+    teacher = SimpleNamespace(arena=make_arena(*values, decay=[True, False]), buffers={})
+    arena = student.arena
+    assert arena.size == BLOCK
+    arena.prepare_step()
+    arena.grad[...] = 1.0
+    assert clip_global_norm(arena, 1e-3) > 1e-3
+    adamw_step(arena, OptimConfig(), 1, lr_t=0.1)
+    ema_update(teacher, student, 0.9)
+
+
+def test_non_finite_norm_raises_before_any_scaling(monkeypatch):
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    arena = make_arena(np.ones((1, BLOCK)), np.ones((1, BLOCK)))
+    arena.grad[...] = 2.0
+    arena.grad[-1] = np.inf
+    arena.walk = None  # calling it would raise a TypeError, not a NumericError
+    with pytest.raises(NumericError):
+        clip_global_norm(arena, 1.0)
+    assert np.all(arena.grad[:-1] == 2.0)
+
+
+def test_walk_error_reaches_the_caller_after_every_share_stops(monkeypatch):
+    """Four blocks on two workers: the caller walks blocks 0-1, a pool thread
+    blocks 2-3. A failure in either share is raised once the other share
+    has finished, and the next walk covers every block once, each share with
+    its own scratch on its own thread."""
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    arena = ParamArena([("w", (1, 4 * BLOCK), True)])
+    for bad, want in ((0, {2 * BLOCK, 3 * BLOCK}), (3 * BLOCK, {0, BLOCK, 2 * BLOCK})):
+        done = []
+
+        def failing(start, stop, scratch):
+            if start == bad:
+                raise RuntimeError(f"block at {start}")
+            time.sleep(0.02)
+            done.append(start)
+
+        with pytest.raises(RuntimeError, match=f"block at {bad}$"):
+            arena.walk(failing)
+        assert set(done) == want
+
+    seen = []
+    arena.walk(lambda start, stop, scratch: seen.append(
+        (start, stop, scratch, threading.get_ident())))
+    seen.sort(key=lambda call: call[0])
+    assert [(start, stop) for start, stop, _, _ in seen] == [
+        (k * BLOCK, (k + 1) * BLOCK) for k in range(4)]
+    assert all(scratch.size >= 2 * BLOCK for _, _, scratch, _ in seen)
+    assert seen[0][2] is seen[1][2] and seen[2][2] is seen[3][2]
+    assert not np.shares_memory(seen[0][2], seen[2][2])
+    assert seen[0][3] == threading.get_ident() != seen[2][3]
+
+
+def test_walk_stress_more_workers_than_cores(monkeypatch):
+    """Eight workers on nine blocks, the interpreter switching threads every
+    microsecond: each walk adds one to every value, all distinct, through
+    its worker's scratch. A scratch shared by two shares, or a block walked twice or
+    never, breaks the count."""
+    monkeypatch.setattr(dc, "_WORKERS", 8)
+    monkeypatch.setattr(dc, "_executor", None)
+    monkeypatch.setattr(dc, "_worker_scratch", [])
+    arena = ParamArena([("w", (1, 9 * BLOCK - 7), True)])
+    arena.value[...] = np.arange(arena.size)
+
+    def bump(start, stop, scratch):
+        n = stop - start
+        np.add(arena.value[start:stop], 1.0, out=scratch[:n])
+        np.copyto(scratch[n:2 * n], scratch[:n])
+        arena.value[start:stop] = scratch[n:2 * n]
+
+    walker = threading.Thread(target=lambda: [arena.walk(bump) for _ in range(20)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        walker.start()
+        walker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if dc._executor is not None:
+            dc._executor.shutdown(wait=False)
+    assert not walker.is_alive()
+    assert len(dc._worker_scratch) == 7
+    assert np.all(arena.value == np.arange(arena.size) + 20.0)
 
 
 def test_cosine_schedule_shape():

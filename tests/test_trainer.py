@@ -3,7 +3,11 @@ and checkpoint assembly."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,46 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
 ], ids=("desk", "desk-identity", "paper-widths"))
 def test_train_step_bit_identical_to_composed_gated_step(monkeypatch, cfg, batch, epochs):
     assert run_steps(cfg, batch, epochs) == run_steps(cfg, batch, epochs, monkeypatch)
+
+
+def test_multi_block_train_step_byte_identical_on_one_and_two_workers(monkeypatch):
+    cfg = desk_train_config(seed=8, model=ModelConfig(audio_widths=(40, 96, 96),
+                                                      visual_widths=(50, 96, 96),
+                                                      heads=2, proj_dim=10))
+    assert ModelParams(cfg.model, seed=0).arena.size > 3 * dc.BLOCK
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(dc, "_WORKERS", workers)
+        runs.append(run_steps(cfg, 32, (1, 6, 7)))
+    assert runs[0] == runs[1]
+
+
+DESK_STEP_THEN_BIG_WALK = """
+import sys, threading
+import numpy as np
+from hscmae import diffcore as dc
+from hscmae.model import ModelConfig, ModelParams
+from hscmae.trainer import TrainConfig, train_step
+dc._WORKERS = 2
+cfg = TrainConfig(model=ModelConfig(audio_widths=(12, 10, 10, 10), visual_widths=(24, 10, 10, 10),
+                                    heads=2, proj_dim=10), cca_r=8, cca_post_dim=10)
+mp = ModelParams(cfg.model, seed=0)
+assert mp.arena.size <= dc.BLOCK
+rng = np.random.default_rng(0)
+train_step(mp, mp.copy(), rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg, 2, 5, 1e-3, 0.99, 1)
+assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
+dc.ParamArena([("w", (2, dc.BLOCK), True)]).prepare_step()
+assert "concurrent.futures" in sys.modules and threading.active_count() == 2
+"""
+
+
+def test_desk_training_neither_imports_nor_starts_the_pool():
+    """A fresh process: a desk train_step (a one-block arena) walks inline;
+    the first two-block walk imports concurrent.futures and starts one thread."""
+    src = Path(dc.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", DESK_STEP_THEN_BIG_WALK], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_first_layers_never_compute_an_input_gradient(monkeypatch):
