@@ -257,6 +257,7 @@ def cmd_eval(args):
     if data.labels is None:
         raise DataError(f"{args.features}: evaluation needs class labels")
     za, zv = retrieval_embeddings(mp, cca_model, data.audio, data.visual)
+    del mp  # the parameter arena is freed before the ranking
     report = cross_modal_map(za, zv, data.labels)
     if args.report_csv:
         _write_lines(args.report_csv, report_rows([("model", report)]))

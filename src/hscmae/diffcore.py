@@ -26,6 +26,7 @@ plus a float32 mirror of the values that float32 passes read.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -143,6 +144,22 @@ def _pool():
     return _executor
 
 
+def _concurrently(calls):
+    """Run every zero-argument call and return their results in order: the
+    first on the calling thread, the others on the pool. An exception raised
+    by any call is re-raised here once every call has stopped. Each call
+    must touch only its own outputs and call only numpy."""
+    futures = [_pool().submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        errors = [f.exception() for f in futures]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [first] + [f.result() for f in futures]
+
+
 def _forget_pool():
     global _executor
     _executor = None
@@ -246,16 +263,22 @@ class ParamArena:
 
         while len(_worker_scratch) < workers - 1:
             _worker_scratch.append(np.empty(2 * BLOCK))
-        pool = _pool()
-        futures = [pool.submit(share, bounds[k], bounds[k + 1], _worker_scratch[k - 1])
-                   for k in range(1, workers)]
-        try:
-            share(bounds[0], bounds[1], self.scratch)
-        finally:
-            errors = [f.exception() for f in futures]
-        for exc in errors:
-            if exc is not None:
-                raise exc
+        scratches = [self.scratch] + _worker_scratch[:workers - 1]
+        _concurrently([partial(share, bounds[k], bounds[k + 1], scratches[k]) for k in range(workers)])
+
+    def non_finite(self):
+        """The name of the first parameter that holds a NaN or an infinity,
+        or None; the values are checked in one walk."""
+        bad = []
+
+        def block(start, stop, scratch):
+            if not np.isfinite(self.value[start:stop]).all():
+                bad.append(start)
+
+        self.walk(block)
+        if bad:
+            return next(p.name for p in self.params if not np.isfinite(p.value).all())
+        return None
 
 
 _taping = True

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from . import cca_linear
+from . import cca_linear, diffcore as dc
 from .diffcore import NumericError
 from .model import embed_arrays
 from .trainer import train
@@ -48,11 +49,16 @@ def average_precision(relevance):
     return float(np.mean(np.cumsum(bits)[hits] / (hits + 1)))
 
 
+# queries from which ``cross_modal_map`` ranks its two directions on two
+# threads. On 2 vCPUs, with OpenBLAS's worker still spinning after the
+# similarity product, two threads lost at 1000 queries, broke even at
+# 1400-1800 and won 10-20 % from 2000
+PARALLEL_QUERIES = 1500
+
+
 def _direction_aps(sims, query_labels, gallery_labels):
-    """Per-query AP of one direction, in ascending query order; a query with
-    no relevant gallery item is warned about and left out."""
-    ordered = np.array(sims, order="C")  # rows sort fastest when contiguous
-    ordered.sort(axis=1)
+    """(AP per query, whether the query has a relevant gallery item) of one
+    direction; calls only numpy, so it may run on a pool thread."""
     g = sims.shape[1]
     aps = np.zeros(sims.shape[0])
     scored = np.zeros(sims.shape[0], dtype=bool)
@@ -61,23 +67,30 @@ def _direction_aps(sims, query_labels, gallery_labels):
         rel = np.flatnonzero(gallery_labels == label)
         if rel.size == 0:
             continue
+        ordered = np.sort(sims[rows], axis=1)
         block = sims[np.ix_(rows, rel)]
         # binary searches run about twice as fast on ascending keys
         perm = np.argsort(block, axis=1)
         block = np.take_along_axis(block, perm, axis=1)
         right = np.empty(block.shape, dtype=np.int64)
-        for r, i in enumerate(rows):
-            right[r] = np.searchsorted(ordered[i], block[r], side="right")
+        for r in range(rows.size):
+            right[r] = np.searchsorted(ordered[r], block[r], side="right")
         ranks = g + 1 - right
         # a score is shared only if its sorted row also holds it just below;
         # at right == 1 the flat index reaches the previous row, masked out
-        shared = (right >= 2) & (ordered.take(rows[:, None] * g + right - 2) == block)
+        shared = (right >= 2) & (ordered.take(np.arange(rows.size)[:, None] * g + right - 2) == block)
         for r, k in zip(*np.nonzero(shared)):
             ranks[r, k] += np.count_nonzero(sims[rows[r], :rel[perm[r, k]]] == block[r, k])
         ranks.sort(axis=1)
         # a row-wise mean sums each row in the same pairwise order as a 1-D mean
         aps[rows] = (np.arange(1, rel.size + 1) / ranks).mean(axis=1)
         scored[rows] = True
+    return aps, scored
+
+
+def _scored_aps(aps, scored):
+    """The APs of the scored queries, in ascending query order; each query
+    left out is warned about."""
     for i in np.flatnonzero(~scored):
         warnings.warn(f"query {i}: no relevant gallery items, excluded")
     return aps[scored]
@@ -85,7 +98,13 @@ def _direction_aps(sims, query_labels, gallery_labels):
 
 def cross_modal_map(z_a, z_v, labels):
     """mAP in both directions on unit-normalized embeddings. Non-finite
-    similarities raise NumericError."""
+    similarities raise NumericError.
+
+    a2v ranks the rows of one similarity matrix and v2a those of its
+    transpose. With at least ``PARALLEL_QUERIES`` queries and more than one
+    CPU, v2a is ranked on a pool thread while the calling thread ranks a2v;
+    either way every AP has the same bits, and the warnings about queries
+    with no relevant item come from the calling thread, a2v's first."""
     z_a = np.asarray(z_a, dtype=np.float64)
     z_v = np.asarray(z_v, dtype=np.float64)
     labels = np.asarray(labels)
@@ -94,8 +113,12 @@ def cross_modal_map(z_a, z_v, labels):
     sims = z_a @ z_v.T
     if not np.isfinite(sims).all():
         raise NumericError("cross_modal_map: non-finite similarity scores")
-    ap_a2v = _direction_aps(sims, labels, labels)
-    ap_v2a = _direction_aps(sims.T, labels, labels)
+    calls = [partial(_direction_aps, s, labels, labels) for s in (sims, sims.T)]
+    if labels.shape[0] >= PARALLEL_QUERIES and dc._WORKERS > 1:
+        ranked = dc._concurrently(calls)
+    else:
+        ranked = [call() for call in calls]
+    ap_a2v, ap_v2a = (_scored_aps(*r) for r in ranked)
     map_a2v = float(ap_a2v.mean())
     map_v2a = float(ap_v2a.mean())
     return RetrievalReport(map_a2v=map_a2v, map_v2a=map_v2a,

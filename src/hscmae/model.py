@@ -9,7 +9,9 @@ and layer norm: layernorm(h + h_other·Wv·Wo).
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +67,13 @@ class ModelParams:
     fixed by construction and reused for checkpoints and optimizer walks.
     The parameters live in ``arena``, a ``dc.ParamArena`` in that order; the
     decay-exempt ``sigma.*`` weights come last. With ``entries`` (name ->
-    array, as ``state_entries`` or a checkpoint holds them) each parameter
-    and buffer copies its entry instead of its seeded init; extra names are
-    ignored, and a missing name or a differing shape raises CheckpointError.
-    Every entry is checked before the arena is allocated, and each value is
-    written into the arena once.
+    array, as ``state_entries`` or ``load_entries`` give them, or name ->
+    ``StoredEntry``, as ``read_index`` gives them) each parameter and buffer
+    copies its entry instead of its seeded init; extra names are ignored
+    (and a stored one is never read), and a missing name or a differing
+    shape raises CheckpointError. Every entry is checked before the arena is
+    allocated, and each value is written into the arena once: a stored
+    entry is read from its file straight into its arena slice.
     """
 
     def __init__(self, config, seed=0, entries=None):
@@ -95,7 +99,7 @@ class ModelParams:
         def buffer(name, shape, init):
             if entries is not None:
                 check(name, shape)
-            self.buffers[name] = np.array(init(shape) if entries is None else entries[name])
+            self.buffers[name] = init(shape) if entries is None else _copy(entries[name], np.empty(shape))
 
         def glorot(skip=0):
             # draws only when the arena is filled; a model built from
@@ -148,7 +152,10 @@ class ModelParams:
         self.arena = dc.ParamArena(layout)
         self.params = {p.name: p for p in self.arena.params}
         for p, init in zip(self.arena.params, inits):
-            p.value[...] = init(p.value.shape) if entries is None else entries[p.name]
+            if entries is None:
+                p.value[...] = init(p.value.shape)
+            else:
+                _copy(entries[p.name], p.value)
 
     # -- access helpers ----------------------------------------------------
 
@@ -169,6 +176,14 @@ class ModelParams:
         entries = {name: p.value for name, p in self.params.items()}
         entries.update(self.buffers)
         return entries
+
+
+def _copy(entry, out):
+    """Write a checkpoint entry, an array or a ``StoredEntry``, into ``out``."""
+    if isinstance(entry, StoredEntry):
+        return entry.read(out)
+    out[...] = entry
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +281,57 @@ def forward_embed(mp, xa, xv, train, rng=None):
     return za, zv, ua, uv
 
 
+# values per activation of ``embed_arrays``'s widest layer in one row block:
+# 4 MiB of float64, so that a block's activations stay near the cache
+EMBED_BLOCK_VALUES = 1 << 19
+# A block's rows must get the bits of one pass over all rows, and OpenBLAS
+# (0.3.31, x86-64) gives a row other bits when its place in the kernel's row
+# tiles moves, or when a product of at most 100**3 multiply-adds goes to its
+# small-matrix kernels instead. So every block but the last holds a multiple
+# of EMBED_ROW_ALIGN rows, and every block enough rows that each of its
+# products stays above SMALL_PRODUCT.
+EMBED_ROW_ALIGN = 8
+SMALL_PRODUCT = 100 ** 3
+
+
+def _row_blocks(cfg, n):
+    """Row bounds of ``embed_arrays``'s blocks: as many balanced blocks as
+    the cache rule asks for, and no more than the small-product rule allows."""
+    widest = max(*cfg.audio_widths, *cfg.visual_widths, cfg.proj_dim)
+    layers = [a * b for w in (cfg.audio_widths, cfg.visual_widths) for a, b in zip(w, w[1:])]
+    layers += [cfg.model_dim * cfg.model_dim, cfg.model_dim * cfg.proj_dim]
+    cache_units = max(1, EMBED_BLOCK_VALUES // widest // EMBED_ROW_ALIGN)
+    safe_units = -(-(SMALL_PRODUCT // min(layers) + 1) // EMBED_ROW_ALIGN)
+    units = -(-n // EMBED_ROW_ALIGN)
+    blocks = max(1, min(-(-units // cache_units), units // safe_units))
+    return [min(n, EMBED_ROW_ALIGN * (k * units // blocks)) for k in range(blocks + 1)]
+
+
 def embed_arrays(mp, audio, visual):
     """Clean eval-mode float64 embeddings as plain arrays, whatever the
-    inputs' dtype; records no tape."""
+    inputs' dtype; records no tape.
+
+    The rows run in balanced blocks of at most ``EMBED_BLOCK_VALUES //``
+    (the widest layer) rows, 512 at a 1024-wide trunk, each written into
+    preallocated outputs. Every layer is row-wise in eval mode, and the
+    blocks are cut so that BLAS gives each row the bits of one pass over all
+    rows (see ``EMBED_ROW_ALIGN``); a model whose smallest layer product is
+    tiny therefore takes fewer, larger blocks. Inputs that fit one block
+    (every desk model, a 400-row batch at paper widths) run as that one
+    pass, with no copy."""
     audio, visual = (np.asarray(x, dtype=np.float64) for x in (audio, visual))
+    n = audio.shape[0]
+    bounds = _row_blocks(mp.config, n)
     with dc.no_tape():
-        za, zv, _, _ = forward_embed(mp, dc.const(audio), dc.const(visual), train=False)
-    return za.value, zv.value
+        if len(bounds) <= 2 or visual.shape[0] != n:  # a row-count mismatch fails in fuse
+            za, zv, _, _ = forward_embed(mp, dc.const(audio), dc.const(visual), train=False)
+            return za.value, zv.value
+        za, zv = np.empty((n, mp.config.proj_dim)), np.empty((n, mp.config.proj_dim))
+        for lo, hi in zip(bounds, bounds[1:]):
+            ba, bv, _, _ = forward_embed(mp, dc.const(audio[lo:hi]), dc.const(visual[lo:hi]),
+                                         train=False)
+            za[lo:hi], zv[lo:hi] = ba.value, bv.value
+    return za, zv
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +361,74 @@ def save_entries(path, entries):
             fh.write(arr.tobytes())
 
 
-def load_entries(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:8]!r}")
+class StoredEntry:
+    """One entry of an open checkpoint container, located by its header and
+    not yet read."""
+
+    __slots__ = ("fh", "path", "name", "shape", "offset")
+
+    def __init__(self, fh, path, name, shape, offset):
+        self.fh, self.path, self.name, self.shape, self.offset = fh, path, name, shape, offset
+
+    def read(self, out=None):
+        """The entry's values as float64, read straight into ``out`` (a
+        C-contiguous float64 array of the entry's shape) or a new array."""
+        if out is None:
+            out = np.empty(self.shape)
+        self.fh.seek(self.offset)
+        if self.fh.readinto(out) != out.nbytes:
+            raise OSError(f"{self.path}: entry {self.name!r} ended early: "
+                          "the file changed while it was read")
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+        return out
+
+
+def read_index(fh, path):
+    """Name -> ``StoredEntry`` of every entry of the checkpoint open as
+    ``fh``, in file order, from the record headers alone: no value is read.
+    A bad magic, a truncated record, a name that is not UTF-8 or that
+    repeats, and values running past the end of the file raise
+    CheckpointError naming ``path``."""
+    size = os.fstat(fh.fileno()).st_size
+    magic = fh.read(8)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
     entries = {}
     off = 8
-    while off < len(blob):
-        if off + 4 > len(blob):
+    while off < size:
+        if off + 4 > size:
             raise CheckpointError(f"{path}: truncated record header at offset {off}")
-        (nlen,) = struct.unpack_from("<I", blob, off)
+        fh.seek(off)
+        (nlen,) = struct.unpack("<I", fh.read(4))
         off += 4
-        if off + nlen + 8 > len(blob):
+        if off + nlen + 8 > size:
             raise CheckpointError(f"{path}: truncated record at offset {off}")
         try:
-            name = blob[off:off + nlen].decode("utf-8")
+            name = fh.read(nlen).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: entry name at offset {off} is not UTF-8") from None
         if name in entries:
             raise CheckpointError(f"{path}: duplicate entry {name!r}")
         off += nlen
-        rows, cols = struct.unpack_from("<II", blob, off)
+        rows, cols = struct.unpack("<II", fh.read(8))
         off += 8
         nbytes = rows * cols * 8
-        if off + nbytes > len(blob):
+        if off + nbytes > size:
             raise CheckpointError(f"{path}: entry {name!r} expects {nbytes} bytes, "
-                                  f"{len(blob) - off} available")
-        entries[name] = np.frombuffer(blob, dtype="<f8", count=rows * cols,
-                                      offset=off).reshape(rows, cols).copy()
+                                  f"{size - off} available")
+        entries[name] = StoredEntry(fh, path, name, (rows, cols), off)
         off += nbytes
     return entries
+
+
+def load_entries(path):
+    """Name -> float64 array of every entry of a checkpoint, in file order.
+    The headers are indexed first (``read_index``, which raises
+    CheckpointError for any malformed container), then each entry is read
+    straight into its own array."""
+    with open(path, "rb") as fh:
+        return {name: entry.read() for name, entry in read_index(fh, path).items()}
 
 
 def config_entries(config):

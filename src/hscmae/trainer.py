@@ -26,7 +26,7 @@ from .losses import CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss, so
 from .masking import apply_value_mask, make_plan
 from .model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, config_entries,
                     config_from_entries, decode, embed_arrays, encode, forward_embed, fuse,
-                    load_entries, project, save_entries)
+                    project, read_index, save_entries)
 from .optim import OptimConfig, adamw_step, clip_global_norm, cosine_lr
 from .teacher import anneal_momentum, ema_update, identity_affinities, mine_affinities
 
@@ -258,23 +258,49 @@ def _check_cca_entries(entries, dim):
                                   f"expected {shape}")
 
 
+def _check_values(mp, cca_entries):
+    """Every parameter, buffer and cca/* value is finite and every running
+    variance is non-negative; raises CheckpointError naming the entry."""
+    bad = mp.arena.non_finite() or next(
+        (name for name, value in (*mp.buffers.items(), *cca_entries.items())
+         if not np.isfinite(value).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"entry {bad!r} holds a non-finite value")
+    for name, value in mp.buffers.items():
+        if name.endswith(".var") and (value < 0).any():
+            raise CheckpointError(f"entry {name!r} holds a negative variance")
+
+
 def load_checkpoint(path):
-    """(student, appended CCA) of a checkpoint; extra entries, such as the
-    teacher copy older checkpoints hold, are ignored. A missing entry or an
-    entry of the wrong shape raises CheckpointError naming both; config/*
-    entries that describe no valid model raise it naming the file and the
-    reason."""
-    entries = load_entries(path)
-    try:
-        mp = ModelParams(config_from_entries(entries), entries=entries)
-        _check_cca_entries(entries, mp.config.proj_dim)
-        return mp, cca_linear.from_checkpoint_entries(entries)
-    except KeyError as exc:  # a config/* or cca/* entry
-        raise CheckpointError(f"{path}: missing entry {exc.args[0]!r}") from None
-    except (ValueError, OverflowError, IndexError) as exc:  # unusable config/* values
-        raise CheckpointError(f"{path}: config/* entries describe no valid model: {exc}") from None
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+    """(student, appended CCA) of a checkpoint, with every error a
+    CheckpointError naming the file.
+
+    The record headers are indexed first (``read_index``), then the config/*
+    and cca/* entries are read and every entry's shape is checked against
+    the config: a missing entry or one of the wrong shape names both, and
+    config/* entries that describe no valid model name the reason. Only
+    then is the arena allocated, and each parameter is read straight into
+    its slice of it. Extra entries, such as the teacher copy older
+    checkpoints hold, are never read. Last, a NaN or an infinity in any
+    parameter, buffer or cca/* entry, or a negative running variance, is
+    refused, before anything is computed from the values."""
+    with open(path, "rb") as fh:
+        index = read_index(fh, path)
+        try:
+            cca_entries = {name: entry.read() for name, entry in index.items()
+                           if name.startswith("cca/")}
+            config = config_from_entries({name: entry.read() for name, entry in index.items()
+                                          if name.startswith("config/")})
+            _check_cca_entries(cca_entries, config.proj_dim)
+            mp = ModelParams(config, entries=index)
+            _check_values(mp, cca_entries)
+            return mp, cca_linear.from_checkpoint_entries(cca_entries)
+        except KeyError as exc:  # a config/* or cca/* entry
+            raise CheckpointError(f"{path}: missing entry {exc.args[0]!r}") from None
+        except (ValueError, OverflowError, IndexError) as exc:  # unusable config/* values
+            raise CheckpointError(f"{path}: config/* entries describe no valid model: {exc}") from None
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
 
 
 def epoch_log_rows(logs):

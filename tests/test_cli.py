@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import struct
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -175,6 +176,27 @@ def test_duplicate_checkpoint_entry_exits_two(trained, data_files, tmp_path, cap
         bad.write_bytes(fh.read() + record)
     assert main(["eval", "--checkpoint", str(bad), "--features", test_path]) == 2
     assert f"{bad}: duplicate entry 'enc.a.0.w'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, value, problem", [
+    ("enc.v.1.w", np.nan, "holds a non-finite value"),
+    ("cca/A", np.inf, "holds a non-finite value"),
+    ("enc.a.0.bn.var", -5.0, "holds a negative variance"),
+    ("sigma.rec", np.nan, "holds a non-finite value"),
+], ids=("nan-weight", "inf-cca", "negative-var", "nan-sigma"))
+def test_non_finite_checkpoint_exits_two_before_any_compute(trained, data_files, tmp_path, capsys,
+                                                            entry, value, problem):
+    ckpt, _, _ = trained
+    _, test_path = data_files
+    entries = load_entries(ckpt)
+    entries[entry][...] = value
+    bad = str(tmp_path / "bad.ckpt")
+    save_entries(bad, entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would mean compute ran
+        assert main(["eval", "--checkpoint", bad, "--features", test_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"data error: {bad}: entry {entry!r} {problem}\n"
 
 
 def test_non_utf8_entry_name_exits_two(trained, data_files, tmp_path, capsys):

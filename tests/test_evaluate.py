@@ -1,16 +1,20 @@
 """Unit tests for the retrieval harness and reference systems."""
 
+import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hscmae.diffcore as dc
+from hscmae import evaluate
 from hscmae.data_io import FeatureSet
 from hscmae.diffcore import NumericError
-from hscmae.evaluate import (_direction_aps, average_precision, cross_modal_map,
+from hscmae.evaluate import (_direction_aps, _scored_aps, average_precision, cross_modal_map,
                              mask_ratio_sweep, rank_list_rows, report_rows,
                              retrieval_embeddings, run_baseline)
 
@@ -41,8 +45,13 @@ def recorded(fn, *args):
     return out, [str(w.message) for w in caught]
 
 
+def direction_aps(sims, query_labels, gallery_labels):
+    """One direction's APs of the scored queries, with its warnings."""
+    return _scored_aps(*_direction_aps(sims, query_labels, gallery_labels))
+
+
 def assert_matches_loop(sims, query_labels, gallery_labels):
-    got, got_warnings = recorded(_direction_aps, sims, query_labels, gallery_labels)
+    got, got_warnings = recorded(direction_aps, sims, query_labels, gallery_labels)
     want, want_warnings = recorded(loop_direction_aps, sims, query_labels, gallery_labels)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -107,19 +116,82 @@ def test_cross_modal_map_with_ties_matches_brute_force():
     assert abs(report.map_v2a - v2a) <= 1e-12
 
 
+def draw_scores(data, n, g):
+    raw = data.draw(arrays(np.float64, (n, g), elements=st.floats(-1.0, 1.0)), label="scores")
+    return np.round(raw, 1)  # one decimal makes ties common, -0.0 included
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_direction_aps_bit_identical_to_loop(data):
     n = data.draw(st.integers(1, 30), label="queries")
     g = data.draw(st.integers(1, 30), label="gallery")
-    raw = data.draw(arrays(np.float64, (n, g), elements=st.floats(-1.0, 1.0)), label="scores")
+    sims = draw_scores(data, n, g)
     # label 3 never occurs in the gallery, so some queries have nothing relevant
     query_labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 3)), label="query labels")
     gallery_labels = data.draw(arrays(np.int64, g, elements=st.integers(0, 2)),
                                label="gallery labels")
-    sims = np.round(raw, 1)  # one decimal makes ties common, -0.0 included
     assert_matches_loop(sims, query_labels, gallery_labels)
     assert_matches_loop(sims.T, gallery_labels, query_labels)
+
+
+def two_threads(monkeypatch, queries):
+    """Make ``cross_modal_map`` rank v2a on a pool thread from ``queries`` up."""
+    monkeypatch.setattr(evaluate, "PARALLEL_QUERIES", queries)
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cross_modal_map_bit_identical_inline_and_on_two_threads(monkeypatch, data):
+    """The scores of the loop-oracle test as z_a, with z_v the identity so
+    that z_a @ z_v.T is z_a; a NaN label matches no item, so its queries are
+    warned about in both directions."""
+    n = data.draw(st.integers(1, 30), label="items")
+    z_a = draw_scores(data, n, n)
+    labels = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0, 2.0, np.nan])),
+                       label="labels")
+    concurrently, threads = dc._concurrently, []
+
+    def spying_concurrently(calls):
+        threads.append(threading.get_ident())
+        return concurrently([partial(on_thread, call) for call in calls])
+
+    def on_thread(call):
+        threads.append(threading.get_ident())
+        return call()
+
+    runs = []
+    for queries in (n + 1, n):  # inline, then on two threads
+        with monkeypatch.context() as patch:
+            two_threads(patch, queries)
+            patch.setattr(dc, "_concurrently", spying_concurrently)
+            runs.append(recorded(cross_modal_map, z_a, np.eye(n), labels))
+    caller = threading.get_ident()
+    # the dispatch on the calling thread, then a2v on it and v2a on another
+    assert threads[0] == caller and sorted(t == caller for t in threads[1:]) == [False, True]
+    (inline, inline_messages), (threaded, threaded_messages) = runs
+    assert inline_messages == threaded_messages
+    for got, want in ((threaded.ap_a2v, inline.ap_a2v), (threaded.ap_v2a, inline.ap_v2a)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert repr(threaded.map_avg) == repr(inline.map_avg)
+
+
+def test_error_in_the_pool_direction_reaches_the_caller(monkeypatch):
+    two_threads(monkeypatch, 4)
+    ranked = evaluate._direction_aps
+    caller = threading.get_ident()
+
+    def failing(sims, query_labels, gallery_labels):
+        if threading.get_ident() != caller:
+            raise RuntimeError("v2a failed")
+        return ranked(sims, query_labels, gallery_labels)
+
+    monkeypatch.setattr(evaluate, "_direction_aps", failing)
+    z = unit_rows(np.random.default_rng(5).normal(size=(6, 3)))
+    with pytest.raises(RuntimeError, match="v2a failed"):
+        cross_modal_map(z, z, np.array([0, 0, 1, 1, 2, 2]))
 
 
 def test_direction_aps_bit_identical_to_loop_at_scale():

@@ -226,6 +226,88 @@ def test_embed_arrays_is_float64_whatever_the_input_dtype():
         np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
 
 
+def one_pass(mp, xa, xv):
+    """Reference: one forward_embed over every row, with no tape."""
+    with dc.no_tape():
+        za, zv, _, _ = forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
+    return za.value, zv.value
+
+
+def test_row_blocks_bit_identical_to_one_pass_at_paper_widths():
+    """n around the 512-row block edge of a 1024-wide trunk: up to 512 rows
+    are one block, 513 rows two (256 + 257) and 1025 three (344 + 344 + 337)."""
+    mp = ModelParams(TrainConfig().model, seed=26)
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 511, 512, 513, 1025):
+        xa, xv = rng.normal(size=(n, 128)), rng.normal(size=(n, 1024))
+        mp.zero_row_warnings = 0
+        got = embed_arrays(mp, xa, xv)
+        blocked_warnings = mp.zero_row_warnings
+        mp.zero_row_warnings = 0
+        want = one_pass(mp, xa, xv)
+        assert blocked_warnings == mp.zero_row_warnings
+        for z, ref in zip(got, want):
+            assert z.shape == ref.shape == (n, 32)
+            np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
+def test_row_blocks_count_zero_rows_as_one_pass(monkeypatch):
+    mp = ModelParams(desk_train_config().model, seed=28)
+    mp.params["proj.a.w"].value[...] = 0.0
+    mp.params["proj.a.b"].value[...] = 0.0
+    rng = np.random.default_rng(29)
+    xa, xv = rng.normal(size=(50, 12)), rng.normal(size=(50, 24))
+    want = one_pass(mp, xa, xv)
+    assert mp.zero_row_warnings == 50
+    monkeypatch.setattr(model, "EMBED_BLOCK_VALUES", 24 * 8)
+    monkeypatch.setattr(model, "SMALL_PRODUCT", 0)
+    assert model._row_blocks(mp.config, 50) == [0, 8, 16, 24, 32, 40, 48, 50]
+    mp.zero_row_warnings = 0
+    got = embed_arrays(mp, xa, xv)
+    assert mp.zero_row_warnings == 50
+    for z, ref in zip(got, want):
+        np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
+def test_row_blocks_keep_every_product_above_the_small_matrix_kernels():
+    """A 256-wide trunk with a 2-wide projection (256 * 2 multiply-adds per
+    row) would take 2048-row blocks by the cache rule, but a block needs
+    1954 rows for its projection to stay above SMALL_PRODUCT: 2049 rows run
+    as one pass, 5000 as two blocks, each with the bits of one pass."""
+    cfg = ModelConfig(audio_widths=(3, 256, 256), visual_widths=(5, 256, 256), heads=2, proj_dim=2)
+    assert model._row_blocks(cfg, 2049) == [0, 2049]
+    assert model._row_blocks(cfg, 5000) == [0, 2496, 5000]
+    mp = ModelParams(cfg, seed=32)
+    rng = np.random.default_rng(33)
+    xa, xv = rng.normal(size=(5000, 3)), rng.normal(size=(5000, 5))
+    for z, ref in zip(embed_arrays(mp, xa, xv), one_pass(mp, xa, xv)):
+        np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
+def test_desk_model_and_a_paper_batch_run_one_block(monkeypatch):
+    """Every desk embedding (up to the 2000-row final CCA fit) and the
+    400-row teacher pass at paper widths take one forward_embed over the
+    caller's arrays, with no copy; 513 paper-width rows take two blocks."""
+    calls = []
+
+    def spying_forward_embed(mp, xa, xv, train, rng=None):
+        calls.append((xa.value, xv.value))
+        return forward_embed(mp, xa, xv, train, rng)
+
+    monkeypatch.setattr(model, "forward_embed", spying_forward_embed)
+    rng = np.random.default_rng(30)
+    for cfg, rows, blocks in ((desk_train_config().model, 2000, [2000]),
+                              (TrainConfig().model, 400, [400]),
+                              (TrainConfig().model, 513, [256, 257])):
+        mp = ModelParams(cfg, seed=31)
+        xa, xv = rng.normal(size=(rows, cfg.d_audio)), rng.normal(size=(rows, cfg.d_visual))
+        calls.clear()
+        embed_arrays(mp, xa, xv)
+        assert [len(a) for a, _ in calls] == blocks
+        if len(blocks) == 1:
+            assert calls[0][0] is xa and calls[0][1] is xv
+
+
 def state_digests(mp, teacher):
     """(kind, name) -> digest of the uint64 bits of every array a train_step
     writes: student values, gradients, Adam moments and buffers, and the

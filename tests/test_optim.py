@@ -245,6 +245,17 @@ def test_non_finite_norm_raises_before_any_scaling(monkeypatch):
     assert np.all(arena.grad[:-1] == 2.0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_names_the_first_parameter_holding_one(monkeypatch, workers):
+    monkeypatch.setattr(dc, "_WORKERS", workers)
+    arena = make_arena(np.ones((1, 3)), np.ones((2, BLOCK)), np.ones((1, 5)), decay=[True, True, False])
+    assert arena.non_finite() is None
+    arena.params[2].value[0, 4] = np.nan  # in the last block, the pool's share on two workers
+    assert arena.non_finite() == "p2"
+    arena.params[1].value[1, 0] = -np.inf
+    assert arena.non_finite() == "p1"
+
+
 def test_walk_error_reaches_the_caller_after_every_share_stops(monkeypatch):
     """Four blocks on two workers: the caller walks blocks 0-1, a pool thread
     blocks 2-3. A failure in either share is raised once the other share

@@ -4,6 +4,8 @@ and checkpoint assembly."""
 import hashlib
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,13 +20,14 @@ import hscmae.diffcore as dc
 from hscmae import cca_linear, trainer
 from hscmae.data_io import FeatureSet
 from hscmae.masking import apply_value_mask, make_grad_gate, make_plan
-from hscmae.model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, config_entries,
-                          embed_arrays, save_entries)
+from hscmae.model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, StoredEntry,
+                          config_entries, config_from_entries, embed_arrays, load_entries,
+                          save_entries)
 from hscmae.optim import OptimConfig
 from hscmae.trainer import (TrainConfig, _step_seed, epoch_log_rows, load_checkpoint,
                             save_checkpoint, train, train_step)
 
-from conftest import desk_train_config, tiny_model_config
+from conftest import corrupted, desk_train_config, tiny_model_config
 from test_diffcore import composed_linear, formula_batch_norm, formula_layer_norm
 from test_losses import composed_soft_infonce
 from test_optim import listwise_adamw_step, listwise_clip_global_norm
@@ -245,11 +248,12 @@ def test_multi_block_train_step_byte_identical_on_one_and_two_workers(monkeypatc
 
 
 DESK_STEP_THEN_BIG_WALK = """
-import sys, threading
+import contextlib, io, os, sys, tempfile, threading
 import numpy as np
-from hscmae import diffcore as dc
-from hscmae.model import ModelConfig, ModelParams
-from hscmae.trainer import TrainConfig, train_step
+from hscmae import cca_linear, cli, diffcore as dc
+from hscmae.data_io import SynthConfig, generate_synthetic, save_features
+from hscmae.model import ModelConfig, ModelParams, embed_arrays
+from hscmae.trainer import TrainConfig, TrainResult, save_checkpoint, train_step
 dc._WORKERS = 2
 cfg = TrainConfig(model=ModelConfig(audio_widths=(12, 10, 10, 10), visual_widths=(24, 10, 10, 10),
                                     heads=2, proj_dim=10), cca_r=8, cca_post_dim=10)
@@ -258,14 +262,26 @@ assert mp.arena.size <= dc.BLOCK
 rng = np.random.default_rng(0)
 train_step(mp, mp.copy(), rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg, 2, 5, 1e-3, 0.99, 1)
 assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
+train_set, test_set = generate_synthetic(SynthConfig())
+assert test_set.n == 500
+with tempfile.TemporaryDirectory() as tmp:
+    ckpt, test_path = os.path.join(tmp, "desk.ckpt"), os.path.join(tmp, "test.bin")
+    cca_model = cca_linear.fit(*embed_arrays(mp, train_set.audio, train_set.visual), p=10)
+    save_checkpoint(ckpt, TrainResult(params=mp, teacher=None, cca_model=cca_model, logs=[]))
+    save_features(test_path, test_set)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", "--checkpoint", ckpt, "--features", test_path]) == 0
+assert "concurrent.futures" not in sys.modules and threading.active_count() == 1
 dc.ParamArena([("w", (2, dc.BLOCK), True)]).prepare_step()
 assert "concurrent.futures" in sys.modules and threading.active_count() == 2
 """
 
 
 def test_desk_training_neither_imports_nor_starts_the_pool():
-    """A fresh process: a desk train_step (a one-block arena) walks inline;
-    the first two-block walk imports concurrent.futures and starts one thread."""
+    """A fresh process: a desk train_step (a one-block arena) walks inline,
+    and a desk ``hscmae eval`` (500 queries, below the ranking's parallel
+    floor) ranks inline; the first two-block walk imports
+    concurrent.futures and starts one thread."""
     src = Path(dc.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", DESK_STEP_THEN_BIG_WALK], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
@@ -452,6 +468,170 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path2, TrainResult(params=mp, teacher=None,
                                        cca_model=cca_model, logs=[]))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_checkpoint_matches_modelparams_from_load_entries(tmp_path):
+    """The streamed reader gives the bits of the whole-entry reader."""
+    path = tmp_path / "small.ckpt"
+    save_entries(path, small_checkpoint_entries())
+    entries = load_entries(path)
+    want = ModelParams(config_from_entries(entries), entries=entries)
+    mp, cca_model = load_checkpoint(path)
+    assert mp.config == want.config
+    got, ref = mp.state_entries(), want.state_entries()  # parameters, then buffers
+    assert list(got) == list(ref)
+    for name, value in ref.items():
+        assert got[name].dtype == np.float64 and got[name].tobytes() == value.tobytes()
+    for name, arr in cca_linear.checkpoint_entries(cca_model).items():
+        assert arr.tobytes() == entries[name].tobytes()
+
+
+def checkpoint_blob(tmp_path):
+    path = tmp_path / "good.ckpt"
+    save_entries(path, small_checkpoint_entries())
+    return path.read_bytes()
+
+
+def container_cases(blob):
+    """(case, damaged bytes, expected message after the path) of the
+    container faults that load_entries reports."""
+    name = b"enc.a.0.w"
+    record = (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1) + np.zeros(1).tobytes())
+    first = 8 + 4 + len(b"config/audio_widths")
+    return [
+        ("bad-magic", b"NOTMAGIC" + blob[8:], "bad magic b'NOTMAGIC'"),
+        ("short-magic", blob[:5], f"bad magic {blob[:5]!r}"),
+        ("cut-header", blob[:10], "truncated record header at offset 8"),
+        ("cut-name", blob[:14], "truncated record at offset 12"),
+        ("cut-values", blob[:first + 8 + 5], "entry 'config/audio_widths' expects 24 bytes, 5 available"),
+        ("cut-last", blob[:-5], "entry 'cca/rho' expects"),
+        ("non-utf8", blob + struct.pack("<I", 2) + b"a\xff" + struct.pack("<II", 1, 1)
+         + np.zeros(1).tobytes(), f"entry name at offset {len(blob) + 4} is not UTF-8"),
+        ("duplicate", blob + record, "duplicate entry 'enc.a.0.w'"),
+    ]
+
+
+def test_load_checkpoint_reports_container_faults_as_load_entries_does(tmp_path):
+    blob = checkpoint_blob(tmp_path)
+    for case, damaged, message in container_cases(blob):
+        path = tmp_path / f"{case}.ckpt"
+        path.write_bytes(damaged)
+        errors = []
+        for reader in (load_entries, load_checkpoint):
+            with pytest.raises(CheckpointError) as caught:
+                reader(path)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1], case
+        assert errors[0].startswith(f"{path}: {message}"), case
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_container_fuzz_through_load_checkpoint(tmp_path, data):
+    """Any damage to a whole checkpoint loads or raises CheckpointError, and
+    a container fault reads as load_entries reports it."""
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(corrupted(data, checkpoint_blob(tmp_path)))
+    entries_error = None
+    try:
+        load_entries(path)
+    except CheckpointError as exc:
+        entries_error = str(exc)
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert entries_error is None or str(exc) == entries_error
+    else:
+        assert entries_error is None
+
+
+class ArenaSpy:
+    """Stands in for dc.ParamArena and counts constructions."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = dc.ParamArena
+
+        def build(layout):
+            self.calls += 1
+            return real(layout)
+
+        monkeypatch.setattr(dc, "ParamArena", build)
+
+
+def test_rejected_checkpoint_never_allocates_an_arena(tmp_path, monkeypatch):
+    blob = checkpoint_blob(tmp_path)
+    rewrites = {
+        "missing-weight": lambda e: e.pop("enc.v.1.w"),
+        "wrong-shape": lambda e: e.update({"dec.a.2.w": e["dec.a.2.w"][:, :1]}),
+        "missing-buffer": lambda e: e.pop("enc.a.0.bn.var"),
+        "missing-cca": lambda e: e.pop("cca/B"),
+        "cca-shape": lambda e: e.update({"cca/A": e["cca/A"][:1]}),
+        "bad-config": lambda e: e.update({"config/heads": np.array([[0.0]])}),
+        "huge-width": lambda e: e.update({"config/audio_widths": np.array([[3.0, 2.0 ** 40, 4.0]])}),
+    }
+    paths = []
+    for case, damaged, _ in container_cases(blob):
+        paths.append(tmp_path / f"{case}.ckpt")
+        paths[-1].write_bytes(damaged)
+    for case, rewrite in rewrites.items():
+        entries = small_checkpoint_entries()
+        rewrite(entries)
+        paths.append(tmp_path / f"{case}.ckpt")
+        save_entries(paths[-1], entries)
+    spy = ArenaSpy(monkeypatch)
+    for path in paths:
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+    assert spy.calls == 0
+    (tmp_path / "good.ckpt").write_bytes(blob)
+    load_checkpoint(tmp_path / "good.ckpt")
+    assert spy.calls == 1
+
+
+def test_extra_entries_load_unread(tmp_path, monkeypatch):
+    """A checkpoint with a teacher copy and fusion Q/K weights, as older ones
+    hold, loads the same bits without reading any extra entry."""
+    entries = small_checkpoint_entries()
+    old = dict(entries)
+    for name, arr in entries.items():
+        if not name.startswith(("config/", "cca/")):
+            old[f"teacher/{name}"] = arr + 1.0
+    old["fuse.a2v.wq"] = np.full((4, 4), np.nan)
+    save_entries(tmp_path / "new.ckpt", entries)
+    save_entries(tmp_path / "old.ckpt", old)
+    read = []
+    real_read = StoredEntry.read
+
+    def recording_read(entry, out=None):
+        read.append(entry.name)
+        return real_read(entry, out)
+
+    monkeypatch.setattr(StoredEntry, "read", recording_read)
+    new_mp, _ = load_checkpoint(tmp_path / "new.ckpt")
+    assert sorted(read) == sorted(entries)
+    read.clear()
+    old_mp, _ = load_checkpoint(tmp_path / "old.ckpt")
+    assert sorted(read) == sorted(entries)
+    assert old_mp.arena.value.tobytes() == new_mp.arena.value.tobytes()
+
+
+@pytest.mark.parametrize("entry, value, problem", [
+    ("enc.v.1.w", np.nan, "holds a non-finite value"),
+    ("cca/A", np.inf, "holds a non-finite value"),
+    ("enc.a.0.bn.var", -5.0, "holds a negative variance"),
+    ("sigma.rec", np.nan, "holds a non-finite value"),
+    ("enc.v.0.bn.mean", -np.inf, "holds a non-finite value"),
+    ("cca/rho", np.nan, "holds a non-finite value"),
+], ids=("nan-weight", "inf-cca", "negative-var", "nan-sigma", "inf-mean", "nan-rho"))
+def test_non_finite_or_negative_variance_entry_is_a_checkpoint_error(tmp_path, entry, value, problem):
+    entries = small_checkpoint_entries()
+    entries[entry] = entries[entry].copy()
+    entries[entry].flat[-1] = value
+    path = tmp_path / "bad.ckpt"
+    save_entries(path, entries)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: entry {entry!r} {problem}$"):
+        load_checkpoint(path)
 
 
 def test_epoch_log_rows_schema():
