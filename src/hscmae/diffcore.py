@@ -1,8 +1,11 @@
 """Minimal reverse-mode autodiff over dense 2-D float32 or float64 matrices.
 
-Provides exactly the primitives the model and losses need. Every primitive
-with an input that leads to a ``Parameter`` records a closure computing its
-analytic input gradients; one whose inputs are all constants records nothing.
+Provides the matrix primitives the model needs; the loss heads build their
+own nodes through ``_node``. ``gradient_gate`` is kept for the input-gradient
+check of acceptance criterion 1, with ``grad_check`` its finite-difference
+oracle. Every primitive with an input that leads to a ``Parameter`` records
+a closure computing its analytic input gradients; one whose inputs are all
+constants records nothing.
 ``backward`` walks the tape from a scalar loss once, accumulates into
 reachable ``Parameter`` objects and lets go of each node's gradient, closure
 and parents as soon as it has used them, so nothing of the tape is kept
@@ -343,7 +346,7 @@ def backward(loss):
         node = order.pop()
         parents, node_backward = node._parents, node._backward
         node._parents, node._backward = (), None
-        # None: reachable only through a severed edge (stop-gradient)
+        # None: no closure sent the node a gradient
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -406,32 +409,6 @@ def add(a, b):
     return _node("add", a.value + b.value, (a, b), bwd)
 
 
-def scale(a, c):
-    c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _node("scale", a.value * c, (a,), bwd)
-
-
-def mul(a, b):
-    """Elementwise product; either operand may be 1x1 (scalar broadcast)."""
-    av, bv = a.value, b.value
-    if a.shape == b.shape:
-        def bwd(g):
-            return g * bv, g * av
-    elif a.shape == (1, 1):
-        def bwd(g):
-            return np.sum(g * bv, keepdims=True).reshape(1, 1), g * av[0, 0]
-    elif b.shape == (1, 1):
-        def bwd(g):
-            return g * bv[0, 0], np.sum(g * av, keepdims=True).reshape(1, 1)
-    else:
-        raise ShapeError(f"mul: {a.shape} * {b.shape}")
-    return _node("mul", av * bv, (a, b), bwd)
-
-
 def tanh(a):
     y = np.tanh(a.value)
 
@@ -442,15 +419,6 @@ def tanh(a):
         return (dy,)
 
     return _node("tanh", y, (a,), bwd)
-
-
-def exp(a):
-    y = np.exp(a.value)
-
-    def bwd(g):
-        return (g * y,)
-
-    return _node("exp", y, (a,), bwd)
 
 
 _NORM_EPS = 1e-5
@@ -563,23 +531,6 @@ def dropout(x, rate, train, rng):
     return _node("dropout", y, (x,), bwd)
 
 
-def mse(a, b):
-    """Mean over rows of the squared L2 row difference, computed in the
-    wider dtype of the two inputs."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    diff = a.value - b.value
-    b_grad = b.needs_grad
-
-    def bwd(g):
-        d = float(g[0, 0]) * 2.0 / n * diff
-        db = (-d).astype(b.value.dtype, copy=False) if b_grad else None
-        return d.astype(a.value.dtype, copy=False), db
-
-    return _node("mse", [[float((diff * diff).sum() / n)]], (a, b), bwd)
-
-
 def l2_normalize_rows(a, zero_tol=1e-12):
     """Rows scaled to unit L2 norm; rows with norm < zero_tol map to zeros."""
     norms = np.linalg.norm(a.value, axis=1, keepdims=True)
@@ -594,11 +545,6 @@ def l2_normalize_rows(a, zero_tol=1e-12):
     return _node("l2_normalize_rows", y, (a,), bwd)
 
 
-def stop_gradient(a):
-    """A copy of ``a`` that needs no gradient: nothing flows back through it."""
-    return Tensor(a.value.copy(), op="stop_gradient")
-
-
 def gradient_gate(a, gate):
     """Identity forward; backward multiplies the incoming gradient by ``gate``."""
     gate = np.asarray(gate, dtype=a.value.dtype)
@@ -609,13 +555,6 @@ def gradient_gate(a, gate):
         return (g * gate,)
 
     return _node("gradient_gate", a.value, (a,), bwd)
-
-
-def sum_all(a):
-    def bwd(g):
-        return (np.full(a.shape, g[0, 0], dtype=a.value.dtype),)
-
-    return _node("sum_all", [[float(a.value.sum())]], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,6 @@ class RetrievalReport:
         return abs(self.map_a2v - self.map_v2a)
 
 
-def average_precision(relevance):
-    """AP of a ranked 0/1 relevance sequence: mean precision at relevant ranks."""
-    bits = np.asarray(relevance, dtype=np.int64)
-    total = int(bits.sum())
-    if total == 0:
-        raise ValueError("average_precision: no relevant items")
-    hits = np.flatnonzero(bits)
-    return float(np.mean(np.cumsum(bits)[hits] / (hits + 1)))
-
-
 # queries from which ``cross_modal_map`` ranks its two directions on two
 # threads. On 2 vCPUs, with OpenBLAS's worker still spinning after the
 # similarity product, two threads lost at 1000 queries, broke even at

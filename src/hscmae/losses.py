@@ -1,15 +1,16 @@
 """The four training objectives and their uncertainty-weighted combination.
 
-The canonical-correlation and contrastive losses are dedicated tape nodes
-with closed-form gradients; reconstruction, distillation and the weighted
-total compose diffcore primitives.
+Each loss head, and the weighted total, is one tape node with a closed-form
+gradient. Reconstruction and distillation share one node, the mean squared
+row distance to constant targets averaged over the two modalities.
 
 Every loss value is a float64 1 x 1. The canonical-correlation and
 contrastive heads compute in float64 on their n x r inputs whatever those
 inputs' dtype (the covariances, ``eigh`` and ``svd`` among them) and return
-each input gradient in that input's dtype; distillation computes in float64
-against float64 teacher embeddings, and reconstruction in the dtype of the
-decoder output and its target.
+each input gradient in that input's dtype. Reconstruction and distillation
+compute in the wider dtype of prediction and target: distillation in
+float64, because the teacher's embeddings are float64, and reconstruction
+in the dtype of the decoder output and its target.
 """
 
 from __future__ import annotations
@@ -182,34 +183,56 @@ def soft_infonce(za, zv, targets, tau):
     return dc._node("soft_infonce", [[loss]], (za, zv), bwd)
 
 
+def _paired_mse(op, pred_a, pred_v, target_a, target_v):
+    """0.5 * (mse_a + mse_v) as one node, where each mse is the mean over
+    rows of the squared L2 row distance of prediction to target, computed in
+    the wider dtype of the two. Targets are arrays or Tensors, taken as
+    constants: no gradient reaches them. Values and gradients match, bit
+    for bit, the chain of two mse nodes, an add and a scale by 0.5 that the
+    tests keep as the oracle."""
+    diffs = []
+    for pred, target in ((pred_a, target_a), (pred_v, target_v)):
+        target = target.value if isinstance(target, dc.Tensor) else dc.const(target).value
+        if pred.shape != target.shape:
+            raise dc.ShapeError(f"{op}: {pred.shape} vs {target.shape}")
+        diffs.append(pred.value - target)
+    mse_a, mse_v = (float((d * d).sum() / d.shape[0]) for d in diffs)
+
+    def bwd(g):
+        s = float((g * 0.5)[0, 0]) * 2.0
+        return tuple((s / d.shape[0] * d).astype(p.value.dtype, copy=False)
+                     for p, d in zip((pred_a, pred_v), diffs))
+
+    return dc._node(op, [[(mse_a + mse_v) * 0.5]], (pred_a, pred_v), bwd)
+
+
 def rec_loss(xa, xv, xa_hat, xv_hat):
     """Full-vector reconstruction MSE: mean-per-sample squared L2 error,
     averaged over the two modalities."""
-    xa = xa if isinstance(xa, dc.Tensor) else dc.const(xa)
-    xv = xv if isinstance(xv, dc.Tensor) else dc.const(xv)
-    return dc.scale(dc.add(dc.mse(xa_hat, xa), dc.mse(xv_hat, xv)), 0.5)
+    return _paired_mse("rec_loss", xa_hat, xv_hat, xa, xv)
 
 
 def distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
     """Mean squared row distance of student embeddings to (gradient-free)
-    teacher embeddings, averaged over modalities; ``mse`` computes it in
-    float64 when the teacher's embeddings are float64."""
-    def freeze(z):
-        return dc.stop_gradient(z) if isinstance(z, dc.Tensor) else dc.const(z)
-
-    return dc.scale(dc.add(dc.mse(z_mae_a, freeze(z_t_a)), dc.mse(z_mae_v, freeze(z_t_v))), 0.5)
+    teacher embeddings, averaged over modalities; computed in float64 when
+    the teacher's embeddings are float64."""
+    return _paired_mse("distill_loss", z_mae_a, z_mae_v, z_t_a, z_t_v)
 
 
 def warmup_weight(name, epoch):
     return {"rec": 1.0, "cca": 0.1 * epoch, "dis": 0.1, "infonce": 0.05}[name]
 
 
-def total_loss(bundle, sigmas, epoch, warmup_epochs=5):
-    """Combine the active terms.
+def total_loss(bundle, sigmas, epoch, warmup_epochs):
+    """Combine the active terms as one node.
 
     Epochs 1..warmup_epochs use the fixed schedule (rec=1, cca=0.1*epoch,
     dis=0.1, infonce=0.05) with the log-variance parameters frozen; later
-    epochs use sum_m exp(-sigma_m) L_m + sigma_m over the active terms.
+    epochs use sum_m exp(-sigma_m) L_m + sigma_m over the active terms, with
+    the sigma leaves as parents. Pieces are summed in bundle order; values
+    and gradients match, bit for bit, the chain of scale, exp, mul and add
+    nodes that the tests keep as the oracle. A non-finite total raises
+    NumericError naming the raw terms and the sigma values.
 
     Returns (scalar node, effective-weight dict for logging).
     """
@@ -219,16 +242,30 @@ def total_loss(bundle, sigmas, epoch, warmup_epochs=5):
     if not active:
         raise ValueError("total_loss: no active loss terms")
 
-    total = None
-    weights = {}
-    for name, term in active:
-        if epoch <= warmup_epochs:
-            w = warmup_weight(name, epoch)
-            piece = dc.scale(term, w)
-            weights[name] = w
+    names = [name for name, _ in active]
+    terms = [term for _, term in active]
+    warm = epoch <= warmup_epochs
+    sigs = [] if warm else [sigmas[name].tensor() for name in names]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if warm:
+            factors = [warmup_weight(name, epoch) for name in names]
+            pieces = [t.value * w for t, w in zip(terms, factors)]
+            weights = dict(zip(names, factors))
         else:
-            sig = sigmas[name].tensor()
-            piece = dc.add(dc.mul(dc.exp(dc.scale(sig, -1.0)), term), sig)
-            weights[name] = float(np.exp(-sigmas[name].value[0, 0]))
-        total = piece if total is None else dc.add(total, piece)
-    return total, weights
+            factors = [np.exp(s.value * -1.0) for s in sigs]
+            pieces = [e * t.value + s.value for e, t, s in zip(factors, terms, sigs)]
+            weights = {name: float(np.exp(-sigmas[name].value[0, 0])) for name in names}
+        total = sum(pieces[1:], pieces[0])
+    if not np.isfinite(total).all():
+        raw = {name: float(t.value[0, 0]) for name, t in active}
+        sig_values = {name: float(sigmas[name].value[0, 0]) for name in names}
+        raise dc.NumericError(f"total_loss: non-finite weighted total at epoch {epoch}; "
+                              f"terms {raw}, sigmas {sig_values}")
+
+    def bwd(g):
+        if warm:
+            return [g * w for w in factors]
+        return ([g * e for e in factors]
+                + [g + g * t.value * e * -1.0 for t, e in zip(terms, factors)])
+
+    return dc._node("total_loss", total, terms + sigs, bwd), weights

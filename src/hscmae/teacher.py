@@ -95,7 +95,7 @@ def _mine_direction(scores, k, tau):
     return w
 
 
-def mine_affinities(zt_a, zt_v, k=5, tau=0.05):
+def mine_affinities(zt_a, zt_v, k, tau):
     """Cross-modal soft top-k mining on teacher embeddings.
 
     For each anchor the paired index is force-included, the remaining k-1

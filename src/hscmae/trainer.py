@@ -163,15 +163,11 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
 
     total, weights = total_loss(bundle, {name: mp.sigma(name) for name in LOSS_NAMES},
                                 epoch, cfg.warmup_epochs)
-    total_value = float(total.value[0, 0])
-    if not np.isfinite(total_value):
-        raise dc.NumericError(f"train_step: non-finite total loss; components {bundle.values()}")
-
     dc.backward(total)
     clip_global_norm(mp.arena, cfg.optim.clip_norm)
     adamw_step(mp.arena, cfg.optim, adam_step, lr_t)
     ema_update(teacher, mp, rho)
-    return bundle.values(), weights, total_value
+    return bundle.values(), weights, float(total.value[0, 0])
 
 
 def train(view, cfg, eval_set=None, step_hook=None):

@@ -10,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from hscmae import cli
+from hscmae import cli, trainer
 from hscmae.cli import build, build_parser, build_train_config, main, parse_args
 from hscmae.data_io import FeatureSet, SynthConfig, load_features, save_features
 from hscmae.model import ModelConfig, load_entries, save_entries
@@ -571,6 +571,31 @@ def test_numeric_failure_exits_three(tmp_path, capsys):
                "--batch-size", "6", "--warmup-epochs", "1", "--cca-post-dim", "8"])
     assert rc == 3
     capsys.readouterr()
+
+
+def test_non_finite_weighted_total_exits_three_naming_terms_and_sigmas(data_files, tmp_path, capsys,
+                                                                      monkeypatch):
+    """sigma_rec = -800 overflows exp(-sigma_rec) at the first weighted
+    epoch: train exits 3 with the total's message, and numpy warns of
+    nothing before it."""
+    make_params = trainer.ModelParams
+
+    def far_sigma_params(config, seed):
+        mp = make_params(config, seed=seed)
+        mp.sigma("rec").value[...] = -800.0
+        return mp
+
+    monkeypatch.setattr(trainer, "ModelParams", far_sigma_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--features", data_files[0], "--out", str(tmp_path / "x.ckpt"),
+                   "--seed", "1", *SMALL_FLAGS])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: total_loss: non-finite weighted total at epoch 2; terms {'rec': ")
+    assert "sigmas {'rec': -800.0, 'cca': 0.0, 'infonce': 0.0, 'dis': 0.0}" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

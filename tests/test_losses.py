@@ -3,8 +3,11 @@
 The canonical-correlation term is checked against two independent references:
 the closed-form linear CCA fit and a scipy generalized-eigenvalue solve. The
 contrastive node is checked bit for bit against the chain of row log-softmax
-tape nodes it replaced.
+tape nodes it replaced, and the reconstruction, distillation and total nodes
+against the chains of ``reference_ops`` primitives they replaced.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +19,10 @@ import hscmae.diffcore as dc
 from hscmae import cca_linear
 from hscmae.losses import (CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss,
                            soft_infonce, total_loss, warmup_weight)
+from hscmae.model import LOSS_NAMES
 from hscmae.teacher import identity_affinities, mine_affinities
+
+import reference_ops as ops
 
 
 def random_pair(n, da, dv, seed):
@@ -148,9 +154,9 @@ def composed_soft_infonce(za, zv, targets, tau):
     the reference oracle for the single node."""
     n = za.shape[0]
     logits = dc.matmul(za, _transpose(zv))
-    half_a = dc.scale(dc.sum_all(dc.mul(dc.const(targets.w_a2v), _row_log_softmax(logits, tau))), -1.0 / n)
-    half_v = dc.scale(dc.sum_all(dc.mul(dc.const(targets.w_v2a), _row_log_softmax(_transpose(logits), tau))), -1.0 / n)
-    return dc.scale(dc.add(half_a, half_v), 0.5)
+    half_a = ops.scale(ops.sum_all(ops.mul(dc.const(targets.w_a2v), _row_log_softmax(logits, tau))), -1.0 / n)
+    half_v = ops.scale(ops.sum_all(ops.mul(dc.const(targets.w_v2a), _row_log_softmax(_transpose(logits), tau))), -1.0 / n)
+    return ops.scale(dc.add(half_a, half_v), 0.5)
 
 
 def bits(x):
@@ -263,6 +269,31 @@ def test_soft_infonce_gradient():
 # reconstruction and distillation
 # ---------------------------------------------------------------------------
 
+def composed_rec_loss(xa, xv, xa_hat, xv_hat):
+    """The reconstruction loss composed from four tape nodes (two mse, add
+    and scale), the reference oracle for the single node."""
+    xa = xa if isinstance(xa, dc.Tensor) else dc.const(xa)
+    xv = xv if isinstance(xv, dc.Tensor) else dc.const(xv)
+    return ops.scale(dc.add(ops.mse(xa_hat, xa), ops.mse(xv_hat, xv)), 0.5)
+
+
+def composed_distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
+    """The distillation loss composed from four tape nodes behind
+    stop-gradient copies of the teacher's embeddings, the reference oracle
+    for the single node."""
+    def freeze(z):
+        return ops.stop_gradient(z) if isinstance(z, dc.Tensor) else dc.const(z)
+
+    return ops.scale(dc.add(ops.mse(z_mae_a, freeze(z_t_a)), ops.mse(z_mae_v, freeze(z_t_v))), 0.5)
+
+
+def test_paired_mse_shapes_must_match():
+    pred = dc.const(np.zeros((4, 3), dtype=np.float32))
+    with pytest.raises(dc.ShapeError, match="rec_loss"):
+        rec_loss(np.zeros((4, 2)), np.zeros((4, 3)), pred, pred)
+    with pytest.raises(dc.ShapeError, match="distill_loss"):
+        distill_loss(pred, pred, np.zeros((4, 3)), dc.const(np.zeros((5, 3))))
+
 def test_rec_loss_manual():
     rng = np.random.default_rng(12)
     xa, xv = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
@@ -300,6 +331,106 @@ def sigma_set(vals=(0.0, 0.0, 0.0, 0.0)):
     names = ("rec", "cca", "infonce", "dis")
     return {n: dc.Parameter(np.array([[v]]), name=f"sigma.{n}", decay=False)
             for n, v in zip(names, vals)}
+
+
+def composed_total_loss(bundle, sigmas, epoch, warmup_epochs):
+    """The weighted total composed from scale, exp, mul and add nodes, four
+    per active term after warm-up and one during it, plus an add per further
+    term: the reference oracle for the single node."""
+    active = [(name, term) for name, term in bundle.items() if term is not None]
+    total = None
+    weights = {}
+    for name, term in active:
+        if epoch <= warmup_epochs:
+            w = warmup_weight(name, epoch)
+            piece = ops.scale(term, w)
+            weights[name] = w
+        else:
+            sig = sigmas[name].tensor()
+            piece = dc.add(ops.mul(ops.exp(ops.scale(sig, -1.0)), term), sig)
+            weights[name] = float(np.exp(-sigmas[name].value[0, 0]))
+        total = piece if total is None else dc.add(total, piece)
+    return total, weights
+
+
+def loss_heads_run(heads, data, active, epoch, warmup_epochs, target_tensors):
+    """Values, effective weights and gradients of the active loss terms and
+    their total, built by ``heads`` = (rec_loss, distill_loss, total_loss),
+    with ``data["upstream"]`` as the total's incoming gradient.
+
+    Predictions are float32 leaves tied to float64 parameters, as in the
+    student passes; canonical-correlation and contrastive terms are 1 x 1
+    parameter leaves. With ``target_tensors`` the reconstruction targets are
+    constant tensors and the teacher embeddings parameter leaves, which must
+    get no gradient."""
+    rec, dis, total_fn = heads
+    params = {}
+
+    def leaf(name, value, dtype=np.float32):
+        p = params[name] = dc.Parameter(value, name=name)
+        return dc.Tensor(p.value.astype(dtype), op="param", param=p)
+
+    bundle = LossBundle()
+    if "rec" in active:
+        xa, xv = (data[k] if not target_tensors else dc.const(data[k]) for k in ("xa", "xv"))
+        bundle.rec = rec(xa, xv, leaf("xa_hat", data["xa_hat"]), leaf("xv_hat", data["xv_hat"]))
+    if "dis" in active:
+        ta, tv = (leaf(k, data[k], data[k].dtype) if target_tensors else data[k] for k in ("ta", "tv"))
+        bundle.dis = dis(leaf("za", data["za"]), leaf("zv", data["zv"]), ta, tv)
+    for name in ("cca", "infonce"):
+        if name in active:
+            setattr(bundle, name, leaf(name, data[name], np.float64))
+    sigmas = sigma_set(data["sigmas"])
+    total, weights = total_fn(bundle, sigmas, epoch, warmup_epochs)
+    dc.backward(ops.mul(total, dc.const([[data["upstream"]]])))
+    values = [t.value for _, t in bundle.items() if t is not None] + [total.value]
+    grads = [p.grad for p in params.values()] + [s.grad for s in sigmas.values()]
+    return values, weights, grads, params
+
+
+NODE_HEADS = (rec_loss, distill_loss, total_loss)
+COMPOSED_HEADS = (composed_rec_loss, composed_distill_loss, composed_total_loss)
+
+
+@settings(max_examples=200, deadline=None)
+@given(active=st.sets(st.sampled_from(LOSS_NAMES), min_size=1), n=st.integers(1, 30),
+       da=st.integers(1, 6), dv=st.integers(1, 6),
+       target_dtype=st.sampled_from([np.float32, np.float64]), target_tensors=st.booleans(),
+       epoch=st.integers(1, 8), warmup_epochs=st.integers(0, 6),
+       sigmas=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+       terms=st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 8.0)),
+       upstream=st.one_of(st.just(1.0), st.floats(-4.0, 4.0)), seed=st.integers(0, 2**32 - 1))
+def test_loss_heads_bit_identical_to_composed(active, n, da, dv, target_dtype, target_tensors, epoch,
+                                              warmup_epochs, sigmas, terms, upstream, seed):
+    rng = np.random.default_rng(seed)
+    data = {"sigmas": sigmas, "cca": [[terms[0]]], "infonce": [[terms[1]]], "upstream": upstream}
+    for key, d in (("xa", da), ("xv", dv), ("ta", da), ("tv", dv)):
+        data[key] = rng.normal(size=(n, d)).astype(target_dtype)
+    for key, d in (("xa_hat", da), ("xv_hat", dv), ("za", da), ("zv", dv)):
+        data[key] = rng.normal(size=(n, d)).astype(np.float32)
+    got = loss_heads_run(NODE_HEADS, data, active, epoch, warmup_epochs, target_tensors)
+    want = loss_heads_run(COMPOSED_HEADS, data, active, epoch, warmup_epochs, target_tensors)
+    assert got[1] == want[1]
+    for g, w in zip(got[0] + got[2], want[0] + want[2]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(bits(g), bits(w))
+    for name in ("ta", "tv"):
+        if name in got[3]:
+            assert not got[3][name].grad.any()
+
+
+@pytest.mark.parametrize("target_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("head", [rec_loss, distill_loss])
+def test_paired_mse_is_one_node_returning_gradients_in_the_predictions_dtype(head, target_dtype):
+    rng = np.random.default_rng(16)
+    preds = [dc.Tensor(rng.normal(size=(5, d)).astype(np.float32), op="param",
+                       param=dc.Parameter(np.zeros((5, d)))) for d in (3, 4)]
+    targets = [rng.normal(size=(5, d)).astype(target_dtype) for d in (3, 4)]
+    loss = head(*targets, *preds) if head is rec_loss else head(*preds, *targets)
+    assert loss.op == head.__name__ and loss.value.dtype == np.float64
+    assert list(loss._parents) == preds
+    grads = loss._backward(np.ones((1, 1)))
+    assert [g.dtype for g in grads] == [np.dtype(np.float32)] * 2
 
 
 def test_warmup_schedule_values():
@@ -340,16 +471,31 @@ def test_total_loss_uncertainty_weighting_and_sigma_gradient():
 
 def test_total_loss_skips_inactive_terms():
     bundle = LossBundle(rec=dc.const([[3.0]]))
-    total, weights = total_loss(bundle, sigma_set(), epoch=1)
+    total, weights = total_loss(bundle, sigma_set(), epoch=1, warmup_epochs=5)
     assert total.value[0, 0] == pytest.approx(3.0)
     assert set(weights) == {"rec"}
 
 
 def test_total_loss_validation():
     with pytest.raises(ValueError):
-        total_loss(LossBundle(), sigma_set(), epoch=1)
+        total_loss(LossBundle(), sigma_set(), epoch=1, warmup_epochs=5)
     with pytest.raises(ValueError):
-        total_loss(make_bundle([1, 1, 1, 1]), sigma_set(), epoch=0)
+        total_loss(make_bundle([1, 1, 1, 1]), sigma_set(), epoch=0, warmup_epochs=5)
+
+
+@pytest.mark.parametrize("values, sigmas, epoch", [
+    ([2.0, -1.5, 0.7, 0.4], (-800.0, 0.0, 0.0, 0.0), 6),   # exp(800) overflows
+    ([0.0, -1.5, 0.7, 0.4], (-800.0, 0.0, 0.0, 0.0), 6),   # inf * 0 is NaN
+    ([1.5e308, 1.5e308, 0.7, 0.4], (0.0, 0.0, 0.0, 0.0), 5),  # warm-up sum overflows
+], ids=("overflow", "nan", "warm-up"))
+def test_non_finite_weighted_total_names_terms_and_sigmas(values, sigmas, epoch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dc.NumericError) as info:
+            total_loss(make_bundle(values), sigma_set(sigmas), epoch=epoch, warmup_epochs=5)
+    raw = dict(zip(LOSS_NAMES, values))
+    assert str(info.value) == (f"total_loss: non-finite weighted total at epoch {epoch}; "
+                               f"terms {raw}, sigmas {dict(zip(LOSS_NAMES, sigmas))}")
 
 
 def test_bundle_values_default_zero():

@@ -170,7 +170,7 @@ def test_mining_directions_are_transposed_scores():
 
 def test_mining_validation():
     with pytest.raises(ValueError):
-        mine_affinities(np.zeros((2, 2)), np.zeros((2, 2)), k=0)
+        mine_affinities(np.zeros((2, 2)), np.zeros((2, 2)), k=0, tau=0.05)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -178,7 +178,7 @@ def test_mining_rejects_non_finite_scores(bad):
     za = np.ones((4, 3))
     za[2, 1] = bad
     with pytest.raises(NumericError, match="mine_affinities"):
-        mine_affinities(za, np.ones((4, 3)), k=2)
+        mine_affinities(za, np.ones((4, 3)), k=2, tau=0.05)
 
 
 def loop_mine_direction(scores, k, tau):

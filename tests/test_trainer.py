@@ -29,7 +29,8 @@ from hscmae.trainer import (TrainConfig, _step_seed, epoch_log_rows, load_checkp
 
 from conftest import corrupted, desk_train_config, tiny_model_config
 from test_diffcore import composed_linear, formula_batch_norm, formula_layer_norm
-from test_losses import composed_soft_infonce
+from test_losses import (composed_distill_loss, composed_rec_loss, composed_soft_infonce,
+                         composed_total_loss)
 from test_optim import listwise_adamw_step, listwise_clip_global_norm
 from test_teacher import listwise_ema_update
 
@@ -168,7 +169,11 @@ def state_digest(*models):
 
 def patch_former_step(monkeypatch):
     """The former pieces of a step: per-parameter clipping, AdamW and EMA,
-    two-node linear layers and the textbook-formula norms."""
+    two-node linear layers, the textbook-formula norms and the loss heads
+    composed from ``reference_ops`` primitives."""
+    monkeypatch.setattr(trainer, "rec_loss", composed_rec_loss)
+    monkeypatch.setattr(trainer, "distill_loss", composed_distill_loss)
+    monkeypatch.setattr(trainer, "total_loss", composed_total_loss)
     monkeypatch.setattr(trainer, "clip_global_norm",
                         lambda arena, max_norm: listwise_clip_global_norm(arena.params, max_norm))
     monkeypatch.setattr(trainer, "adamw_step",
@@ -347,12 +352,38 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
     assert {op for op, _ in trunk} == {"linear", "batch_norm", "layer_norm", "tanh", "dropout",
                                        "matmul", "add", "l2_normalize_rows"}
     assert {dtype for _, dtype in trunk} == {np.dtype(np.float32)}
-    assert {"mse", "dcca", "soft_infonce"} <= {op for op, _ in scalars}
+    assert {op for op, _ in scalars} == {"rec_loss", "distill_loss", "dcca", "soft_infonce", "total_loss"}
     assert {dtype for _, dtype in scalars} == {np.dtype(np.float64)}
     assert {op for op, _ in untaped} >= {"linear", "batch_norm", "layer_norm", "tanh"}
     assert {dtype for _, dtype in untaped} == {np.dtype(np.float64)}
     assert {dtype for _, dtype, _ in grads} == {np.dtype(np.float32), np.dtype(np.float64)}
     assert [(op, want, got) for op, want, got in grads if got != want] == []
+
+
+@pytest.mark.parametrize("epoch", [1, 6], ids=("warm-up", "weighted"))
+def test_desk_step_tapes_87_nodes(monkeypatch, epoch):
+    """Each loss head, and the weighted total, is one node whatever the
+    weighting regime: the step's other 82 taped nodes are the student
+    passes' matrix ops."""
+    taped = []
+    make_node = dc._node
+
+    def counting_node(op, value, parents, backward):
+        node = make_node(op, value, parents, backward)
+        if node.needs_grad:
+            taped.append(op)
+        return node
+
+    monkeypatch.setattr(dc, "_node", counting_node)
+    cfg = desk_train_config(seed=9)
+    assert cfg.warmup_epochs == 5
+    rng = np.random.default_rng(9)
+    mp = ModelParams(cfg.model, seed=9)
+    train_step(mp, mp.copy(), rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
+               epoch, 5, 1e-3, 0.99, 1)
+    assert len(taped) == 87
+    assert sorted(op for op in taped if op.endswith("loss") or op in ("dcca", "soft_infonce")) == [
+        "dcca", "distill_loss", "rec_loss", "soft_infonce", "total_loss"]
 
 
 def test_batch_norm_statistics_follow_the_masked_then_the_clean_pass():
