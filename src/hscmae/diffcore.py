@@ -6,6 +6,16 @@ check of acceptance criterion 1, with ``grad_check`` its finite-difference
 oracle. Every primitive with an input that leads to a ``Parameter`` records
 a closure computing its analytic input gradients; one whose inputs are all
 constants records nothing.
+
+Each trunk layer is one node whose closure keeps only what its backward
+reads: ``encoder_layer`` (linear, batch or layer norm, tanh, dropout) keeps
+the normalised values, the dropout mask and its output, and rebuilds the
+tanh output under dropout; ``linear_tanh`` keeps its output and
+``add_layer_norm`` the normalised values. No linear output, norm output or
+residual sum outlives the forward. Each gives the values, gradients,
+running statistics, dropout draws and NumericError texts of the chain of
+single-op nodes it replaces, bit for bit.
+
 ``backward`` walks the tape from a scalar loss once, accumulates into
 reachable ``Parameter`` objects and lets go of each node's gradient, closure
 and parents as soon as it has used them, so nothing of the tape is kept
@@ -115,7 +125,12 @@ class Parameter:
         """Wrap the current value as a tape leaf tied to this parameter; for
         float32, the mirror. Its gradient, in either dtype, accumulates into
         the float64 ``grad``."""
-        return Tensor(self.value if dtype == np.float64 else self.value32, op="param", param=self)
+        if dtype == np.float64:
+            return Tensor(self.value, op="param", param=self)
+        if self.value32 is None:
+            raise DiffError(f"parameter {self.name!r}: the arena has no float32 mirror yet; "
+                            "its prepare_step makes one")
+        return Tensor(self.value32, op="param", param=self)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -302,11 +317,17 @@ class no_tape:
         _taping = self._outer
 
 
+# ops whose nodes check their intermediate values themselves, under the
+# names of the single ops they stand for; their outputs need no second check
+_CHECKED_INSIDE = frozenset({"encoder_layer", "linear_tanh", "add_layer_norm"})
+
+
 def _node(op, value, parents, backward):
-    """A primitive's output; taped (with its parents and closure) only when
-    taping is on and some parent needs a gradient."""
+    """A primitive's output, checked for finiteness; taped (with its parents
+    and closure) only when taping is on and some parent needs a gradient."""
     value = _matrix(value)
-    _check_finite(op, value)
+    if op not in _CHECKED_INSIDE:
+        _check_finite(op, value)
     out = Tensor(value, op=op)
     if _taping and any(p.needs_grad for p in parents):
         out._parents, out._backward, out.needs_grad = tuple(parents), backward, True
@@ -379,49 +400,35 @@ def matmul(a, b):
     return _node("matmul", av @ bv, (a, b), bwd)
 
 
-def linear(x, w, b):
-    """x @ w + b with a 1 x cols bias row, as one node. Values and gradients
-    are those of ``add(matmul(x, w), b)``; the input gradient g @ w.T is not
-    computed when ``x`` needs none, as for a first layer on data."""
+def _linear_value(x, w, b):
+    """x @ w + b with a 1 x cols bias row, as a fresh array."""
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
-    xv, wv = x.value, w.value
-    x_grad = x.needs_grad
-    y = xv @ wv
+    y = x.value @ w.value
     y += b.value
+    return y
+
+
+def _linear_grads(g, xv, wv, x_grad):
+    """Input, weight and bias gradients of x @ w + b; no input gradient
+    when ``x_grad`` is false."""
+    return (g @ wv.T if x_grad else None), xv.T @ g, g.sum(axis=0, keepdims=True)
+
+
+def linear(x, w, b):
+    """x @ w + b with a 1 x cols bias row, as one node. Values and gradients
+    are those of an add node over a matmul node; the input gradient g @ w.T
+    is not computed when ``x`` needs none, as for a first layer on data."""
+    xv, wv, x_grad = x.value, w.value, x.needs_grad
 
     def bwd(g):
-        return (g @ wv.T if x_grad else None), xv.T @ g, g.sum(axis=0, keepdims=True)
+        return _linear_grads(g, xv, wv, x_grad)
 
-    return _node("linear", y, (x, w, b), bwd)
-
-
-def add(a, b):
-    """Elementwise add; ``b`` may be a 1 x cols bias row broadcast over rows."""
-    if a.shape == b.shape:
-        def bwd(g):
-            return g, g
-    elif b.shape == (1, a.shape[1]):
-        def bwd(g):
-            return g, g.sum(axis=0, keepdims=True)
-    else:
-        raise ShapeError(f"add: {a.shape} + {b.shape}")
-    return _node("add", a.value + b.value, (a, b), bwd)
-
-
-def tanh(a):
-    y = np.tanh(a.value)
-
-    def bwd(g):
-        dy = y * y
-        np.subtract(1.0, dy, out=dy)
-        dy *= g
-        return (dy,)
-
-    return _node("tanh", y, (a,), bwd)
+    return _node("linear", _linear_value(x, w, b), (x, w, b), bwd)
 
 
 _NORM_EPS = 1e-5
+_BN_MOMENTUM = 0.1
 
 
 def _standardize(x, axis):
@@ -439,10 +446,51 @@ def _standardize(x, axis):
     return mu, var, inv, xhat, spare
 
 
+def _normalize(h, gamma, beta, stats, train):
+    """(y, xhat, inv, axis) for y = gamma * xhat + beta, the normalised
+    array ``h``, checked for finiteness.
+
+    With ``stats``, the float64 1 x d running mean and variance, this is
+    batch norm over rows: train mode standardises with the batch statistics
+    and folds them into ``stats`` in place, eval mode standardises with
+    ``stats`` cast to h's dtype (``axis`` None: the statistics are fixed).
+    Without, it is layer norm over each row."""
+    op = "layer_norm" if stats is None else "batch_norm"
+    d = h.shape[1]
+    if gamma.shape != (1, d) or beta.shape != (1, d):
+        raise ShapeError(f"{op}: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
+    if stats is not None and not train:
+        running_mean, running_var = stats
+        inv = 1.0 / np.sqrt(running_var.astype(h.dtype, copy=False) + _NORM_EPS)
+        xhat = h - running_mean.astype(h.dtype, copy=False)
+        xhat *= inv
+        y = xhat * gamma.value
+        axis = None
+    else:
+        axis = 1 if stats is None else 0
+        if axis == 0 and h.shape[0] < 2:
+            raise ShapeError("batch_norm: train mode needs at least 2 samples")
+        mu, var, inv, xhat, y = _standardize(h, axis)
+        if stats is not None:
+            running_mean, running_var = stats
+            running_mean *= 1.0 - _BN_MOMENTUM
+            running_mean += _BN_MOMENTUM * mu
+            running_var *= 1.0 - _BN_MOMENTUM
+            running_var += _BN_MOMENTUM * var
+        np.multiply(xhat, gamma.value, out=y)
+    y += beta.value
+    _check_finite(op, y)
+    return y, xhat, inv, axis
+
+
 def _norm_backward(g, gamma, xhat, inv, axis):
     """Input, gamma and beta gradients of y = gamma * xhat + beta with xhat
     standardised over ``axis`` of length m: inv/m * (m*dxhat - sum(dxhat)
-    - xhat*sum(dxhat*xhat)) in that operand order, on two buffers."""
+    - xhat*sum(dxhat*xhat)) in that operand order, on two buffers. With
+    ``axis`` None the statistics are fixed and the input gradient is
+    g * gamma * inv."""
+    if axis is None:
+        return g * gamma * inv, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
     m = xhat.shape[axis]
     dx = g * gamma
     tmp = dx * xhat
@@ -458,77 +506,91 @@ def _norm_backward(g, gamma, xhat, inv, axis):
     return dx, dgamma, g.sum(axis=0, keepdims=True)
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=True, momentum=0.1):
-    """Batch normalization over the row (sample) axis.
-
-    ``running_mean``/``running_var`` are plain float64 1 x d arrays mutated
-    in place when ``train and update_stats``; eval mode normalizes with
-    them, cast to the input's dtype.
-    """
-    d = x.shape[1]
-    if gamma.shape != (1, d) or beta.shape != (1, d):
-        raise ShapeError(f"batch_norm: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
-    if train:
-        if x.shape[0] < 2:
-            raise ShapeError("batch_norm: train mode needs at least 2 samples")
-        mu, var, inv, xhat, y = _standardize(x.value, 0)
-        if update_stats:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
-        np.multiply(xhat, gamma.value, out=y)
-
-        def bwd(g):
-            return _norm_backward(g, gamma.value, xhat, inv, 0)
-    else:
-        dtype = x.value.dtype
-        inv = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + _NORM_EPS)
-        xhat = x.value - running_mean.astype(dtype, copy=False)
-        xhat *= inv
-        y = xhat * gamma.value
-
-        def bwd(g):
-            return g * gamma.value * inv, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
-
-    y += beta.value
-    return _node("batch_norm", y, (x, gamma, beta), bwd)
+def _tanh_grad(t, g, out=None):
+    """g * (1 - t*t), the gradient through t = tanh(y), into ``out``."""
+    dy = np.multiply(t, t, out=out)
+    np.subtract(1.0, dy, out=dy)
+    dy *= g
+    return dy
 
 
-def layer_norm(x, gamma, beta):
-    """Per-row normalization with affine parameters (1 x d)."""
-    d = x.shape[1]
-    if gamma.shape != (1, d) or beta.shape != (1, d):
-        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
-    _, _, inv, xhat, y = _standardize(x.value, 1)
-    np.multiply(xhat, gamma.value, out=y)
-    y += beta.value
+def encoder_layer(x, w, b, gamma, beta, stats, train, rate, rng):
+    """One encoder layer as one node: linear, norm, tanh, then in train mode
+    inverted dropout at ``rate`` with a mask drawn from ``rng``, survivors
+    scaled by 1/(1-rate). The norm is batch norm with the running ``stats``
+    (see ``_normalize``), or layer norm when ``stats`` is None.
 
-    def bwd(g):
-        return _norm_backward(g, gamma.value, xhat, inv, 1)
-
-    return _node("layer_norm", y, (x, gamma, beta), bwd)
-
-
-def dropout(x, rate, train, rng):
-    """Inverted dropout: survivors scaled by 1/(1-rate) so eval is identity."""
+    Values, running statistics, the draw and every gradient are those of
+    the chain of single-op nodes linear, batch or layer norm, tanh and
+    dropout, bit for bit, and so is a NumericError: the linear and the norm
+    outputs are checked, and a tanh or a dropout of finite values is finite.
+    The closure keeps the normalised values, the dropout mask and the
+    output; under dropout, backward rebuilds the tanh output from the
+    normalised values with the forward's own ufuncs. The input gradient is
+    not computed when ``x`` needs none."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
-        return x
-    # the tape keeps a boolean mask; (v * mask) * scale equals v * (mask / (1 - rate))
-    # bit for bit, since multiplying by 1.0 is exact
-    keep = rng.random(x.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
+    xv, wv, gv, bv, x_grad = x.value, w.value, gamma.value, beta.value, x.needs_grad
+    y = _linear_value(x, w, b)
+    _check_finite("linear", y)
+    out, xhat, inv, axis = _normalize(y, gamma, beta, stats, train)
+    np.tanh(out, out=out)
+    keep = None
+    if train and rate > 0.0:
+        # a boolean mask: (t * mask) * scale equals t * (mask / (1 - rate))
+        # bit for bit, since multiplying by 1.0 is exact
+        keep = rng.random(out.shape) >= rate
+        scale = 1.0 / (1.0 - rate)
+        out *= keep
+        out *= scale
 
     def bwd(g):
-        dx = g * keep
-        dx *= scale
-        return (dx,)
+        if keep is None:
+            dy = _tanh_grad(out, g)
+        else:
+            dt = g * keep
+            dt *= scale
+            t = xhat * gv
+            t += bv
+            np.tanh(t, out=t)
+            dy = _tanh_grad(t, dt, out=t)
+        dx, dgamma, dbeta = _norm_backward(dy, gv, xhat, inv, axis)
+        return _linear_grads(dx, xv, wv, x_grad) + (dgamma, dbeta)
 
-    y = x.value * keep
-    y *= scale
-    return _node("dropout", y, (x,), bwd)
+    return _node("encoder_layer", out, (x, w, b, gamma, beta), bwd)
+
+
+def linear_tanh(x, w, b):
+    """tanh(x @ w + b) as one node, a decoder hidden layer. Values,
+    gradients and a NumericError are those of a linear node then a tanh
+    node; only the linear output is checked."""
+    xv, wv, x_grad = x.value, w.value, x.needs_grad
+    t = _linear_value(x, w, b)
+    _check_finite("linear", t)
+    np.tanh(t, out=t)
+
+    def bwd(g):
+        return _linear_grads(_tanh_grad(t, g), xv, wv, x_grad)
+
+    return _node("linear_tanh", t, (x, w, b), bwd)
+
+
+def add_layer_norm(a, b, gamma, beta):
+    """layer_norm(a + b) as one node, a residual connection. Values,
+    gradients and a NumericError are those of an add node then a layer
+    norm node; the closure keeps the normalised values, not the sum."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: {a.shape} + {b.shape}")
+    s = a.value + b.value
+    _check_finite("add", s)
+    y, xhat, inv, _ = _normalize(s, gamma, beta, None, True)
+    gv = gamma.value
+
+    def bwd(g):
+        dx, dgamma, dbeta = _norm_backward(g, gv, xhat, inv, 1)
+        return dx, dx, dgamma, dbeta
+
+    return _node("add_layer_norm", y, (a, b, gamma, beta), bwd)
 
 
 def l2_normalize_rows(a, zero_tol=1e-12):

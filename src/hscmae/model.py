@@ -5,6 +5,10 @@ Each sample is one token in the fusion block. Attention over a length-1 key
 sequence gives that key weight 1, so query/key projections cannot change the
 output and the block keeps only a value-output mixer with residual connection
 and layer norm: layernorm(h + h_other·Wv·Wo).
+
+Each encoder layer, decoder hidden layer and fusion residual is one
+``diffcore`` node (``encoder_layer``, ``linear_tanh``, ``add_layer_norm``),
+so a taped pass keeps per layer only what its backward reads.
 """
 
 from __future__ import annotations
@@ -195,7 +199,10 @@ def _copy(entry, out):
 # ``arena.prepare_step()`` copied (``train_step`` calls it once per step).
 
 def encode(mp, xa, xv, train, rng=None):
-    """Per-modality MLP pipeline: linear -> norm -> tanh -> dropout."""
+    """Per-modality MLP pipeline: linear -> norm -> tanh -> dropout, one
+    ``dc.encoder_layer`` node per layer. The first layer's norm is batch
+    norm over the sample axis, whose running statistics train mode updates;
+    the others are layer norms."""
     cfg = mp.config
     if train and xa.shape[0] < 2:
         raise dc.ShapeError("encode: train mode needs a batch of at least 2 samples")
@@ -206,25 +213,22 @@ def encode(mp, xa, xv, train, rng=None):
     def run(mod, widths, h):
         dtype = h.value.dtype
         for i in range(len(widths) - 1):
-            h = dc.linear(h, mp.t(f"enc.{mod}.{i}.w", dtype), mp.t(f"enc.{mod}.{i}.b", dtype))
+            layer = f"enc.{mod}.{i}"
+            norm, stats = f"{layer}.ln", None
             if i == 0:
-                h = dc.batch_norm(h, mp.t(f"enc.{mod}.{i}.bn.gamma", dtype),
-                                  mp.t(f"enc.{mod}.{i}.bn.beta", dtype),
-                                  mp.buffers[f"enc.{mod}.{i}.bn.mean"],
-                                  mp.buffers[f"enc.{mod}.{i}.bn.var"],
-                                  train, update_stats=train)
-            else:
-                h = dc.layer_norm(h, mp.t(f"enc.{mod}.{i}.ln.gamma", dtype),
-                                  mp.t(f"enc.{mod}.{i}.ln.beta", dtype))
-            h = dc.tanh(h)
-            h = dc.dropout(h, cfg.dropout, train, rng)
+                norm = f"{layer}.bn"
+                stats = (mp.buffers[f"{norm}.mean"], mp.buffers[f"{norm}.var"])
+            h = dc.encoder_layer(h, mp.t(f"{layer}.w", dtype), mp.t(f"{layer}.b", dtype),
+                                 mp.t(f"{norm}.gamma", dtype), mp.t(f"{norm}.beta", dtype),
+                                 stats, train, cfg.dropout, rng)
         return h
 
     return run("a", cfg.audio_widths, xa), run("v", cfg.visual_widths, xv)
 
 
 def fuse(mp, ha, hv):
-    """One-token cross-modal fusion, per direction layernorm(h + h_other·Wv·Wo).
+    """One-token cross-modal fusion, per direction layernorm(h + h_other·Wv·Wo):
+    two ``dc.matmul`` nodes, then one ``dc.add_layer_norm`` node.
 
     This is cross-attention with one key per query: the softmax weight is
     identically 1, so query/key projections would have no effect and are not
@@ -239,8 +243,8 @@ def fuse(mp, ha, hv):
     def one(direction, hq, hkv):
         attended = dc.matmul(dc.matmul(hkv, mp.t(f"fuse.{direction}.wv", dtype)),
                              mp.t(f"fuse.{direction}.wo", dtype))
-        return dc.layer_norm(dc.add(hq, attended), mp.t(f"fuse.{direction}.ln.gamma", dtype),
-                             mp.t(f"fuse.{direction}.ln.beta", dtype))
+        return dc.add_layer_norm(hq, attended, mp.t(f"fuse.{direction}.ln.gamma", dtype),
+                                 mp.t(f"fuse.{direction}.ln.beta", dtype))
 
     return one("a2v", ha, hv), one("v2a", hv, ha)
 
@@ -261,13 +265,13 @@ def project(mp, ua, uv):
 
 
 def decode(mp, ua, uv):
-    """Mirror-image 3-layer MLP per modality; tanh hidden, linear output."""
+    """Mirror-image 3-layer MLP per modality: two ``dc.linear_tanh`` hidden
+    layers, then a linear output."""
     def run(mod, h):
         dtype = h.value.dtype
         for i in range(3):
-            h = dc.linear(h, mp.t(f"dec.{mod}.{i}.w", dtype), mp.t(f"dec.{mod}.{i}.b", dtype))
-            if i < 2:
-                h = dc.tanh(h)
+            layer = dc.linear_tanh if i < 2 else dc.linear
+            h = layer(h, mp.t(f"dec.{mod}.{i}.w", dtype), mp.t(f"dec.{mod}.{i}.b", dtype))
         return h
 
     return run("a", ua), run("v", uv)

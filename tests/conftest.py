@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import hscmae.diffcore as dc
 from hscmae.data_io import SynthConfig, generate_synthetic
 from hscmae.model import ModelConfig
 from hscmae.optim import OptimConfig
@@ -39,6 +40,39 @@ def tiny_model_config(**overrides):
                 heads=2, proj_dim=3, dropout=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def tape_nodes(*roots):
+    """(tensor, arrays its closure holds) for every tensor reachable from
+    ``roots`` through parent links, each once, roots first. A leaf, or a
+    node that records no closure, holds none. Closure cells are searched
+    through tuples, lists, tensors' values and nested closures."""
+    out, seen, stack = [], set(), list(reversed(roots))
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            held = []
+            _held_arrays(t._backward, held, set())
+            out.append((t, held))
+            stack.extend(reversed(t._parents))
+    return out
+
+
+def _held_arrays(obj, held, seen):
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        held.append(obj)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _held_arrays(item, held, seen)
+    elif isinstance(obj, dc.Tensor):
+        _held_arrays(obj.value, held, seen)
+    elif callable(obj):
+        for cell in getattr(obj, "__closure__", None) or ():
+            _held_arrays(cell.cell_contents, held, seen)
 
 
 def corrupted(data, blob):

@@ -4,6 +4,9 @@ kept for the tests as the building blocks of reference chains and oracles.
 ``scale``, ``mul``, ``exp``, ``mse``, ``stop_gradient`` and ``sum_all``
 compose the former loss heads (``test_losses.composed_rec_loss`` and its
 siblings), against which the single-node heads are checked bit for bit;
+``add``, ``tanh``, ``batch_norm``, ``layer_norm`` and ``dropout`` compose
+the former trunk layers (``test_diffcore.composed_encoder_layer`` and its
+siblings), against which the layer nodes are checked bit for bit;
 ``average_precision`` is the per-query AP of the loop oracle of the
 retrieval tests. Each primitive goes through ``diffcore._node`` as the
 library's own do.
@@ -76,6 +79,104 @@ def sum_all(a):
         return (np.full(a.shape, g[0, 0], dtype=a.value.dtype),)
 
     return dc._node("sum_all", [[float(a.value.sum())]], (a,), bwd)
+
+
+def add(a, b):
+    """Elementwise add; ``b`` may be a 1 x cols bias row broadcast over rows."""
+    if a.shape == b.shape:
+        def bwd(g):
+            return g, g
+    elif b.shape == (1, a.shape[1]):
+        def bwd(g):
+            return g, g.sum(axis=0, keepdims=True)
+    else:
+        raise dc.ShapeError(f"add: {a.shape} + {b.shape}")
+    return dc._node("add", a.value + b.value, (a, b), bwd)
+
+
+def tanh(a):
+    y = np.tanh(a.value)
+
+    def bwd(g):
+        dy = y * y
+        np.subtract(1.0, dy, out=dy)
+        dy *= g
+        return (dy,)
+
+    return dc._node("tanh", y, (a,), bwd)
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=True, momentum=0.1):
+    """Batch normalization over the row (sample) axis.
+
+    ``running_mean``/``running_var`` are plain float64 1 x d arrays mutated
+    in place when ``train and update_stats``; eval mode normalizes with
+    them, cast to the input's dtype.
+    """
+    d = x.shape[1]
+    if gamma.shape != (1, d) or beta.shape != (1, d):
+        raise dc.ShapeError(f"batch_norm: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
+    if train:
+        if x.shape[0] < 2:
+            raise dc.ShapeError("batch_norm: train mode needs at least 2 samples")
+        mu, var, inv, xhat, y = dc._standardize(x.value, 0)
+        if update_stats:
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu
+            running_var *= 1.0 - momentum
+            running_var += momentum * var
+        np.multiply(xhat, gamma.value, out=y)
+
+        def bwd(g):
+            return dc._norm_backward(g, gamma.value, xhat, inv, 0)
+    else:
+        dtype = x.value.dtype
+        inv = 1.0 / np.sqrt(running_var.astype(dtype, copy=False) + dc._NORM_EPS)
+        xhat = x.value - running_mean.astype(dtype, copy=False)
+        xhat *= inv
+        y = xhat * gamma.value
+
+        def bwd(g):
+            return g * gamma.value * inv, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    y += beta.value
+    return dc._node("batch_norm", y, (x, gamma, beta), bwd)
+
+
+def layer_norm(x, gamma, beta):
+    """Per-row normalization with affine parameters (1 x d)."""
+    d = x.shape[1]
+    if gamma.shape != (1, d) or beta.shape != (1, d):
+        raise dc.ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs d={d}")
+    _, _, inv, xhat, y = dc._standardize(x.value, 1)
+    np.multiply(xhat, gamma.value, out=y)
+    y += beta.value
+
+    def bwd(g):
+        return dc._norm_backward(g, gamma.value, xhat, inv, 1)
+
+    return dc._node("layer_norm", y, (x, gamma, beta), bwd)
+
+
+def dropout(x, rate, train, rng):
+    """Inverted dropout: survivors scaled by 1/(1-rate) so eval is identity."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout: rate {rate} outside [0, 1)")
+    if not train or rate == 0.0:
+        return x
+    # the tape keeps a boolean mask; (v * mask) * scale equals v * (mask / (1 - rate))
+    # bit for bit, since multiplying by 1.0 is exact
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+
+    def bwd(g):
+        dx = g * keep
+        dx *= scale
+        return (dx,)
+
+    y = x.value * keep
+    y *= scale
+    return dc._node("dropout", y, (x,), bwd)
 
 
 def average_precision(relevance):

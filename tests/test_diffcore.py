@@ -5,9 +5,11 @@ against the central finite-difference oracle in diffcore.grad_check; so are
 the primitives of ``reference_ops``, which build the tests' reference chains. The
 freeing ``backward`` is checked against ``keeping_backward``, the reverse
 pass that keeps the whole tape alive until the walk ends; ``linear`` against
-``add(matmul(...))``, and the norms against ``formula_layer_norm`` and
-``formula_batch_norm``, the former textbook-formula implementations, all
-kept here as reference oracles.
+``add(matmul(...))``; the layer nodes against ``composed_encoder_layer``,
+``composed_linear_tanh`` and ``composed_add_layer_norm``, chains of
+``reference_ops`` single-op nodes; and those norms against
+``formula_layer_norm`` and ``formula_batch_norm``, the former
+textbook-formula implementations, all kept here as reference oracles.
 """
 
 import ast
@@ -69,7 +71,7 @@ def keeping_backward(loss):
 
 def formula_batch_norm(x, gamma, beta, running_mean, running_var, train, update_stats=True,
                        momentum=0.1):
-    """Reference oracle for ``dc.batch_norm``: np.var and fresh arrays per step."""
+    """Reference oracle for ``reference_ops.batch_norm``: np.var and fresh arrays per step."""
     eps = 1e-5
     if train:
         n = x.shape[0]
@@ -102,7 +104,7 @@ def formula_batch_norm(x, gamma, beta, running_mean, running_var, train, update_
 
 
 def formula_layer_norm(x, gamma, beta):
-    """Reference oracle for ``dc.layer_norm``: np.var and fresh arrays per step."""
+    """Reference oracle for ``reference_ops.layer_norm``: np.var and fresh arrays per step."""
     d = x.shape[1]
     mu = x.value.mean(axis=1, keepdims=True)
     var = x.value.var(axis=1, keepdims=True)
@@ -122,13 +124,36 @@ def formula_layer_norm(x, gamma, beta):
 
 def composed_linear(x, w, b):
     """Reference oracle for ``dc.linear``: the former two-node layer."""
-    return dc.add(dc.matmul(x, w), b)
+    return ops.add(dc.matmul(x, w), b)
+
+
+def composed_encoder_layer(x, w, b, gamma, beta, stats, train, rate, rng):
+    """Reference oracle for ``dc.encoder_layer``: the former chain of
+    linear, norm, tanh and dropout nodes."""
+    h = dc.linear(x, w, b)
+    if stats is None:
+        h = ops.layer_norm(h, gamma, beta)
+    else:
+        h = ops.batch_norm(h, gamma, beta, *stats, train, update_stats=train)
+    return ops.dropout(ops.tanh(h), rate, train, rng)
+
+
+def composed_linear_tanh(x, w, b):
+    """Reference oracle for ``dc.linear_tanh``: a linear node, then tanh."""
+    return ops.tanh(dc.linear(x, w, b))
+
+
+def composed_add_layer_norm(a, b, gamma, beta):
+    """Reference oracle for ``dc.add_layer_norm``: an add node, then layer norm."""
+    return ops.layer_norm(ops.add(a, b), gamma, beta)
 
 
 def assert_bits_equal(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
 
 
 def node_grads(node, g):
@@ -167,7 +192,7 @@ def test_parameter_requires_2d():
 def test_tensors_keep_float32_and_float64_and_make_anything_else_float64():
     for dtype in (np.float32, np.float64):
         assert dc.const(np.ones((2, 2), dtype=dtype)).value.dtype == dtype
-        assert dc.tanh(dc.const(np.ones((2, 2), dtype=dtype))).value.dtype == dtype
+        assert ops.tanh(dc.const(np.ones((2, 2), dtype=dtype))).value.dtype == dtype
     for value in ([[1, 2]], np.ones((1, 2), dtype=np.float16), np.ones((1, 2), dtype=bool)):
         assert dc.const(value).value.dtype == np.float64
 
@@ -179,8 +204,9 @@ def float32_leaf(shape, seed):
 
 
 FLOAT32_CASES = ("matmul", "linear", "add", "add_row", "scale", "mul", "mul_scalar", "tanh", "exp",
-                 "batch_norm", "batch_norm_eval", "layer_norm", "dropout", "l2_normalize_rows",
-                 "gradient_gate", "mse", "mse_float64_target", "sum_all")
+                 "batch_norm", "batch_norm_eval", "layer_norm", "dropout", "encoder_layer",
+                 "encoder_layer_eval", "encoder_layer_ln", "linear_tanh", "add_layer_norm",
+                 "l2_normalize_rows", "gradient_gate", "mse", "mse_float64_target", "sum_all")
 
 
 @pytest.mark.parametrize("name", FLOAT32_CASES)
@@ -189,22 +215,29 @@ def test_primitives_compute_in_float32_and_return_gradients_in_each_inputs_dtype
     1 x 1 for the scalar reductions) and sends each input its gradient in
     that input's dtype."""
     x, y, w = float32_leaf((5, 4), 1), float32_leaf((5, 4), 2), float32_leaf((4, 3), 3)
-    row, s = float32_leaf((1, 4), 4), float32_leaf((1, 1), 5)
+    row, s, row3 = float32_leaf((1, 4), 4), float32_leaf((1, 1), 5), float32_leaf((1, 3), 6)
     stats = (np.zeros((1, 4)), np.ones((1, 4)))
+    stats3 = (np.zeros((1, 3)), np.ones((1, 3)))
     node = {
         "matmul": lambda: dc.matmul(x, w),
         "linear": lambda: dc.linear(x, w, float32_leaf((1, 3), 6)),
-        "add": lambda: dc.add(x, y),
-        "add_row": lambda: dc.add(x, row),
+        "add": lambda: ops.add(x, y),
+        "add_row": lambda: ops.add(x, row),
         "scale": lambda: ops.scale(x, 0.3),
         "mul": lambda: ops.mul(x, y),
         "mul_scalar": lambda: ops.mul(s, x),
-        "tanh": lambda: dc.tanh(x),
+        "tanh": lambda: ops.tanh(x),
         "exp": lambda: ops.exp(x),
-        "batch_norm": lambda: dc.batch_norm(x, row, row, *stats, train=True),
-        "batch_norm_eval": lambda: dc.batch_norm(x, row, row, *stats, train=False),
-        "layer_norm": lambda: dc.layer_norm(x, row, row),
-        "dropout": lambda: dc.dropout(x, 0.5, True, np.random.default_rng(0)),
+        "batch_norm": lambda: ops.batch_norm(x, row, row, *stats, train=True),
+        "batch_norm_eval": lambda: ops.batch_norm(x, row, row, *stats, train=False),
+        "layer_norm": lambda: ops.layer_norm(x, row, row),
+        "dropout": lambda: ops.dropout(x, 0.5, True, np.random.default_rng(0)),
+        "encoder_layer": lambda: dc.encoder_layer(x, w, row3, row3, row3, stats3, True, 0.5,
+                                                  np.random.default_rng(0)),
+        "encoder_layer_eval": lambda: dc.encoder_layer(x, w, row3, row3, row3, stats3, False, 0.5, None),
+        "encoder_layer_ln": lambda: dc.encoder_layer(x, w, row3, row3, row3, None, True, 0.0, None),
+        "linear_tanh": lambda: dc.linear_tanh(x, w, row3),
+        "add_layer_norm": lambda: dc.add_layer_norm(x, y, row, row),
         "l2_normalize_rows": lambda: dc.l2_normalize_rows(x),
         "gradient_gate": lambda: dc.gradient_gate(x, np.ones((5, 4))),
         "mse": lambda: ops.mse(x, y),
@@ -222,11 +255,13 @@ def test_float32_leaf_reads_the_arena_mirror_and_accumulates_into_float64():
     w = arena.params[0]
     arena.value[...] = np.random.default_rng(2).normal(size=arena.size)
     assert arena.value32 is None and w.value32 is None  # allocated by the first prepare_step
+    with pytest.raises(dc.DiffError, match="^parameter 'w': the arena has no float32 mirror yet"):
+        w.tensor(np.float32)
     arena.prepare_step()
     np.testing.assert_array_equal(arena.value32, arena.value.astype(np.float32))
     leaf = w.tensor(np.float32)
     assert leaf.value.dtype == np.float32 and np.shares_memory(leaf.value, arena.value32)
-    loss = ops.sum_all(dc.tanh(leaf))
+    loss = ops.sum_all(ops.tanh(leaf))
     assert loss.value.dtype == np.float64
     dc.backward(loss)
     want = 1.0 - np.tanh(w.value32) ** 2
@@ -238,7 +273,7 @@ def test_float32_leaf_reads_the_arena_mirror_and_accumulates_into_float64():
 def test_non_finite_forward_rejected():
     a = dc.const([[1.0, np.inf]])
     with pytest.raises(dc.NumericError):
-        dc.tanh(ops.exp(ops.scale(a, 2.0)))
+        ops.tanh(ops.exp(ops.scale(a, 2.0)))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(dc.NumericError):
             ops.scale(dc.const([[1.0, 2.0], [bad, 3.0]]), 1.0)
@@ -252,10 +287,10 @@ def test_backward_requires_scalar_root():
 
 def test_backward_twice_doubles_param_grads():
     p = param((3, 2), seed=1)
-    loss = ops.sum_all(dc.tanh(p.tensor()))
+    loss = ops.sum_all(ops.tanh(p.tensor()))
     dc.backward(loss)
     once = p.grad.copy()
-    loss2 = ops.sum_all(dc.tanh(p.tensor()))
+    loss2 = ops.sum_all(ops.tanh(p.tensor()))
     dc.backward(loss2)
     np.testing.assert_allclose(p.grad, 2.0 * once, rtol=0, atol=0)
 
@@ -276,7 +311,7 @@ def test_matmul_add_scale_forward():
     a = np.arange(6, dtype=float).reshape(2, 3)
     b = np.arange(12, dtype=float).reshape(3, 4)
     bias = np.ones((1, 4))
-    out = ops.scale(dc.add(dc.matmul(dc.const(a), dc.const(b)), dc.const(bias)), 0.5)
+    out = ops.scale(ops.add(dc.matmul(dc.const(a), dc.const(b)), dc.const(bias)), 0.5)
     np.testing.assert_allclose(out.value, 0.5 * (a @ b + bias))
 
 
@@ -287,7 +322,7 @@ def test_matmul_shape_mismatch():
 
 def test_add_rejects_bad_broadcast():
     with pytest.raises(dc.ShapeError):
-        dc.add(dc.const(np.zeros((3, 2))), dc.const(np.zeros((3, 1))))
+        ops.add(dc.const(np.zeros((3, 2))), dc.const(np.zeros((3, 1))))
 
 
 def test_mul_scalar_broadcast_forward():
@@ -324,7 +359,7 @@ def test_batch_norm_train_forward_standardizes():
     gamma = dc.const(np.ones((1, 5)))
     beta = dc.const(np.zeros((1, 5)))
     rm, rv = np.zeros((1, 5)), np.ones((1, 5))
-    y = dc.batch_norm(dc.const(x), gamma, beta, rm, rv, train=True).value
+    y = ops.batch_norm(dc.const(x), gamma, beta, rm, rv, train=True).value
     np.testing.assert_allclose(y.mean(axis=0), np.zeros(5), atol=1e-10)
     np.testing.assert_allclose(y.var(axis=0), np.ones(5), atol=1e-4)
 
@@ -333,12 +368,12 @@ def test_batch_norm_running_stats_update():
     x = np.random.default_rng(5).normal(loc=1.0, size=(32, 3))
     rm, rv = np.zeros((1, 3)), np.ones((1, 3))
     gamma, beta = dc.const(np.ones((1, 3))), dc.const(np.zeros((1, 3)))
-    dc.batch_norm(dc.const(x), gamma, beta, rm, rv, train=True, momentum=0.1)
+    ops.batch_norm(dc.const(x), gamma, beta, rm, rv, train=True, momentum=0.1)
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=0, keepdims=True), atol=1e-12)
     np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=0, keepdims=True), atol=1e-12)
     # eval mode normalizes with the running stats and leaves them untouched
     rm2, rv2 = rm.copy(), rv.copy()
-    y = dc.batch_norm(dc.const(x), gamma, beta, rm, rv, train=False).value
+    y = ops.batch_norm(dc.const(x), gamma, beta, rm, rv, train=False).value
     np.testing.assert_allclose(y, (x - rm2) / np.sqrt(rv2 + 1e-5), atol=1e-12)
     np.testing.assert_array_equal(rm, rm2)
     np.testing.assert_array_equal(rv, rv2)
@@ -347,28 +382,28 @@ def test_batch_norm_running_stats_update():
 def test_batch_norm_needs_two_samples_in_train():
     gamma, beta = dc.const(np.ones((1, 2))), dc.const(np.zeros((1, 2)))
     with pytest.raises(dc.ShapeError):
-        dc.batch_norm(dc.const(np.zeros((1, 2))), gamma, beta,
+        ops.batch_norm(dc.const(np.zeros((1, 2))), gamma, beta,
                       np.zeros((1, 2)), np.ones((1, 2)), train=True)
 
 
 def test_layer_norm_rows_standardized():
     x = np.random.default_rng(6).normal(size=(4, 9))
     gamma, beta = dc.const(np.ones((1, 9))), dc.const(np.zeros((1, 9)))
-    y = dc.layer_norm(dc.const(x), gamma, beta).value
+    y = ops.layer_norm(dc.const(x), gamma, beta).value
     np.testing.assert_allclose(y.mean(axis=1), np.zeros(4), atol=1e-12)
     np.testing.assert_allclose(y.var(axis=1), np.ones(4), atol=1e-4)
 
 
 def test_dropout_eval_identity_and_train_scaling():
     x = dc.const(np.ones((2000, 4)))
-    assert dc.dropout(x, 0.5, train=False, rng=None) is x
-    assert dc.dropout(x, 0.0, train=True, rng=None) is x
-    y = dc.dropout(x, 0.25, train=True, rng=np.random.default_rng(0)).value
+    assert ops.dropout(x, 0.5, train=False, rng=None) is x
+    assert ops.dropout(x, 0.0, train=True, rng=None) is x
+    y = ops.dropout(x, 0.25, train=True, rng=np.random.default_rng(0)).value
     survivors = y[y != 0]
     np.testing.assert_allclose(survivors, 1.0 / 0.75)
     assert abs(y.mean() - 1.0) < 0.02
     with pytest.raises(ValueError):
-        dc.dropout(x, 1.0, train=True, rng=np.random.default_rng(0))
+        ops.dropout(x, 1.0, train=True, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +436,11 @@ def small_loss(w, s):
     """A tape with a shared leaf, a broadcast bias, a scalar broadcast, a
     severed branch and a pass-through dropout."""
     x = dc.const(np.random.default_rng(41).normal(size=(5, 3)))
-    h = dc.tanh(dc.add(dc.matmul(x, w.tensor()), dc.const(np.ones((1, 4)))))
-    h = dc.dropout(h, 0.0, train=True, rng=None)
+    h = ops.tanh(ops.add(dc.matmul(x, w.tensor()), dc.const(np.ones((1, 4)))))
+    h = ops.dropout(h, 0.0, train=True, rng=None)
     frozen = ops.stop_gradient(ops.exp(w.tensor()))
     z = dc.l2_normalize_rows(ops.mul(s.tensor(), h))
-    return dc.add(ops.sum_all(ops.mul(z, z)), dc.add(ops.sum_all(ops.mul(h, h)), ops.sum_all(frozen)))
+    return ops.add(ops.sum_all(ops.mul(z, z)), ops.add(ops.sum_all(ops.mul(h, h)), ops.sum_all(frozen)))
 
 
 def test_backward_matches_keeping_backward_bit_for_bit():
@@ -421,7 +456,7 @@ def test_backward_matches_keeping_backward_bit_for_bit():
 
 def test_backward_releases_the_tape():
     p = param((3, 4), seed=44)
-    mid = dc.tanh(dc.matmul(dc.const(np.ones((2, 3))), p.tensor()))
+    mid = ops.tanh(dc.matmul(dc.const(np.ones((2, 3))), p.tensor()))
     loss = ops.sum_all(ops.mul(mid, mid))
     node, value = weakref.ref(mid), weakref.ref(mid.value)
     del mid
@@ -435,27 +470,27 @@ def test_backward_releases_the_tape():
 def test_no_tape_records_nothing_and_restores_taping():
     p = param((2, 3), seed=45)
     with dc.no_tape():
-        y = dc.tanh(ops.scale(p.tensor(), 2.0))
+        y = ops.tanh(ops.scale(p.tensor(), 2.0))
         with dc.no_tape():
             pass
-        z = dc.tanh(p.tensor())  # the inner block left taping off
+        z = ops.tanh(p.tensor())  # the inner block left taping off
     assert y._parents == () and y._backward is None and z._parents == ()
     np.testing.assert_array_equal(y.value, np.tanh(p.value * 2.0))
     with pytest.raises(RuntimeError), dc.no_tape():
         raise RuntimeError
-    taped = dc.tanh(p.tensor())
+    taped = ops.tanh(p.tensor())
     assert len(taped._parents) == 1 and taped._backward is not None
 
 
 def test_no_tape_still_rejects_non_finite_values():
     with pytest.raises(dc.NumericError), dc.no_tape():
         ops.scale(dc.const([[np.inf]]), 2.0)
-    assert dc.tanh(param((1, 1)).tensor())._backward is not None  # taping resumes after the block
+    assert ops.tanh(param((1, 1)).tensor())._backward is not None  # taping resumes after the block
 
 
 def test_constants_only_subgraph_tapes_nothing():
     x = dc.const(np.random.default_rng(46).normal(size=(4, 3)))
-    h = dc.tanh(dc.add(dc.matmul(x, dc.const(np.ones((3, 3)))), dc.const(np.ones((1, 3)))))
+    h = ops.tanh(ops.add(dc.matmul(x, dc.const(np.ones((3, 3)))), dc.const(np.ones((1, 3)))))
     for t in (x, h, ops.stop_gradient(param((2, 2)).tensor())):
         assert not t.needs_grad and t._parents == () and t._backward is None
     p = param((3, 3), seed=47)
@@ -492,10 +527,10 @@ def test_tanh_and_dropout_bit_identical_to_formula(n, d, rate, seed):
     rng = np.random.default_rng(seed)
     x = dc.Parameter(3.0 * rng.normal(size=(n, d)))
     g = rng.normal(size=(n, d))
-    y = dc.tanh(x.tensor())
+    y = ops.tanh(x.tensor())
     want = np.tanh(x.value)
     assert_bits_equal([y.value, y._backward(g)[0]], [want, g * (1.0 - want * want)])
-    dropped = dc.dropout(x.tensor(), rate, train=True, rng=np.random.default_rng(seed))
+    dropped = ops.dropout(x.tensor(), rate, train=True, rng=np.random.default_rng(seed))
     keep = (np.random.default_rng(seed).random((n, d)) >= rate) / (1.0 - rate)
     assert_bits_equal([dropped.value, dropped._backward(g)[0]], [x.value * keep, g * keep])
 
@@ -510,7 +545,7 @@ def test_layer_norm_bit_identical_to_formula(n, d, scale, seed):
     x = dc.Parameter(scale * rng.normal(loc=rng.normal(), size=(n, d)))
     gamma, beta = dc.Parameter(rng.normal(size=(1, d))), dc.Parameter(rng.normal(size=(1, d)))
     g = rng.normal(size=(n, d))
-    new = dc.layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
+    new = ops.layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
     old = formula_layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
     assert_bits_equal([new.value], [old.value])
     assert_bits_equal(new._backward(g), old._backward(g))
@@ -527,10 +562,143 @@ def test_batch_norm_bit_identical_to_formula(n, d, scale, train, seed):
     stats = [rng.normal(size=(1, d)), scale * scale * rng.uniform(0.5, 2.0, size=(1, d))]
     g = rng.normal(size=(n, d))
     new_stats, old_stats = [a.copy() for a in stats], [a.copy() for a in stats]
-    new = dc.batch_norm(x.tensor(), gamma.tensor(), beta.tensor(), *new_stats, train=train)
+    new = ops.batch_norm(x.tensor(), gamma.tensor(), beta.tensor(), *new_stats, train=train)
     old = formula_batch_norm(x.tensor(), gamma.tensor(), beta.tensor(), *old_stats, train=train)
     assert_bits_equal([new.value] + new_stats, [old.value] + old_stats)
     assert_bits_equal(new._backward(g), old._backward(g))
+
+
+def layer_leaves(dtype, seed, *shapes):
+    """Tape leaves in ``dtype`` of parameters of the given shapes, normal draws."""
+    rng = np.random.default_rng(seed)
+    params = [dc.Parameter(rng.normal(size=shape)) for shape in shapes]
+    return [dc.Tensor(p.value.astype(dtype), op="param", param=p) for p in params]
+
+
+def assert_same_grads(node, composed, g):
+    """The node's closure and the composed chain send each input the same
+    gradient, bit for bit, or both None, and neither writes into ``g``."""
+    before = g.copy()
+    got, want = list(node._backward(g)), node_grads(composed, g)
+    assert [a is None for a in got] == [a is None for a in want]
+    assert_bits_equal([a for a in got if a is not None], [a for a in want if a is not None])
+    assert_bits_equal([g], [before])
+
+
+DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 300), d_in=st.integers(1, 16), d=st.integers(1, 24), dtype=DTYPES,
+       batch=st.booleans(), train=st.booleans(), rate=st.sampled_from([0.0, 0.2, 0.5]),
+       taped_input=st.booleans(), scale=NORM_SCALES, seed=st.integers(0, 2 ** 16))
+def test_encoder_layer_bit_identical_to_composed_chain(n, d_in, d, dtype, batch, train, rate,
+                                                       taped_input, scale, seed):
+    """Values, running statistics, the dropout draw and every gradient."""
+    n = max(n, 2) if batch and train else n
+    x, w, b, gamma, beta = layer_leaves(dtype, seed, (n, d_in), (d_in, d), (1, d), (1, d), (1, d))
+    x = x if taped_input else dc.const(x.value)
+    x.value *= dtype(scale)
+    rng = np.random.default_rng(seed + 1)
+    stats = [rng.normal(size=(1, d)), rng.uniform(0.5, 2.0, size=(1, d))] if batch else None
+    g = rng.normal(size=(n, d)).astype(dtype)
+    runs = []
+    for layer in (dc.encoder_layer, composed_encoder_layer):
+        own = None if stats is None else [a.copy() for a in stats]
+        draws = np.random.default_rng(seed + 2)
+        runs.append((layer(x, w, b, gamma, beta, own, train, rate, draws), own or [], draws))
+    (node, new_stats, new_rng), (composed, old_stats, old_rng) = runs
+    assert node.op == "encoder_layer" and node.value.dtype == dtype
+    assert_bits_equal([node.value] + new_stats, [composed.value] + old_stats)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert_same_grads(node, composed, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), d_in=st.integers(1, 16), d=st.integers(1, 24), dtype=DTYPES,
+       taped_input=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_linear_tanh_bit_identical_to_composed_chain(n, d_in, d, dtype, taped_input, seed):
+    x, w, b = layer_leaves(dtype, seed, (n, d_in), (d_in, d), (1, d))
+    x = x if taped_input else dc.const(x.value)
+    node, composed = dc.linear_tanh(x, w, b), composed_linear_tanh(x, w, b)
+    assert node.op == "linear_tanh"
+    assert_bits_equal([node.value], [composed.value])
+    assert_same_grads(node, composed, np.random.default_rng(seed).normal(size=(n, d)).astype(dtype))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 24), dtype=DTYPES, taped_input=st.booleans(),
+       scale=NORM_SCALES, seed=st.integers(0, 2 ** 16))
+def test_add_layer_norm_bit_identical_to_composed_chain(n, d, dtype, taped_input, scale, seed):
+    a, b, gamma, beta = layer_leaves(dtype, seed, (n, d), (n, d), (1, d), (1, d))
+    a = a if taped_input else dc.const(a.value)
+    b.value *= dtype(scale)
+    node, composed = dc.add_layer_norm(a, b, gamma, beta), composed_add_layer_norm(a, b, gamma, beta)
+    assert node.op == "add_layer_norm"
+    assert_bits_equal([node.value], [composed.value])
+    assert_same_grads(node, composed, np.random.default_rng(seed).normal(size=(n, d)).astype(dtype))
+
+
+def raised_text(fn):
+    """The text of the NumericError ``fn`` raises."""
+    with pytest.raises(dc.NumericError) as info:
+        fn()
+    return str(info.value)
+
+
+# each layer node with its composed chain and the shapes of its tensor
+# inputs, in rows n and columns d
+LAYER_NODES = {
+    "encoder_layer": (dc.encoder_layer, composed_encoder_layer,
+                      {"x": ("n", 3), "w": (3, "d"), "b": (1, "d"), "gamma": (1, "d"), "beta": (1, "d")}),
+    "linear_tanh": (dc.linear_tanh, composed_linear_tanh, {"x": ("n", 3), "w": (3, "d"), "b": (1, "d")}),
+    "add_layer_norm": (dc.add_layer_norm, composed_add_layer_norm,
+                       {"a": ("n", "d"), "b": ("n", "d"), "gamma": (1, "d"), "beta": (1, "d")}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(LAYER_NODES)), dtype=DTYPES,
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), batch=st.booleans(), train=st.booleans(),
+       rate=st.sampled_from([0.0, 0.3]), n=st.integers(2, 20), d=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_layer_nodes_raise_the_composed_chains_numeric_error(data, name, dtype, bad, batch, train,
+                                                            rate, n, d, seed):
+    """NaN or inf entering at any input of a layer node, a running
+    statistic included, or finite inputs whose product or sum overflows,
+    raise the error of the single-op node of the composed chain that first
+    meets it: the same text, after the same running-statistics update."""
+    node, composed, inputs = LAYER_NODES[name]
+    dims = {"n": n, "d": d}
+    shapes = [tuple(dims.get(k, k) for k in shape) for shape in inputs.values()]
+    leaves = dict(zip(inputs, layer_leaves(dtype, seed, *shapes)))
+    stats = [np.zeros((1, d)), np.ones((1, d))] if name == "encoder_layer" and batch else None
+    where = data.draw(st.sampled_from(list(inputs) + ["overflow"] + (["mean", "var"] if stats else [])))
+    if where == "overflow":
+        big = np.finfo(dtype).max
+        for k, value in ({"x": big, "w": 2.0} if "x" in leaves else {"a": big, "b": big}).items():
+            leaves[k].value[...] = value
+    else:
+        value = stats[where == "var"] if where in ("mean", "var") else leaves[where].value
+        value[data.draw(st.integers(0, value.shape[0] - 1)),
+              data.draw(st.integers(0, value.shape[1] - 1))] = bad
+    runs = []
+    for fn in (node, composed):
+        own = None if stats is None else [a.copy() for a in stats]
+        extra = (own, train, rate, np.random.default_rng(seed)) if name == "encoder_layer" else ()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                fn(*leaves.values(), *extra)
+            runs.append((None, own or []))
+        except dc.NumericError as exc:
+            runs.append((str(exc), own or []))
+    (new_text, new_stats), (old_text, old_stats) = runs
+    assert new_text == old_text
+    assert new_text is None or new_text in {f"{op}: non-finite forward value"
+                                            for op in ("linear", "batch_norm", "layer_norm", "add")}
+    if where == "overflow":
+        assert new_text == ("add" if name == "add_layer_norm" else "linear") + ": non-finite forward value"
+    assert_bits_equal(new_stats, old_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +709,15 @@ def test_grad_matmul_add_bias():
     w = param((3, 4), seed=10, name="w")
     b = param((1, 4), seed=11, name="b")
     x = np.random.default_rng(12).normal(size=(5, 3))
-    check(lambda: ops.sum_all(dc.tanh(dc.add(dc.matmul(dc.const(x), w.tensor()), b.tensor()))),
+    check(lambda: ops.sum_all(ops.tanh(ops.add(dc.matmul(dc.const(x), w.tensor()), b.tensor()))),
           [w, b])
 
 
 def test_grad_mul_broadcast():
     s = param((1, 1), seed=13, name="s")
     m = param((3, 3), seed=14, name="m")
-    check(lambda: ops.sum_all(ops.mul(s.tensor(), dc.tanh(m.tensor()))), [s, m])
-    check(lambda: ops.sum_all(ops.mul(dc.tanh(m.tensor()), s.tensor())), [s, m])
+    check(lambda: ops.sum_all(ops.mul(s.tensor(), ops.tanh(m.tensor()))), [s, m])
+    check(lambda: ops.sum_all(ops.mul(ops.tanh(m.tensor()), s.tensor())), [s, m])
 
 
 def test_grad_exp_scale():
@@ -562,7 +730,7 @@ def test_grad_batch_norm_train():
     gamma = param((1, 3), seed=21, name="gamma")
     beta = param((1, 3), seed=22, name="beta")
     rm, rv = np.zeros((1, 3)), np.ones((1, 3))
-    check(lambda: ops.sum_all(dc.tanh(dc.batch_norm(
+    check(lambda: ops.sum_all(ops.tanh(ops.batch_norm(
         p.tensor(), gamma.tensor(), beta.tensor(), rm, rv, train=True, update_stats=False))),
         [p, gamma, beta])
 
@@ -573,7 +741,7 @@ def test_grad_batch_norm_eval():
     beta = param((1, 3), seed=25, name="beta")
     rm = np.random.default_rng(26).normal(size=(1, 3))
     rv = np.abs(np.random.default_rng(27).normal(size=(1, 3))) + 0.5
-    check(lambda: ops.sum_all(dc.tanh(dc.batch_norm(
+    check(lambda: ops.sum_all(ops.tanh(ops.batch_norm(
         p.tensor(), gamma.tensor(), beta.tensor(), rm, rv, train=False))),
         [p, gamma, beta])
 
@@ -582,13 +750,13 @@ def test_grad_layer_norm():
     p = param((5, 6), seed=28)
     gamma = param((1, 6), seed=29, name="gamma")
     beta = param((1, 6), seed=30, name="beta")
-    check(lambda: ops.sum_all(dc.tanh(dc.layer_norm(p.tensor(), gamma.tensor(), beta.tensor()))),
+    check(lambda: ops.sum_all(ops.tanh(ops.layer_norm(p.tensor(), gamma.tensor(), beta.tensor()))),
           [p, gamma, beta])
 
 
 def test_grad_dropout_with_fixed_mask():
     p = param((6, 4), seed=31)
-    check(lambda: ops.sum_all(dc.tanh(dc.dropout(
+    check(lambda: ops.sum_all(ops.tanh(ops.dropout(
         p.tensor(), 0.3, train=True, rng=np.random.default_rng(99)))), [p])
 
 
@@ -607,7 +775,7 @@ def test_grad_l2_normalize_rows():
 def test_grad_shared_leaf_accumulates():
     # the same parameter feeds two branches; grads must sum
     p = param((3, 3), seed=40)
-    check(lambda: dc.add(ops.sum_all(dc.tanh(p.tensor())),
+    check(lambda: ops.add(ops.sum_all(ops.tanh(p.tensor())),
                          ops.sum_all(ops.mul(p.tensor(), p.tensor()))), [p])
 
 
@@ -644,5 +812,5 @@ def test_every_public_diffcore_function_has_a_caller_in_the_library():
     for path in src.glob("*.py"):
         if path.name != "diffcore.py":
             used |= diffcore_names_used(path)
-    assert {"linear", "add", "backward"} <= used  # the walk finds the library's calls
+    assert {"linear", "matmul", "backward"} <= used  # the walk finds the library's calls
     assert sorted(public - used - CRITERION_ONE) == []

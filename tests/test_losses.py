@@ -156,7 +156,7 @@ def composed_soft_infonce(za, zv, targets, tau):
     logits = dc.matmul(za, _transpose(zv))
     half_a = ops.scale(ops.sum_all(ops.mul(dc.const(targets.w_a2v), _row_log_softmax(logits, tau))), -1.0 / n)
     half_v = ops.scale(ops.sum_all(ops.mul(dc.const(targets.w_v2a), _row_log_softmax(_transpose(logits), tau))), -1.0 / n)
-    return ops.scale(dc.add(half_a, half_v), 0.5)
+    return ops.scale(ops.add(half_a, half_v), 0.5)
 
 
 def bits(x):
@@ -274,7 +274,7 @@ def composed_rec_loss(xa, xv, xa_hat, xv_hat):
     and scale), the reference oracle for the single node."""
     xa = xa if isinstance(xa, dc.Tensor) else dc.const(xa)
     xv = xv if isinstance(xv, dc.Tensor) else dc.const(xv)
-    return ops.scale(dc.add(ops.mse(xa_hat, xa), ops.mse(xv_hat, xv)), 0.5)
+    return ops.scale(ops.add(ops.mse(xa_hat, xa), ops.mse(xv_hat, xv)), 0.5)
 
 
 def composed_distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
@@ -284,7 +284,7 @@ def composed_distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
     def freeze(z):
         return ops.stop_gradient(z) if isinstance(z, dc.Tensor) else dc.const(z)
 
-    return ops.scale(dc.add(ops.mse(z_mae_a, freeze(z_t_a)), ops.mse(z_mae_v, freeze(z_t_v))), 0.5)
+    return ops.scale(ops.add(ops.mse(z_mae_a, freeze(z_t_a)), ops.mse(z_mae_v, freeze(z_t_v))), 0.5)
 
 
 def test_paired_mse_shapes_must_match():
@@ -347,9 +347,9 @@ def composed_total_loss(bundle, sigmas, epoch, warmup_epochs):
             weights[name] = w
         else:
             sig = sigmas[name].tensor()
-            piece = dc.add(ops.mul(ops.exp(ops.scale(sig, -1.0)), term), sig)
+            piece = ops.add(ops.mul(ops.exp(ops.scale(sig, -1.0)), term), sig)
             weights[name] = float(np.exp(-sigmas[name].value[0, 0]))
-        total = piece if total is None else dc.add(total, piece)
+        total = piece if total is None else ops.add(total, piece)
     return total, weights
 
 

@@ -18,8 +18,9 @@ from hscmae.model import (CheckpointError, ModelConfig, ModelParams, config_entr
 from hscmae.trainer import TrainConfig, train_step
 
 import reference_ops as ops
-from conftest import corrupted, desk_train_config, tiny_model_config
-from test_diffcore import keeping_backward
+from conftest import corrupted, desk_model_config, desk_train_config, tape_nodes, tiny_model_config
+from test_diffcore import (composed_add_layer_norm, composed_encoder_layer, composed_linear_tanh,
+                           keeping_backward)
 
 
 def test_config_validation():
@@ -227,6 +228,73 @@ def test_embed_arrays_is_float64_whatever_the_input_dtype():
         np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
 
 
+def test_float32_pass_before_the_first_prepare_step_names_the_parameter():
+    """A fresh model's arena, like a teacher's or an eval model's, has no
+    float32 mirror: a float32 pass says so, naming the first parameter."""
+    mp = ModelParams(tiny_model_config(), seed=27)
+    rng = np.random.default_rng(27)
+    xa, xv = (rng.normal(size=(6, d)).astype(np.float32) for d in (3, 5))
+    no_mirror = "^parameter 'enc.a.0.w': the arena has no float32 mirror yet"
+    with pytest.raises(dc.DiffError, match=no_mirror) as info:
+        forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
+    assert not isinstance(info.value, dc.ShapeError)
+    mp.arena.prepare_step()
+    assert forward_embed(mp, dc.const(xa), dc.const(xv), train=False)[0].value.dtype == np.float32
+
+
+def trunk_passes(mp, xa, xv):
+    """A taped train-mode encode, fuse and decode; the caller keeps the
+    fused and the decoded values only."""
+    ha, hv = encode(mp, xa, xv, train=True, rng=np.random.default_rng(3))
+    ua, uv = fuse(mp, ha, hv)
+    return (ua, uv) + decode(mp, ua, uv)
+
+
+def test_tape_holds_no_linear_norm_sum_or_dropped_tanh_output(monkeypatch):
+    """Nothing reachable from what a caller keeps after the trunk passes is a
+    linear output, an encoder norm output, a residual sum or a tanh output
+    that dropout consumed; the encoder outputs, the decoder tanh outputs and
+    the fused values are. The intermediates to look for come from the same
+    passes built of single-op nodes, recorded pass by pass."""
+    mp = ModelParams(desk_model_config(), seed=28)
+    rng = np.random.default_rng(28)
+    for name, p in mp.params.items():  # so that no norm output equals its normalised values
+        if name.endswith((".gamma", ".beta")):
+            p.value[...] = rng.uniform(0.5, 1.5, size=p.value.shape)
+    mp.arena.prepare_step()
+    xa, xv = (dc.const(rng.normal(size=(40, d)).astype(np.float32)) for d in (12, 24))
+
+    made = []
+    make_node = dc._node
+
+    def recording_node(op, value, parents, backward):
+        made.append((op, make_node(op, value, parents, backward)))
+        return made[-1][1]
+
+    for name, composed in (("encoder_layer", composed_encoder_layer),
+                           ("linear_tanh", composed_linear_tanh),
+                           ("add_layer_norm", composed_add_layer_norm)):
+        monkeypatch.setattr(dc, name, composed)
+    monkeypatch.setattr(dc, "_node", recording_node)
+    ha, hv = encode(mp, xa, xv, train=True, rng=np.random.default_rng(3))
+    encoded = len(made)
+    ua, uv = fuse(mp, ha, hv)
+    fused = len(made)
+    outputs = decode(mp, ua, uv)
+    monkeypatch.undo()
+    gone = [t for op, t in made[:encoded] if op != "dropout"]
+    gone += [t for op, t in made[encoded:fused] if op == "add"]
+    gone += [t for op, t in made[fused:] if op == "linear" and t not in outputs]
+    kept = [t for op, t in made[:encoded] if op == "dropout"] + [ua, uv]
+    kept += [t for op, t in made[fused:] if op == "tanh"]
+    assert len(gone) == 2 * 9 + 2 + 2 * 2 and len(kept) == 2 * 3 + 2 + 2 * 2
+
+    nodes = tape_nodes(*trunk_passes(mp, xa, xv))
+    held = {(a.dtype.str, a.shape, a.tobytes()) for t, arrays in nodes for a in [t.value] + arrays}
+    assert [t.op for t in gone if (t.value.dtype.str, t.shape, t.value.tobytes()) in held] == []
+    assert [t.op for t in kept if (t.value.dtype.str, t.shape, t.value.tobytes()) not in held] == []
+
+
 def one_pass(mp, xa, xv):
     """Reference: one forward_embed over every row, with no tape."""
     with dc.no_tape():
@@ -370,8 +438,8 @@ def test_full_forward_gradient_check():
     def fn():
         za, zv, ua, uv = forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
         xa_hat, xv_hat = decode(mp, ua, uv)
-        return dc.add(ops.sum_all(ops.mul(za, zv)),
-                      dc.add(ops.mse(xa_hat, dc.const(xa)), ops.mse(xv_hat, dc.const(xv))))
+        return ops.add(ops.sum_all(ops.mul(za, zv)),
+                       ops.add(ops.mse(xa_hat, dc.const(xa)), ops.mse(xv_hat, dc.const(xv))))
 
     assert dc.grad_check(fn, mp.parameters(), max_coords=3) < 1e-5
 

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,8 +28,10 @@ from hscmae.optim import OptimConfig
 from hscmae.trainer import (TrainConfig, _step_seed, epoch_log_rows, load_checkpoint,
                             save_checkpoint, train, train_step)
 
-from conftest import corrupted, desk_train_config, tiny_model_config
-from test_diffcore import composed_linear, formula_batch_norm, formula_layer_norm
+import reference_ops as ops
+from conftest import corrupted, desk_train_config, tape_nodes, tiny_model_config
+from test_diffcore import (composed_add_layer_norm, composed_encoder_layer, composed_linear,
+                           composed_linear_tanh, formula_batch_norm, formula_layer_norm)
 from test_losses import (composed_distill_loss, composed_rec_loss, composed_soft_infonce,
                          composed_total_loss)
 from test_optim import listwise_adamw_step, listwise_clip_global_norm
@@ -169,8 +172,9 @@ def state_digest(*models):
 
 def patch_former_step(monkeypatch):
     """The former pieces of a step: per-parameter clipping, AdamW and EMA,
-    two-node linear layers, the textbook-formula norms and the loss heads
-    composed from ``reference_ops`` primitives."""
+    trunk layers as chains of single-op nodes with two-node linear layers
+    and the textbook-formula norms, and the loss heads composed from
+    ``reference_ops`` primitives."""
     monkeypatch.setattr(trainer, "rec_loss", composed_rec_loss)
     monkeypatch.setattr(trainer, "distill_loss", composed_distill_loss)
     monkeypatch.setattr(trainer, "total_loss", composed_total_loss)
@@ -180,8 +184,11 @@ def patch_former_step(monkeypatch):
                         lambda arena, *args: listwise_adamw_step(arena.params, *args))
     monkeypatch.setattr(trainer, "ema_update", listwise_ema_update)
     monkeypatch.setattr(dc, "linear", composed_linear)
-    monkeypatch.setattr(dc, "layer_norm", formula_layer_norm)
-    monkeypatch.setattr(dc, "batch_norm", formula_batch_norm)
+    monkeypatch.setattr(dc, "encoder_layer", composed_encoder_layer)
+    monkeypatch.setattr(dc, "linear_tanh", composed_linear_tanh)
+    monkeypatch.setattr(dc, "add_layer_norm", composed_add_layer_norm)
+    monkeypatch.setattr(ops, "layer_norm", formula_layer_norm)
+    monkeypatch.setattr(ops, "batch_norm", formula_batch_norm)
 
 
 def upcast(a):
@@ -294,18 +301,18 @@ def test_desk_training_neither_imports_nor_starts_the_pool():
 
 
 def test_first_layers_never_compute_an_input_gradient(monkeypatch):
-    """A linear layer fed by data skips g @ w.T: both first layers, in both
+    """A layer fed by data skips g @ w.T: both first encoder layers, in both
     taped passes; every other layer computes it."""
     seen = []
     make_node = dc._node
 
     def spying_node(op, value, parents, backward):
-        if op != "linear":
+        if op not in ("encoder_layer", "linear_tanh", "linear"):
             return make_node(op, value, parents, backward)
 
         def spied(g):
             grads = backward(g)
-            seen.append((parents[0].op, grads[0] is None))
+            seen.append((op, parents[0].op, grads[0] is None))
             return grads
 
         return make_node(op, value, parents, spied)
@@ -316,8 +323,9 @@ def test_first_layers_never_compute_an_input_gradient(monkeypatch):
     train_step(ModelParams(cfg.model, seed=6), ModelParams(cfg.model, seed=6),
                rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg, 2, 5, 1e-3, 0.99, 1)
     assert len(seen) == 22
-    assert [skipped for op, skipped in seen if op == "const"] == [True] * 4
-    assert not any(skipped for op, skipped in seen if op != "const")
+    assert [(op, skipped) for op, source, skipped in seen if source == "const"] == [
+        ("encoder_layer", True)] * 4
+    assert not any(skipped for _, source, skipped in seen if source != "const")
 
 
 def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch):
@@ -349,41 +357,45 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
     trunk = {(op, dtype) for op, shape, dtype, taped in values if taped and shape != (1, 1)}
     scalars = {(op, dtype) for op, shape, dtype, taped in values if taped and shape == (1, 1)}
     untaped = {(op, dtype) for op, shape, dtype, taped in values if not taped}
-    assert {op for op, _ in trunk} == {"linear", "batch_norm", "layer_norm", "tanh", "dropout",
-                                       "matmul", "add", "l2_normalize_rows"}
+    assert {op for op, _ in trunk} == {"encoder_layer", "matmul", "add_layer_norm", "linear",
+                                       "linear_tanh", "l2_normalize_rows"}
     assert {dtype for _, dtype in trunk} == {np.dtype(np.float32)}
     assert {op for op, _ in scalars} == {"rec_loss", "distill_loss", "dcca", "soft_infonce", "total_loss"}
     assert {dtype for _, dtype in scalars} == {np.dtype(np.float64)}
-    assert {op for op, _ in untaped} >= {"linear", "batch_norm", "layer_norm", "tanh"}
+    # the teacher pass: one node per encoder layer, fusion matmul, residual
+    # and projection op
+    assert sum(not taped for *_, taped in values) == 16
+    assert {op for op, _ in untaped} == {"encoder_layer", "matmul", "add_layer_norm", "linear",
+                                         "l2_normalize_rows"}
     assert {dtype for _, dtype in untaped} == {np.dtype(np.float64)}
     assert {dtype for _, dtype, _ in grads} == {np.dtype(np.float32), np.dtype(np.float64)}
     assert [(op, want, got) for op, want, got in grads if got != want] == []
 
 
 @pytest.mark.parametrize("epoch", [1, 6], ids=("warm-up", "weighted"))
-def test_desk_step_tapes_87_nodes(monkeypatch, epoch):
-    """Each loss head, and the weighted total, is one node whatever the
-    weighting regime: the step's other 82 taped nodes are the student
-    passes' matrix ops."""
-    taped = []
-    make_node = dc._node
+def test_desk_step_tapes_43_nodes(monkeypatch, epoch):
+    """Whatever the weighting regime, a step tapes one node per trunk layer
+    (encoder layer, decoder layer, fusion residual and matmul, projection
+    op) and one per loss head and for the weighted total."""
+    tapes = []
+    walk = dc.backward
 
-    def counting_node(op, value, parents, backward):
-        node = make_node(op, value, parents, backward)
-        if node.needs_grad:
-            taped.append(op)
-        return node
+    def recording_backward(loss):
+        tapes.append([t.op for t, _ in tape_nodes(loss) if t._backward is not None])
+        walk(loss)
 
-    monkeypatch.setattr(dc, "_node", counting_node)
+    monkeypatch.setattr(dc, "backward", recording_backward)
     cfg = desk_train_config(seed=9)
     assert cfg.warmup_epochs == 5
     rng = np.random.default_rng(9)
     mp = ModelParams(cfg.model, seed=9)
     train_step(mp, mp.copy(), rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
                epoch, 5, 1e-3, 0.99, 1)
-    assert len(taped) == 87
-    assert sorted(op for op in taped if op.endswith("loss") or op in ("dcca", "soft_infonce")) == [
-        "dcca", "distill_loss", "rec_loss", "soft_infonce", "total_loss"]
+    (tape,) = tapes
+    assert len(tape) == 43
+    assert Counter(tape) == {"encoder_layer": 12, "matmul": 8, "add_layer_norm": 4, "linear": 6,
+                             "l2_normalize_rows": 4, "linear_tanh": 4, "rec_loss": 1,
+                             "distill_loss": 1, "dcca": 1, "soft_infonce": 1, "total_loss": 1}
 
 
 def test_batch_norm_statistics_follow_the_masked_then_the_clean_pass():
