@@ -1,9 +1,10 @@
 """Closed-form regularized linear CCA.
 
-Serves three roles: the projection appended after training, the classical
-baseline, and the independent reference for the differentiable
-canonical-correlation loss (both share the same covariance regularizer so the
-correspondence is exact).
+Serves two roles: the projection appended after training and the classical
+baseline. ``whiten`` is also the forward of the differentiable
+canonical-correlation loss, so the loss and the linear fit share one
+covariance build, regularizer and whitening, and agree bit for bit; the
+tests check both against scipy.
 """
 
 from __future__ import annotations
@@ -38,6 +39,32 @@ def _inv_sqrt(sym):
     return (q * (w ** -0.5)) @ q.T
 
 
+def whiten(x, y, eps):
+    """(mean_x, mean_y, hx, hy, k_xx, k_yy, u, sv, vt) of the float64 n x dx
+    audio view ``x`` and n x dy visual view ``y``: their means and centred
+    copies, the inverse square roots k of S_xx + eps I and S_yy + eps I
+    (covariances with the n - 1 denominator), and the SVD u, sv, vt of the
+    whitened cross-covariance k_xx S_xy k_yy. A non-finite covariance, or an
+    eigenvalue below 1e-12 after regularization, raises CcaFitError."""
+    n, dx = x.shape
+    dy = y.shape[1]
+    mean_x = x.mean(axis=0, keepdims=True)
+    mean_y = y.mean(axis=0, keepdims=True)
+    hx = x - mean_x
+    hy = y - mean_y
+    denom = n - 1
+    s_xx = hx.T @ hx / denom + eps * np.eye(dx)
+    s_yy = hy.T @ hy / denom + eps * np.eye(dy)
+    s_xy = hx.T @ hy / denom
+    for name, cov in (("audio", s_xx), ("visual", s_yy)):
+        if not np.all(np.isfinite(cov)):
+            raise CcaFitError(f"non-finite {name} covariance")
+    k_xx = _inv_sqrt(s_xx)
+    k_yy = _inv_sqrt(s_yy)
+    u, sv, vt = np.linalg.svd(k_xx @ s_xy @ k_yy)
+    return mean_x, mean_y, hx, hy, k_xx, k_yy, u, sv, vt
+
+
 def fit(x, y, p, eps=1e-4):
     """Fit canonical directions via SVD of the whitened cross-covariance.
 
@@ -54,18 +81,7 @@ def fit(x, y, p, eps=1e-4):
     if not 1 <= p <= min(dx, dy):
         raise CcaFitError(f"fit: p={p} outside 1..{min(dx, dy)}")
 
-    mean_x = x.mean(axis=0, keepdims=True)
-    mean_y = y.mean(axis=0, keepdims=True)
-    hx = x - mean_x
-    hy = y - mean_y
-    denom = n - 1
-    s_xx = hx.T @ hx / denom + eps * np.eye(dx)
-    s_yy = hy.T @ hy / denom + eps * np.eye(dy)
-    s_xy = hx.T @ hy / denom
-
-    k_xx = _inv_sqrt(s_xx)
-    k_yy = _inv_sqrt(s_yy)
-    u, sv, vt = np.linalg.svd(k_xx @ s_xy @ k_yy)
+    mean_x, mean_y, _, _, k_xx, k_yy, u, sv, vt = whiten(x, y, eps)
     a = k_xx @ u[:, :p]
     b = k_yy @ vt[:p].T
     rho = sv[:p].copy()

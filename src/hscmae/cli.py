@@ -153,13 +153,16 @@ def _dims(data):
 
 
 def load_matching(path, split, dims, source):
-    """``load_features`` of a file that must have the audio/visual dims
-    ``dims`` of ``source``; any other dims are a data error."""
+    """``load_features`` of a split to be scored, which must have the
+    audio/visual dims ``dims`` of ``source`` and class labels; other dims, or
+    no labels, are a data error."""
     data = load_features(path, split=split)
     d_audio, d_visual = _dims(data)
     if (d_audio, d_visual) != dims:
         raise DataError(f"{path}: feature dims {d_audio}/{d_visual} differ from the "
                         f"{dims[0]}/{dims[1]} of {source}")
+    if data.labels is None:
+        raise DataError(f"{path}: evaluation needs class labels")
     return data
 
 
@@ -254,8 +257,6 @@ def cmd_eval(args):
     mp, cca_model = load_checkpoint(args.checkpoint)
     data = load_matching(args.features, "test", (mp.config.d_audio, mp.config.d_visual),
                          f"checkpoint {args.checkpoint}")
-    if data.labels is None:
-        raise DataError(f"{args.features}: evaluation needs class labels")
     za, zv = retrieval_embeddings(mp, cca_model, data.audio, data.visual)
     del mp  # the parameter arena is freed before the ranking
     report = cross_modal_map(za, zv, data.labels)

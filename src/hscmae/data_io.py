@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 FEATURE_MAGIC = b"AVFEAT01"
+_LABEL_MAX = 2 ** 32 - 1  # the largest label the container's u32 field holds
 
 
 class DataError(Exception):
@@ -161,7 +162,14 @@ def _load_csv(path, split):
     data = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: non-finite payload")
-    labels = data[:, -1].astype(np.int64) if has_labels else None
+    labels = None
+    if has_labels:
+        labels = data[:, -1]
+        bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels > _LABEL_MAX))
+        if bad.size:
+            raise DataError(f"{path}:{bad[0] + 2}: label {float(labels[bad[0]])!r} is not a whole "
+                            f"number in 0..{_LABEL_MAX}")
+        labels = labels.astype(np.int64)
     return FeatureSet(audio=data[:, :d_a], visual=data[:, d_a:d_a + d_v], labels=labels, split=split)
 
 

@@ -94,31 +94,24 @@ class Tensor:
         return f"<Tensor {self.op} {self.shape}>"
 
 
-def const(value, op="const"):
-    return Tensor(value, op=op)
+def const(value):
+    return Tensor(value)
 
 
 class Parameter:
-    """Learnable float64 matrix with a gradient accumulator and Adam moments.
+    """Learnable float64 matrix of a ``ParamArena``: its value, gradient
+    accumulator and Adam moments are views into the arena's arrays.
 
-    ``value32`` is the float32 mirror of ``value`` inside a ``ParamArena``
-    once the arena's ``prepare_step`` has run (None before, and outside an
-    arena); it holds what the last ``prepare_step`` copied."""
+    ``value32`` is the float32 mirror of ``value`` once the arena's
+    ``prepare_step`` has run (None before); it holds what the last
+    ``prepare_step`` copied."""
 
     __slots__ = ("name", "value", "value32", "grad", "adam_m", "adam_v", "decay")
 
-    def __init__(self, value, name="", decay=True):
-        arr = np.array(value, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"parameter {name!r}: expected 2-D, got {arr.shape}")
+    def __init__(self, name, value, grad, adam_m, adam_v, decay):
         self.name = name
-        self.value = arr
+        self.value, self.grad, self.adam_m, self.adam_v = value, grad, adam_m, adam_v
         self.value32 = None
-        # np.zeros (not zeros_like) maps pages on first write, so buffers that
-        # are never written, such as a teacher's or an eval model's, take no memory
-        self.grad = np.zeros(arr.shape)
-        self.adam_m = np.zeros(arr.shape)
-        self.adam_v = np.zeros(arr.shape)
         self.decay = decay
 
     def tensor(self, dtype=np.float64):
@@ -228,12 +221,8 @@ class ParamArena:
         start = 0
         for (name, shape, decay), size in zip(layout, sizes):
             stop = start + size
-            p = Parameter.__new__(Parameter)  # over views: nothing to copy or zero
-            p.name, p.decay = name, decay
-            p.value, p.grad, p.adam_m, p.adam_v = (
-                a[start:stop].reshape(shape) for a in (self.value, self.grad, self.adam_m, self.adam_v))
-            p.value32 = None
-            self.params.append(p)
+            views = (a[start:stop].reshape(shape) for a in (self.value, self.grad, self.adam_m, self.adam_v))
+            self.params.append(Parameter(name, *views, decay))
             start = stop
 
     def layout(self):
@@ -593,10 +582,13 @@ def add_layer_norm(a, b, gamma, beta):
     return _node("add_layer_norm", y, (a, b, gamma, beta), bwd)
 
 
-def l2_normalize_rows(a, zero_tol=1e-12):
-    """Rows scaled to unit L2 norm; rows with norm < zero_tol map to zeros."""
+ZERO_ROW_NORM = 1e-12
+
+
+def l2_normalize_rows(a):
+    """Rows scaled to unit L2 norm; rows with norm < ZERO_ROW_NORM map to zeros."""
     norms = np.linalg.norm(a.value, axis=1, keepdims=True)
-    live = norms >= zero_tol
+    live = norms >= ZERO_ROW_NORM
     safe = np.where(live, norms, 1.0)
     y = np.where(live, a.value / safe, 0.0)
 

@@ -116,18 +116,13 @@ def cross_modal_map(z_a, z_v, labels):
                            ap_a2v=ap_a2v, ap_v2a=ap_v2a)
 
 
-def _normalize_rows(z):
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return np.where(norms >= 1e-12, z / np.where(norms >= 1e-12, norms, 1.0), 0.0)
-
-
 def retrieval_embeddings(mp, cca_model, audio, visual):
     """Clean eval-mode embeddings, optionally through the appended linear CCA,
     rows L2-normalized for cosine retrieval."""
     za, zv = embed_arrays(mp, audio, visual)
     if cca_model is not None:
         za, zv = cca_linear.transform(cca_model, za, zv)
-    return _normalize_rows(za), _normalize_rows(zv)
+    return tuple(dc.l2_normalize_rows(dc.const(z)).value for z in (za, zv))
 
 
 def evaluate_model(mp, cca_model, test_set):
@@ -148,23 +143,23 @@ def run_baseline(name, train_set, test_set, cfg):
     """
     if test_set.labels is None:
         raise ValueError("run_baseline: labeled test split required")
-    if name == "random":
-        rng = np.random.default_rng(cfg.seed)
-        za = _normalize_rows(rng.normal(size=(test_set.n, cfg.model.proj_dim)))
-        zv = _normalize_rows(rng.normal(size=(test_set.n, cfg.model.proj_dim)))
-        return cross_modal_map(za, zv, test_set.labels)
-    if name == "cca":
-        p = min(cfg.cca_post_dim, train_set.audio.shape[1], train_set.visual.shape[1])
-        model = cca_linear.fit(train_set.audio, train_set.visual, p=p, eps=cfg.cca_eps)
-        za, zv = cca_linear.transform(model, test_set.audio, test_set.visual)
-        return cross_modal_map(_normalize_rows(za), _normalize_rows(zv), test_set.labels)
     if name == "infonce-single":
         bcfg = replace(cfg, use_rec=False, use_cca=False, use_dis=False, use_infonce=True,
                        identity_affinities=True, mask_ratio=0.0)
         result = train(train_set.unlabeled(), bcfg)
         za, zv = retrieval_embeddings(result.params, None, test_set.audio, test_set.visual)
         return cross_modal_map(za, zv, test_set.labels)
-    raise ValueError(f"unknown baseline {name!r}; options: {', '.join(BASELINES)}")
+    if name == "random":
+        rng = np.random.default_rng(cfg.seed)
+        raw = [rng.normal(size=(test_set.n, cfg.model.proj_dim)) for _ in range(2)]
+    elif name == "cca":
+        p = min(cfg.cca_post_dim, train_set.audio.shape[1], train_set.visual.shape[1])
+        model = cca_linear.fit(train_set.audio, train_set.visual, p=p, eps=cfg.cca_eps)
+        raw = cca_linear.transform(model, test_set.audio, test_set.visual)
+    else:
+        raise ValueError(f"unknown baseline {name!r}; options: {', '.join(BASELINES)}")
+    za, zv = (dc.l2_normalize_rows(dc.const(z)).value for z in raw)
+    return cross_modal_map(za, zv, test_set.labels)
 
 
 DEFAULT_SWEEP_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)

@@ -2,7 +2,10 @@
 
 Each loss head, and the weighted total, is one tape node with a closed-form
 gradient. Reconstruction and distillation share one node, the mean squared
-row distance to constant targets averaged over the two modalities.
+row distance to constant targets averaged over the two modalities. The
+canonical-correlation head whitens through ``cca_linear.whiten``, the linear
+fit's own covariances and SVD, so its value is minus the fit's correlation
+sum, bit for bit.
 
 Every loss value is a float64 1 x 1. The canonical-correlation and
 contrastive heads compute in float64 on their n x r inputs whatever those
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore as dc
+from . import cca_linear, diffcore as dc
 
 
 @dataclass(frozen=True)
@@ -59,26 +62,13 @@ def _like(t, grad):
     return grad.astype(t.value.dtype, copy=False)
 
 
-_EIG_CLAMP = 1e-10
-_RANK_TOL = 1e-12
-
-
-def _inv_sqrt(sym):
-    """S^{-1/2}; as in the linear CCA fit, an eigenvalue below 1e-12 raises."""
-    w, q = np.linalg.eigh(sym)
-    if w.min() < _RANK_TOL:
-        raise dc.NumericError(f"dcca_loss: covariance rank-deficient after regularization "
-                              f"(min eig {w.min():.3e})")
-    w = np.maximum(w, _EIG_CLAMP)
-    return (q * (w ** -0.5)) @ q.T
-
-
 def dcca_loss(za, zv, config):
     """Negative sum of the top-r canonical correlations of the two batches.
 
-    Forward: center, regularized covariances, whitened cross-covariance
-    T = S_aa^{-1/2} S_av S_vv^{-1/2}, canonical correlations = singular
-    values of T. Backward: closed-form gradient through whitening.
+    Forward: ``cca_linear.whiten``, the linear fit's own centring,
+    regularized covariances and SVD of T = S_aa^{-1/2} S_av S_vv^{-1/2},
+    whose singular values are the canonical correlations; its CcaFitError
+    becomes a NumericError. Backward: closed-form gradient through whitening.
     """
     n, da = za.shape
     dv = zv.shape[1]
@@ -90,21 +80,10 @@ def dcca_loss(za, zv, config):
     if r > min(da, dv):
         raise ValueError(f"dcca_loss: r={r} exceeds min embedding dim {min(da, dv)}")
 
-    a, v = _float64(za, zv)
-    ha = a - a.mean(axis=0, keepdims=True)
-    hv = v - v.mean(axis=0, keepdims=True)
-    denom = n - 1
-    s_aa = ha.T @ ha / denom + config.eps * np.eye(da)
-    s_vv = hv.T @ hv / denom + config.eps * np.eye(dv)
-    s_av = ha.T @ hv / denom
-    for name, cov in (("audio", s_aa), ("visual", s_vv)):
-        if not np.all(np.isfinite(cov)):
-            raise dc.NumericError(f"dcca_loss: non-finite {name} covariance")
-
-    k_aa = _inv_sqrt(s_aa)
-    k_vv = _inv_sqrt(s_vv)
-    t_mat = k_aa @ s_av @ k_vv
-    u, sv, vt = np.linalg.svd(t_mat)
+    try:
+        _, _, ha, hv, k_aa, k_vv, u, sv, vt = cca_linear.whiten(*_float64(za, zv), config.eps)
+    except cca_linear.CcaFitError as exc:
+        raise dc.NumericError(f"dcca_loss: {exc}") from None
     corr = float(sv[:r].sum())
 
     ur = u[:, :r]
@@ -113,6 +92,7 @@ def dcca_loss(za, zv, config):
     d_av = k_aa @ ur @ vr.T @ k_vv                  # d corr / d S_av
     d_aa = -0.5 * k_aa @ (ur * sr) @ ur.T @ k_aa    # d corr / d S_aa
     d_vv = -0.5 * k_vv @ (vr * sr) @ vr.T @ k_vv
+    denom = n - 1
     grad_a = (2.0 * ha @ d_aa + hv @ d_av.T) / denom
     grad_v = (2.0 * hv @ d_vv + ha @ d_av) / denom
 

@@ -2,9 +2,10 @@
 gate of a plan.
 
 A plan fixes, per sample and per modality, exactly floor(ratio * d) feature
-dimensions chosen uniformly without replacement. The gradient gate is the
-complement indicator of the value mask. Training does not use it: the clean
-pass runs on constant inputs, where a gate could change no output. It is kept
+dimensions chosen uniformly without replacement. ``apply_value_mask`` zeroes
+them in a batch. ``make_grad_gate`` builds the gradient gates of a plan: ones,
+with 0 at the planned positions. Training does not use them: the clean pass
+runs on constant inputs, where a gate could change no output. They are kept
 for the gradient checks of acceptance criterion 1.
 """
 
@@ -37,23 +38,6 @@ def make_plan(n, d_audio, d_visual, ratio, seed):
                     audio_idx=pick(d_audio), visual_idx=pick(d_visual))
 
 
-def _indicator(idx, n, d):
-    ind = np.zeros((n, d))
-    if idx.shape[1]:
-        np.put_along_axis(ind, idx, 1.0, axis=1)
-    return ind
-
-
-def mask_indicator(plan, modality):
-    """0/1 matrix with 1 at masked positions."""
-    n = plan.audio_idx.shape[0]
-    if modality == "audio":
-        return _indicator(plan.audio_idx, n, plan.d_audio)
-    if modality == "visual":
-        return _indicator(plan.visual_idx, n, plan.d_visual)
-    raise ValueError(f"unknown modality {modality!r}")
-
-
 def apply_value_mask(x, plan, modality):
     """Zero the planned positions of ``x``; all others bit-identical. A
     float32 ``x`` stays float32; anything else becomes float64."""
@@ -76,5 +60,9 @@ def apply_value_mask(x, plan, modality):
 
 def make_grad_gate(plan):
     """Gates (audio, visual): 0 at masked positions, 1 elsewhere."""
-    return (1.0 - mask_indicator(plan, "audio"),
-            1.0 - mask_indicator(plan, "visual"))
+    gates = []
+    for idx, d in ((plan.audio_idx, plan.d_audio), (plan.visual_idx, plan.d_visual)):
+        gate = np.ones((idx.shape[0], d))
+        np.put_along_axis(gate, idx, 0.0, axis=1)
+        gates.append(gate)
+    return tuple(gates)

@@ -252,14 +252,14 @@ def fuse(mp, ha, hv):
 def project(mp, ua, uv):
     """Linear projection to the retrieval space, rows L2-normalized.
 
-    Rows whose pre-normalization norm is below 1e-12 stay zero and bump
-    ``mp.zero_row_warnings``.
+    Rows whose pre-normalization norm is below ``dc.ZERO_ROW_NORM`` stay
+    zero and bump ``mp.zero_row_warnings``.
     """
     out = []
     for mod, u in (("a", ua), ("v", uv)):
         dtype = u.value.dtype
         z = dc.linear(u, mp.t(f"proj.{mod}.w", dtype), mp.t(f"proj.{mod}.b", dtype))
-        mp.zero_row_warnings += int((np.linalg.norm(z.value, axis=1) < 1e-12).sum())
+        mp.zero_row_warnings += int((np.linalg.norm(z.value, axis=1) < dc.ZERO_ROW_NORM).sum())
         out.append(dc.l2_normalize_rows(z))
     return tuple(out)
 

@@ -43,8 +43,10 @@ def ema_update(teacher, student, rho):
         tb += (1.0 - rho) * student.buffers[name]
 
 
-def anneal_momentum(epoch, total_epochs, lo=0.95, hi=0.999):
-    """Linear anneal from lo at epoch 1 to hi at the final epoch."""
+def anneal_momentum(epoch, total_epochs):
+    """Linear anneal of the EMA momentum from 0.95 at epoch 1 to 0.999 at
+    the final epoch."""
+    lo, hi = 0.95, 0.999
     if total_epochs < 2:
         return hi
     if not 1 <= epoch <= total_epochs:

@@ -42,6 +42,15 @@ def tiny_model_config(**overrides):
     return ModelConfig(**base)
 
 
+def arena_param(value, name="p", decay=True):
+    """A ``dc.Parameter`` holding a float64 copy of ``value``, the only
+    parameter of its own ``dc.ParamArena``."""
+    value = np.asarray(value, dtype=np.float64)
+    p = dc.ParamArena([(name, value.shape, decay)]).params[0]
+    p.value[...] = value
+    return p
+
+
 def tape_nodes(*roots):
     """(tensor, arrays its closure holds) for every tensor reachable from
     ``roots`` through parent links, each once, roots first. A leaf, or a

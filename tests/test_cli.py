@@ -10,7 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from hscmae import cli, trainer
+from hscmae import cli, evaluate, trainer
 from hscmae.cli import build, build_parser, build_train_config, main, parse_args
 from hscmae.data_io import FeatureSet, SynthConfig, load_features, save_features
 from hscmae.model import ModelConfig, load_entries, save_entries
@@ -286,6 +286,35 @@ def test_mismatched_feature_dims_exit_two(trained, data_files, tmp_path, capsys)
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert f"{other}: feature dims 7/9 differ from the 12/24 of {source}" in err
+    assert not out.exists()
+
+
+def test_unlabeled_scored_split_exits_two(trained, data_files, tmp_path, capsys, monkeypatch):
+    # every command that scores a test split refuses one without labels
+    # before any training, and writes no output
+    ckpt, _, _ = trained
+    train_path, _ = data_files
+    unlabeled = str(tmp_path / "unlabeled.bin")
+    save_features(unlabeled, FeatureSet(audio=np.zeros((20, 12)), visual=np.zeros((20, 24)), labels=None))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the labels")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(evaluate, "train", no_training)
+    out = tmp_path / "out"
+    runs = (
+        ["eval", "--checkpoint", ckpt, "--features", unlabeled, "--report-csv", str(out)],
+        ["train", "--features", train_path, "--out", str(out), "--eval-features", unlabeled,
+         "--eval-every", "1", *SMALL_FLAGS],
+        *(["baseline", "--name", name, "--train-features", train_path, "--test-features", unlabeled,
+           "--report-csv", str(out), *SMALL_FLAGS] for name in ("cca", "random")),
+        *([command, "--train-features", train_path, "--test-features", unlabeled,
+           "--out-csv", str(out), *SMALL_FLAGS] for command in ("sweep", "ablate")),
+    )
+    for argv in runs:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"data error: {unlabeled}: evaluation needs class labels\n"
     assert not out.exists()
 
 

@@ -95,6 +95,23 @@ def test_csv_non_number_cell_error(tmp_path):
         load_features(path)
 
 
+@pytest.mark.parametrize("label", ["2.5", "-0.5", "1e30", "-1", "4294967296"])
+def test_csv_label_must_be_a_whole_number_the_container_holds(tmp_path, label):
+    # the binary container stores labels as u32, so 0..2**32-1 is the range
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a0,v0,label\n1.0,2.0,0\n1.0,2.0,{label}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: label {float(label)!r} is not a whole "
+                                                  "number in 0..4294967295")):
+        load_features(path)
+
+
+@pytest.mark.parametrize("label, value", [("4294967295", 2 ** 32 - 1), ("3.0", 3), ("-0", 0)])
+def test_csv_whole_number_labels_load_exactly(tmp_path, label, value):
+    path = tmp_path / "feat.csv"
+    path.write_text(f"a0,v0,label\n1.0,2.0,{label}\n")
+    assert load_features(path).labels.tolist() == [value]
+
+
 def test_csv_header_only_error(tmp_path):
     path = tmp_path / "empty.csv"
     for text in ("a0,v0,label\n", "a0,v0\n"):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import hscmae.diffcore as dc
 
 import reference_ops as ops
+from conftest import arena_param
 
 
 def keeping_backward(loss):
@@ -166,7 +167,7 @@ def node_grads(node, g):
 
 
 def param(shape, seed=0, name="p"):
-    return dc.Parameter(np.random.default_rng(seed).normal(size=shape), name=name)
+    return arena_param(np.random.default_rng(seed).normal(size=shape), name=name)
 
 
 def check(fn, params, tol=1e-6, **kw):
@@ -186,7 +187,7 @@ def test_tensor_requires_2d():
 
 def test_parameter_requires_2d():
     with pytest.raises(dc.ShapeError):
-        dc.Parameter(np.zeros(3))
+        arena_param(np.zeros(3)).tensor()
 
 
 def test_tensors_keep_float32_and_float64_and_make_anything_else_float64():
@@ -506,7 +507,7 @@ def test_constants_only_subgraph_tapes_nothing():
 def test_linear_bit_identical_to_add_matmul(n, d_in, d_out, taped_input, seed):
     rng = np.random.default_rng(seed)
     x = param((n, d_in), seed=seed, name="x")
-    w, b = dc.Parameter(rng.normal(size=(d_in, d_out))), dc.Parameter(rng.normal(size=(1, d_out)))
+    w, b = arena_param(rng.normal(size=(d_in, d_out))), arena_param(rng.normal(size=(1, d_out)))
     g = rng.normal(size=(n, d_out))
     xt = x.tensor() if taped_input else dc.const(x.value)
     fused = dc.linear(xt, w.tensor(), b.tensor())
@@ -525,7 +526,7 @@ def test_linear_bit_identical_to_add_matmul(n, d_in, d_out, taped_input, seed):
        seed=st.integers(0, 2 ** 16))
 def test_tanh_and_dropout_bit_identical_to_formula(n, d, rate, seed):
     rng = np.random.default_rng(seed)
-    x = dc.Parameter(3.0 * rng.normal(size=(n, d)))
+    x = arena_param(3.0 * rng.normal(size=(n, d)))
     g = rng.normal(size=(n, d))
     y = ops.tanh(x.tensor())
     want = np.tanh(x.value)
@@ -542,8 +543,8 @@ NORM_SCALES = st.sampled_from([1e-3, 0.37, 1.0, 29.0, 1e3])
 @given(n=st.integers(1, 500), d=st.integers(1, 24), scale=NORM_SCALES, seed=st.integers(0, 2 ** 16))
 def test_layer_norm_bit_identical_to_formula(n, d, scale, seed):
     rng = np.random.default_rng(seed)
-    x = dc.Parameter(scale * rng.normal(loc=rng.normal(), size=(n, d)))
-    gamma, beta = dc.Parameter(rng.normal(size=(1, d))), dc.Parameter(rng.normal(size=(1, d)))
+    x = arena_param(scale * rng.normal(loc=rng.normal(), size=(n, d)))
+    gamma, beta = arena_param(rng.normal(size=(1, d))), arena_param(rng.normal(size=(1, d)))
     g = rng.normal(size=(n, d))
     new = ops.layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
     old = formula_layer_norm(x.tensor(), gamma.tensor(), beta.tensor())
@@ -557,8 +558,8 @@ def test_layer_norm_bit_identical_to_formula(n, d, scale, seed):
 def test_batch_norm_bit_identical_to_formula(n, d, scale, train, seed):
     n = max(n, 2) if train else n
     rng = np.random.default_rng(seed)
-    x = dc.Parameter(scale * rng.normal(loc=rng.normal(), size=(n, d)))
-    gamma, beta = dc.Parameter(rng.normal(size=(1, d))), dc.Parameter(rng.normal(size=(1, d)))
+    x = arena_param(scale * rng.normal(loc=rng.normal(), size=(n, d)))
+    gamma, beta = arena_param(rng.normal(size=(1, d))), arena_param(rng.normal(size=(1, d)))
     stats = [rng.normal(size=(1, d)), scale * scale * rng.uniform(0.5, 2.0, size=(1, d))]
     g = rng.normal(size=(n, d))
     new_stats, old_stats = [a.copy() for a in stats], [a.copy() for a in stats]
@@ -571,7 +572,7 @@ def test_batch_norm_bit_identical_to_formula(n, d, scale, train, seed):
 def layer_leaves(dtype, seed, *shapes):
     """Tape leaves in ``dtype`` of parameters of the given shapes, normal draws."""
     rng = np.random.default_rng(seed)
-    params = [dc.Parameter(rng.normal(size=shape)) for shape in shapes]
+    params = [arena_param(rng.normal(size=shape)) for shape in shapes]
     return [dc.Tensor(p.value.astype(dtype), op="param", param=p) for p in params]
 
 
@@ -780,37 +781,45 @@ def test_grad_shared_leaf_accumulates():
 
 
 # ---------------------------------------------------------------------------
-# a lean engine
+# a lean library
 # ---------------------------------------------------------------------------
 
-# used only by acceptance criterion 1: the input-gradient check of the
-# masked path and its finite-difference oracle
-CRITERION_ONE = {"gradient_gate", "grad_check"}
+# public functions with no caller in the library: the input-gradient check of
+# the masked path (acceptance criterion 1) uses the gates, the gate node and
+# the finite-difference oracle, and perfbench reads checkpoints with load_entries
+UNCALLED = {("diffcore", "gradient_gate"), ("diffcore", "grad_check"),
+            ("masking", "make_grad_gate"), ("model", "load_entries")}
 
 
-def diffcore_names_used(path):
-    """Names a module takes from diffcore: ``alias.name`` attributes of an
-    alias bound to the module, and ``from .diffcore import name``."""
-    tree = ast.parse(path.read_text())
-    aliases, used = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "diffcore":
-            used.update(a.name for a in node.names)
-        elif isinstance(node, (ast.ImportFrom, ast.Import)):
-            aliases.update(a.asname or a.name for a in node.names if a.name.endswith("diffcore"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-            used.add(node.attr)
+def library_references(src):
+    """(module, name) of every name the library's code refers to: a bare name
+    in its own module or imported by ``from .module import name``, and
+    ``alias.name`` for an alias bound by ``from . import module``."""
+    used = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        origin, aliases = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        origin[a.asname or a.name] = (node.module, a.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(origin.get(node.id, (path.stem, node.id)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                used.add((aliases[node.value.id], node.attr))
     return used
 
 
-def test_every_public_diffcore_function_has_a_caller_in_the_library():
+def test_every_public_function_has_a_caller_in_the_library():
     src = Path(dc.__file__).parent
-    public = {node.name for node in ast.parse((src / "diffcore.py").read_text()).body
+    public = {(path.stem, node.name) for path in src.glob("*.py")
+              for node in ast.parse(path.read_text()).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    used = set()
-    for path in src.glob("*.py"):
-        if path.name != "diffcore.py":
-            used |= diffcore_names_used(path)
-    assert {"linear", "matmul", "backward"} <= used  # the walk finds the library's calls
-    assert sorted(public - used - CRITERION_ONE) == []
+    used = library_references(src)
+    # the walk finds calls within a module, through an alias and through an import
+    assert {("losses", "warmup_weight"), ("diffcore", "linear"), ("trainer", "train")} <= used
+    assert sorted(public - used - UNCALLED) == []

@@ -1,7 +1,8 @@
 """Unit tests for the four objectives and their combination.
 
-The canonical-correlation term is checked against two independent references:
-the closed-form linear CCA fit and a scipy generalized-eigenvalue solve. The
+The canonical-correlation term shares its whitening with the closed-form
+linear CCA fit, and its value is pinned to the fit's bit for bit; a scipy
+generalized-eigenvalue solve is its independent reference. The
 contrastive node is checked bit for bit against the chain of row log-softmax
 tape nodes it replaced, and the reconstruction, distillation and total nodes
 against the chains of ``reference_ops`` primitives they replaced.
@@ -23,6 +24,7 @@ from hscmae.model import LOSS_NAMES
 from hscmae.teacher import identity_affinities, mine_affinities
 
 import reference_ops as ops
+from conftest import arena_param
 
 
 def random_pair(n, da, dv, seed):
@@ -60,6 +62,17 @@ def test_dcca_matches_linear_fit():
     assert abs(-loss.value[0, 0] - model.rho.sum()) < 1e-8
 
 
+def test_dcca_value_is_the_linear_fit_rho_sum_bit_for_bit():
+    # criterion 2's inputs; the loss and the fit share cca_linear.whiten
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        za = rng.normal(size=(60, 5))
+        zv = 0.6 * za @ rng.normal(size=(5, 5)) + 0.4 * rng.normal(size=(60, 5))
+        loss = dcca_loss(dc.const(za), dc.const(zv), CcaConfig(r=5, eps=1e-4))
+        rho_sum = cca_linear.fit(za, zv, p=5, eps=1e-4).rho.sum()
+        assert bits(loss.value[0, 0]) == bits(-rho_sum), f"seed {seed}"
+
+
 def test_dcca_matches_generalized_eigen_oracle():
     for seed in range(5):
         za, zv = random_pair(80, 6, 4, seed=seed)
@@ -92,8 +105,8 @@ def test_dcca_huge_regularizer_kills_correlation():
 
 
 def test_dcca_gradient_against_finite_differences():
-    pa = dc.Parameter(np.random.default_rng(5).normal(size=(12, 4)), name="za")
-    pv = dc.Parameter(np.random.default_rng(6).normal(size=(12, 3)), name="zv")
+    pa = arena_param(np.random.default_rng(5).normal(size=(12, 4)), name="za")
+    pv = arena_param(np.random.default_rng(6).normal(size=(12, 3)), name="zv")
     cfg = CcaConfig(r=3, eps=1e-2)
     err = dc.grad_check(lambda: dcca_loss(pa.tensor(), pv.tensor(), cfg),
                         [pa, pv], max_coords=8)
@@ -103,9 +116,9 @@ def test_dcca_gradient_against_finite_differences():
 def test_dcca_rank_deficient_covariance_raises_like_linear_fit():
     # constant inputs leave only the regularizer, here far below the rank tolerance
     za, zv = np.ones((10, 3)), np.ones((10, 3))
-    with pytest.raises(dc.NumericError, match="dcca_loss: covariance rank-deficient"):
+    with pytest.raises(dc.NumericError, match="^dcca_loss: covariance rank-deficient after regularization"):
         dcca_loss(dc.const(za), dc.const(zv), CcaConfig(r=3, eps=1e-300))
-    with pytest.raises(cca_linear.CcaFitError):
+    with pytest.raises(cca_linear.CcaFitError, match="^covariance rank-deficient after regularization"):
         cca_linear.fit(za, zv, p=3, eps=1e-300)
 
 
@@ -166,9 +179,9 @@ def bits(x):
 def infonce_value_and_grads(loss_fn, za, zv, targets, tau, epoch, sigma):
     """Loss value and both input gradients, with the upstream gradient that
     total_loss sends: the warm-up weight at epoch 1, exp(-sigma) at epoch 6."""
-    pa, pv = dc.Parameter(za, name="za"), dc.Parameter(zv, name="zv")
+    pa, pv = arena_param(za, name="za"), arena_param(zv, name="zv")
     term = loss_fn(pa.tensor(), pv.tensor(), targets, tau)
-    sigmas = {"infonce": dc.Parameter([[sigma]], name="sigma.infonce", decay=False)}
+    sigmas = {"infonce": arena_param([[sigma]], name="sigma.infonce", decay=False)}
     total, _ = total_loss(LossBundle(infonce=term), sigmas, epoch, warmup_epochs=5)
     dc.backward(total)
     return term.value, pa.grad, pv.grad
@@ -194,7 +207,7 @@ def test_soft_infonce_is_one_node_with_the_closed_form_gradient():
     za, zv = unit_rows(rng.normal(size=(n, 4))), unit_rows(rng.normal(size=(n, 4)))
     targets = mine_affinities(unit_rows(rng.normal(size=(n, 4))), unit_rows(rng.normal(size=(n, 4))),
                               k=3, tau=tau)
-    pa, pv = dc.Parameter(za, name="za"), dc.Parameter(zv, name="zv")
+    pa, pv = arena_param(za, name="za"), arena_param(zv, name="zv")
     loss = soft_infonce(pa.tensor(), pv.tensor(), targets, tau)
     assert [p.op for p in loss._parents] == ["param", "param"]
     dc.backward(loss)
@@ -254,8 +267,8 @@ def test_soft_infonce_rejects_bad_weights():
 
 
 def test_soft_infonce_gradient():
-    pa = dc.Parameter(np.random.default_rng(10).normal(size=(5, 4)), name="za")
-    pv = dc.Parameter(np.random.default_rng(11).normal(size=(5, 4)), name="zv")
+    pa = arena_param(np.random.default_rng(10).normal(size=(5, 4)), name="za")
+    pv = arena_param(np.random.default_rng(11).normal(size=(5, 4)), name="zv")
     targets = identity_affinities(5)
 
     def fn():
@@ -305,13 +318,13 @@ def test_rec_loss_manual():
 
 
 def test_distill_zero_at_equality_and_teacher_gradient_free():
-    p = dc.Parameter(np.random.default_rng(13).normal(size=(4, 3)), name="z")
+    p = arena_param(np.random.default_rng(13).normal(size=(4, 3)), name="z")
     student = p.tensor()
     teacher = p.tensor()
     loss = distill_loss(student, student, teacher, teacher)
     assert loss.value[0, 0] == 0.0
 
-    q = dc.Parameter(np.random.default_rng(14).normal(size=(4, 3)), name="t")
+    q = arena_param(np.random.default_rng(14).normal(size=(4, 3)), name="t")
     loss = distill_loss(p.tensor(), p.tensor(), q.tensor(), q.tensor())
     dc.backward(loss)
     assert np.all(q.grad == 0.0)
@@ -329,7 +342,7 @@ def make_bundle(values):
 
 def sigma_set(vals=(0.0, 0.0, 0.0, 0.0)):
     names = ("rec", "cca", "infonce", "dis")
-    return {n: dc.Parameter(np.array([[v]]), name=f"sigma.{n}", decay=False)
+    return {n: arena_param(np.array([[v]]), name=f"sigma.{n}", decay=False)
             for n, v in zip(names, vals)}
 
 
@@ -367,7 +380,7 @@ def loss_heads_run(heads, data, active, epoch, warmup_epochs, target_tensors):
     params = {}
 
     def leaf(name, value, dtype=np.float32):
-        p = params[name] = dc.Parameter(value, name=name)
+        p = params[name] = arena_param(value, name=name)
         return dc.Tensor(p.value.astype(dtype), op="param", param=p)
 
     bundle = LossBundle()
@@ -424,7 +437,7 @@ def test_loss_heads_bit_identical_to_composed(active, n, da, dv, target_dtype, t
 def test_paired_mse_is_one_node_returning_gradients_in_the_predictions_dtype(head, target_dtype):
     rng = np.random.default_rng(16)
     preds = [dc.Tensor(rng.normal(size=(5, d)).astype(np.float32), op="param",
-                       param=dc.Parameter(np.zeros((5, d)))) for d in (3, 4)]
+                       param=arena_param(np.zeros((5, d)))) for d in (3, 4)]
     targets = [rng.normal(size=(5, d)).astype(target_dtype) for d in (3, 4)]
     loss = head(*targets, *preds) if head is rec_loss else head(*preds, *targets)
     assert loss.op == head.__name__ and loss.value.dtype == np.float64

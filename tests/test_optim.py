@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
-from hscmae.diffcore import BLOCK, NumericError, ParamArena, Parameter
+from hscmae.diffcore import BLOCK, NumericError, ParamArena
 from hscmae.optim import OptimConfig, adamw_step, clip_global_norm, cosine_lr
 from hscmae.teacher import ema_update
+
+from conftest import arena_param
 
 
 def listwise_clip_global_norm(params, max_norm):
@@ -166,7 +168,7 @@ def test_blocked_passes_bit_identical_to_listwise(sizes, exempt, weight_decay, s
     decay = [True] * len(sizes) + [False] * exempt
     values = [rng.normal(size=shape) for shape in shapes]
     arena = make_arena(*values, decay=decay)
-    listed = [Parameter(v, name=f"p{i}", decay=d) for i, (v, d) in enumerate(zip(values, decay))]
+    listed = [arena_param(v, name=f"p{i}", decay=d) for i, (v, d) in enumerate(zip(values, decay))]
     cfg = OptimConfig(lr0=0.01, weight_decay=weight_decay)
     for step in range(1, steps + 1):
         for p, q in zip(arena.params, listed):
