@@ -58,8 +58,14 @@ class FeatureSet:
 
 def save_features(path, fs):
     """Binary container: magic, u32 n/d_a/d_v, u8 has-labels, row-major
-    little-endian float32 audio then visual blocks, optional u32 labels."""
+    little-endian float32 audio then visual blocks, optional u32 labels.
+    Either format refuses a label outside 0..2^32-1 before writing anything."""
     path = str(path)
+    if fs.labels is not None:
+        bad = np.flatnonzero((fs.labels < 0) | (fs.labels > _LABEL_MAX))
+        if bad.size:
+            raise DataError(f"{path}: label {int(fs.labels[bad[0]])} of sample {bad[0]} is "
+                            f"outside 0..{_LABEL_MAX}")
     if path.endswith(".csv"):
         _save_csv(path, fs)
         return
@@ -196,6 +202,8 @@ class SynthConfig:
             raise ValueError("SynthConfig: scales must be positive")
         if min(self.per_class, self.d_audio, self.d_visual, self.latent_dim) < 1:
             raise ValueError("SynthConfig: per_class, d_audio, d_visual and latent_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(config):

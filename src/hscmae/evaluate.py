@@ -139,13 +139,14 @@ def run_baseline(name, train_set, test_set, cfg):
     random: fixed-seed random unit embeddings. cca: linear CCA fitted on the
     raw training features (p = cfg.cca_post_dim). infonce-single: the same
     architecture trained with only the single-positive symmetric contrastive
-    loss (identity affinity rows, no masking), scored on its raw projections.
+    loss (k = 1: each anchor's whole weight on its pair; no masking), scored
+    on its raw projections.
     """
     if test_set.labels is None:
         raise ValueError("run_baseline: labeled test split required")
     if name == "infonce-single":
         bcfg = replace(cfg, use_rec=False, use_cca=False, use_dis=False, use_infonce=True,
-                       identity_affinities=True, mask_ratio=0.0)
+                       k=1, mask_ratio=0.0)
         result = train(train_set.unlabeled(), bcfg)
         za, zv = retrieval_embeddings(result.params, None, test_set.audio, test_set.visual)
         return cross_modal_map(za, zv, test_set.labels)
@@ -176,14 +177,17 @@ def mask_ratio_sweep(train_set, test_set, cfg, ratios=DEFAULT_SWEEP_RATIOS):
     return rows
 
 
-def rank_list_rows(z_a, z_v, labels, direction="a2v", top=10):
-    """Per-query top-N rank lists as CSV rows (query id, ranked gallery ids,
-    relevance bits)."""
-    sims = z_a @ z_v.T if direction == "a2v" else z_v @ z_a.T
+RANK_LIST_TOP = 10  # gallery items per query in a rank list
+
+
+def rank_list_rows(z_a, z_v, labels):
+    """Per-query audio-to-visual top-RANK_LIST_TOP rank lists as CSV rows
+    (query id, ranked gallery ids, relevance bits)."""
+    sims = z_a @ z_v.T
     labels = np.asarray(labels)
     rows = ["query,rank,gallery,relevant"]
     # descending similarity; the stable sort keeps ties in gallery order
-    orders = np.argsort(-sims, axis=1, kind="stable")[:, :top]
+    orders = np.argsort(-sims, axis=1, kind="stable")[:, :RANK_LIST_TOP]
     for i, order in enumerate(orders):
         for rank, j in enumerate(order, start=1):
             rows.append(f"{i},{rank},{j},{int(labels[j] == labels[i])}")

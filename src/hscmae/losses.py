@@ -103,61 +103,54 @@ def dcca_loss(za, zv, config):
     return dc._node("dcca", [[-corr]], (za, zv), bwd)
 
 
-def _log_softmax_rows(lg, tau):
-    """z - (zmax + log(sum(exp(z - zmax)))) with z = lg / tau, by rows, on
-    two n x n arrays: the result and the exponentials."""
-    z = lg / tau
-    zmax = z.max(axis=1, keepdims=True)
-    e = z - zmax
-    np.exp(e, out=e)
-    z -= zmax + np.log(e.sum(axis=1, keepdims=True))
-    return z
-
-
 def soft_infonce(za, zv, targets, tau):
     """Symmetric affinity-weighted cross-modal InfoNCE as one tape node.
 
-    Logits L = za zv^T are cosine similarities of unit rows; each anchor's
-    cross-entropy target is its mined weight row, over softmax(L/tau) rows
+    Logits L = za zv^T are cosine similarities of unit rows. Each anchor's
+    cross-entropy target is its mined neighbourhood (``AffinityTargets``: m
+    distinct columns per row and their weights W), over softmax(L/tau) rows
     (a2v) or softmax(L^T/tau) rows (v2a), and the two directions are averaged.
-    Gradient: dL = ((P_a2v - W_a2v) + (P_v2a - W_v2a)^T) / (2 n tau), with
-    dza = dL zv and dzv = dL^T za, evaluated in the operand order of a row
-    log-softmax chain so that it matches that chain bit for bit.
+    With z = L/tau, a row's cross-entropy is -sum_j W_j (z_j - logsumexp(z))
+    over its m columns; every term is <= 0 in floating point, so the loss is
+    >= 0. Gradient: dL = (D_a2v + D_v2a^T) / (2 n tau), where D is the
+    softmax P scaled by each row's weight sum, minus W scattered at its
+    columns; dza = dL zv and dzv = dL^T za.
     """
     if tau <= 0:
         raise ValueError("soft_infonce: temperature must be positive")
     n = za.shape[0]
     if zv.shape != za.shape:
         raise dc.ShapeError(f"soft_infonce: {za.shape} vs {zv.shape}")
-    w_a2v, w_v2a = targets.w_a2v, targets.w_v2a
-    for name, w in (("a2v", w_a2v), ("v2a", w_v2a)):
-        if w.shape != (n, n):
-            raise dc.ShapeError(f"soft_infonce: weight matrix {name} has shape {w.shape}")
-        if np.abs(w.sum(axis=1) - 1.0).max() > 1e-6:
-            raise ValueError(f"soft_infonce: {name} weight rows do not sum to 1")
 
     za_v, zv_v = _float64(za, zv)
     logits = za_v @ zv_v.T
-    y_a = _log_softmax_rows(logits, tau)
-    y_v = _log_softmax_rows(logits.T, tau)
     c = -1.0 / n
-    loss = (float((w_a2v * y_a).sum()) * c + float((w_v2a * y_v).sum()) * c) * 0.5
-
-    # in place on two n x n arrays per direction: a desk step's n x n
-    # temporaries are freed at its end, and the fewer there are, the less
-    # memory the allocator hands back to the system and faults in again
-    def direction(s, w, y):
-        gw = w * s
-        p = np.exp(y)
-        p *= gw.sum(axis=1, keepdims=True)
-        gw -= p
-        gw /= tau
-        return gw
+    halves, saved = [], []
+    for name, lg, (idx, w) in (("a2v", logits, targets.a2v), ("v2a", logits.T, targets.v2a)):
+        if idx.shape != w.shape or w.ndim != 2 or w.shape[0] != n:
+            raise dc.ShapeError(f"soft_infonce: {name} targets have shapes {idx.shape} and {w.shape}")
+        if np.abs(w.sum(axis=1) - 1.0).max() > 1e-6:
+            raise ValueError(f"soft_infonce: {name} weight rows do not sum to 1")
+        p = lg / tau  # z, then in place the softmax rows from one exponential pass
+        zmax = p.max(axis=1, keepdims=True)
+        y = np.take_along_axis(p, idx, axis=1)
+        p -= zmax
+        np.exp(p, out=p)
+        sums = p.sum(axis=1, keepdims=True)
+        y -= zmax + np.log(sums)
+        p /= sums
+        halves.append(float((w * y).sum()) * c)
+        saved.append((idx, w, p))
+    loss = (halves[0] + halves[1]) * 0.5
+    rows = np.arange(n)[:, None]
 
     def bwd(g):
-        s = (g * 0.5 * c)[0, 0]
-        d = direction(s, w_a2v, y_a)
-        d += direction(s, w_v2a, y_v).T
+        for idx, w, p in saved:  # in place: only this backward reads the softmax rows
+            p *= w.sum(axis=1, keepdims=True)
+            p[rows, idx] -= w
+        d = saved[0][2]
+        d += saved[1][2].T
+        d *= (g * -0.5 * c)[0, 0] / tau
         return _like(za, d @ zv_v), _like(zv, (za_v.T @ d).T)
 
     return dc._node("soft_infonce", [[loss]], (za, zv), bwd)

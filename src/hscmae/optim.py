@@ -25,6 +25,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.lr0 <= 0:
             raise ValueError("OptimConfig: lr0 must be positive")
+        if self.weight_decay < 0:
+            raise ValueError(f"OptimConfig: weight_decay must be >= 0, got {self.weight_decay}")
         if self.clip_norm <= 0:
             raise ValueError("OptimConfig: clip_norm must be positive")
         if self.cosine_t_max < 1:

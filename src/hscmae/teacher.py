@@ -2,7 +2,8 @@
 
 The teacher is a momentum-averaged copy of the student. It never receives
 gradients; its clean eval-mode embeddings supply the affinity targets for the
-multi-positive contrastive loss and the targets for distillation.
+multi-positive contrastive loss and the targets for distillation. Targets
+are m = min(k, n) neighbour indices and weights per anchor, not n x n rows.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from .diffcore import NumericError
 
 @dataclass(frozen=True)
 class AffinityTargets:
-    """Dense per-anchor weight rows (zeros outside the mined neighborhood)."""
-    w_a2v: np.ndarray
-    w_v2a: np.ndarray
+    """Per direction, an (indices, weights) pair of n x m arrays: row i
+    names m distinct columns, the pair i first, and their weights, which
+    sum to 1. Every other column's weight is zero."""
+    a2v: tuple
+    v2a: tuple
 
 
 def ema_update(teacher, student, rho):
@@ -55,24 +58,22 @@ def anneal_momentum(epoch, total_epochs):
 
 
 def _mine_direction(scores, k, tau):
-    """Soft top-k rows for one direction, all anchors at once.
+    """Soft top-k (indices, weights), both n x min(k, n), for one direction.
 
     Row i's neighbourhood is i itself, then the min(k, n) - 1 highest
     off-diagonal scores of row i in descending order, equal scores going to
     the lower column index. Its weights are a softmax of score / tau taken
-    over the neighbourhood in that order; every other weight is zero.
-    Selection is O(n^2) for any k: a partition finds each row's m-th largest
-    score t, every score above t is taken, and the remaining slots go to the
-    scores equal to t from the lowest column up. Scores must be finite.
+    over the neighbourhood in that order. Selection is O(n^2) for any k: a
+    partition finds each row's m-th largest score t, every score above t is
+    taken, and the remaining slots go to the scores equal to t from the
+    lowest column up. Scores must be finite.
     """
     n = scores.shape[0]
     m = min(k, n) - 1
     rows = np.arange(n)
     neigh = rows[:, None]
-    # one n x n buffer serves the partition and then the output: fresh pages
-    # cost more than the arithmetic at batch sizes in the hundreds
-    w = scores.copy()
     if m > 0:
+        w = scores.copy()  # the partition works in place
         w[rows, rows] = -np.inf
         w.partition(n - m, axis=1)
         t = w[:, n - m, None]
@@ -92,9 +93,7 @@ def _mine_direction(scores, k, tau):
         neigh = np.concatenate([neigh, np.take_along_axis(cols, order, axis=1)], axis=1)
     logits = np.take_along_axis(scores, neigh, axis=1) / tau
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    w[...] = 0.0
-    np.put_along_axis(w, neigh, e / e.sum(axis=1, keepdims=True), axis=1)
-    return w
+    return neigh, e / e.sum(axis=1, keepdims=True)
 
 
 def mine_affinities(zt_a, zt_v, k, tau):
@@ -103,8 +102,9 @@ def mine_affinities(zt_a, zt_v, k, tau):
     For each anchor the paired index is force-included, the remaining k-1
     slots take the highest cosine scores (ties toward the lower index), and
     the weights are a temperature-scaled softmax over the neighborhood. Both
-    directions are mined; the result carries no gradient by construction
-    (plain arrays). Non-finite scores raise NumericError.
+    directions are mined, each as n x min(k, n) indices and weights; the
+    result carries no gradient by construction (plain arrays). Non-finite
+    scores raise NumericError.
     """
     if k < 1:
         raise ValueError("mine_affinities: k must be >= 1")
@@ -113,15 +113,13 @@ def mine_affinities(zt_a, zt_v, k, tau):
     scores = zt_a @ zt_v.T
     if not np.all(np.isfinite(scores)):
         raise NumericError("mine_affinities: non-finite similarity scores")
-    return AffinityTargets(w_a2v=_mine_direction(scores, k, tau),
-                           w_v2a=_mine_direction(scores.T, k, tau))
+    return AffinityTargets(a2v=_mine_direction(scores, k, tau),
+                           v2a=_mine_direction(scores.T, k, tau))
 
 
 def identity_affinities(n, tau=None):
-    """Single-positive targets: each anchor's entire weight on its pair.
-
-    The targets do not depend on a temperature; ``tau`` is accepted and
-    ignored so that callers of the earlier signature (acceptance criterion
-    4 among them) keep working."""
-    eye = np.eye(n)
-    return AffinityTargets(w_a2v=eye, w_v2a=eye.copy())
+    """Single-positive targets, each anchor's whole weight on its pair: what
+    mining with k = 1 returns, bit for bit. They need no temperature;
+    ``tau`` is accepted and ignored, as acceptance criterion 4 passes it."""
+    return AffinityTargets(a2v=(np.arange(n)[:, None], np.ones((n, 1))),
+                           v2a=(np.arange(n)[:, None], np.ones((n, 1))))

@@ -28,7 +28,7 @@ from .model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, confi
                     config_from_entries, decode, embed_arrays, encode, forward_embed, fuse,
                     project, read_index, save_entries)
 from .optim import OptimConfig, adamw_step, clip_global_norm, cosine_lr
-from .teacher import anneal_momentum, ema_update, identity_affinities, mine_affinities
+from .teacher import anneal_momentum, ema_update, mine_affinities
 
 
 @dataclass(frozen=True)
@@ -45,26 +45,21 @@ class TrainConfig:
     use_cca: bool = True
     use_infonce: bool = True
     use_dis: bool = True
-    identity_affinities: bool = False  # single-positive contrastive baseline
-    cca_r: int | None = None           # canonical directions; default proj_dim
+    cca_r: int | None = None  # canonical directions; default proj_dim
     cca_eps: float = 1e-4
     cca_post_dim: int = 10
     seed: int = 0
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        for name, low in (("epochs", 1), ("batch_size", 2), ("k", 1), ("warmup_epochs", 0),
+                          ("cca_post_dim", 1), ("seed", 0), ("eval_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.cca_post_dim < 1:
-            raise ValueError(f"cca_post_dim must be >= 1, got {self.cca_post_dim}")
         if not any(self.active_losses().values()):
             raise ValueError("all loss terms disabled; enable at least one")
 
@@ -148,10 +143,7 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     if active["infonce"] or active["dis"]:
         zt_a, zt_v = embed_arrays(teacher, xa, xv)
         if active["infonce"]:
-            if cfg.identity_affinities:
-                targets = identity_affinities(n)
-            else:
-                targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
+            targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
             bundle.infonce = soft_infonce(z_mae[0], z_mae[1], targets, cfg.tau)
         if active["dis"]:
             bundle.dis = distill_loss(z_mae[0], z_mae[1], zt_a, zt_v)

@@ -9,7 +9,9 @@ the former trunk layers (``test_diffcore.composed_encoder_layer`` and its
 siblings), against which the layer nodes are checked bit for bit;
 ``average_precision`` is the per-query AP of the loop oracle of the
 retrieval tests. Each primitive goes through ``diffcore._node`` as the
-library's own do.
+library's own do. ``dense_rows`` is the n x n weight-row view of one
+direction of mined affinity targets, which the mining and contrastive
+oracles read.
 """
 
 import numpy as np
@@ -187,3 +189,13 @@ def average_precision(relevance):
         raise ValueError("average_precision: no relevant items")
     hits = np.flatnonzero(bits)
     return float(np.mean(np.cumsum(bits)[hits] / (hits + 1)))
+
+
+def dense_rows(pair):
+    """The n x n weight rows of an (indices, weights) target pair: zeros but
+    each row's weights at its columns. Scattering into zeros is exact, so
+    the view keeps every weight's bits."""
+    idx, w = pair
+    rows = np.zeros((idx.shape[0], idx.shape[0]))
+    np.put_along_axis(rows, idx, w, axis=1)
+    return rows

@@ -446,7 +446,8 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
     for flag, value, reason in (("--noise", "-1", "scales must be positive"),
                                 ("--per-class", "-1", "per_class, d_audio"),
                                 ("--per-class", "0", "per_class, d_audio"),
-                                ("--d-audio", "0", "per_class, d_audio")):
+                                ("--d-audio", "0", "per_class, d_audio"),
+                                ("--seed", "-3", "SynthConfig: seed must be >= 0, got -3")):
         assert main(["synth", *synth_out, flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and reason in err
@@ -485,6 +486,10 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
                                 ("--tau", "0", "tau must be > 0"),
                                 ("--t-max", "0", "cosine_t_max must be >= 1"),
                                 ("--cca-post-dim", "0", "cca_post_dim must be >= 1"),
+                                ("--seed", "-1", "seed must be >= 0, got -1"),
+                                ("--eval-every", "-1", "eval_every must be >= 0, got -1"),
+                                ("--warmup-epochs", "-4", "warmup_epochs must be >= 0, got -4"),
+                                ("--weight-decay", "-1", "weight_decay must be >= 0, got -1.0"),
                                 ("--batch-size", "61", "batch_size 61 exceeds the 60 samples")):
         assert main(["train", "--features", train_path, "--out", str(out),
                      *SMALL_FLAGS, flag, value]) == 1

@@ -112,6 +112,20 @@ def test_csv_whole_number_labels_load_exactly(tmp_path, label, value):
     assert load_features(path).labels.tolist() == [value]
 
 
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+@pytest.mark.parametrize("labels, first", [([-1, 2 ** 33 + 5], "label -1 of sample 0"),
+                                           ([0, 2 ** 32], "label 4294967296 of sample 1")])
+def test_save_refuses_labels_the_container_cannot_hold(tmp_path, suffix, labels, first):
+    path = tmp_path / f"feat{suffix}"
+    fs = FeatureSet(audio=np.ones((2, 1)), visual=np.ones((2, 1)), labels=labels)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {first} is outside 0..4294967295")):
+        save_features(path, fs)
+    assert not path.exists()  # refused before the file is opened
+    fs.labels[:] = [0, 2 ** 32 - 1]  # the range's ends save and load exactly
+    save_features(path, fs)
+    assert load_features(path).labels.tolist() == [0, 2 ** 32 - 1]
+
+
 def test_csv_header_only_error(tmp_path):
     path = tmp_path / "empty.csv"
     for text in ("a0,v0,label\n", "a0,v0\n"):

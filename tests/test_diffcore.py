@@ -786,9 +786,11 @@ def test_grad_shared_leaf_accumulates():
 
 # public functions with no caller in the library: the input-gradient check of
 # the masked path (acceptance criterion 1) uses the gates, the gate node and
-# the finite-difference oracle, and perfbench reads checkpoints with load_entries
+# the finite-difference oracle, the InfoNCE reduction (criterion 4) builds
+# single-positive targets, and perfbench reads checkpoints with load_entries
 UNCALLED = {("diffcore", "gradient_gate"), ("diffcore", "grad_check"),
-            ("masking", "make_grad_gate"), ("model", "load_entries")}
+            ("masking", "make_grad_gate"), ("model", "load_entries"),
+            ("teacher", "identity_affinities")}
 
 
 def library_references(src):

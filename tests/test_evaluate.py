@@ -298,24 +298,23 @@ def test_report_and_rank_list_rows():
     rows = report_rows([("model", report)])
     assert rows[0] == "name,map_a2v,map_v2a,map_avg,gap"
     assert rows[1].startswith("model,")
-    rl = rank_list_rows(z, z.copy(), labels, top=2)
+    rl = rank_list_rows(z, z.copy(), labels)
     assert rl[0] == "query,rank,gallery,relevant"
     assert rl[1] == "0,1,0,1"  # query 0 retrieves itself first
-    assert len(rl) == 1 + 2 * 2
+    assert len(rl) == 1 + 2 * 2  # a gallery smaller than RANK_LIST_TOP is listed whole
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_rank_list_rows_match_lexsort_ranking(data):
-    n = data.draw(st.integers(1, 40), label="n")  # past the 16-item insertion-sort cutoff
+    # n on both sides of RANK_LIST_TOP, and past the 16-item insertion-sort cutoff
+    n = data.draw(st.integers(1, 4 * evaluate.RANK_LIST_TOP), label="n")
     raw = data.draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)), label="z_v")
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 2)), label="labels")
     z_a, z_v = np.eye(n), np.round(raw, 1)  # similarities are z_v's entries, ties common
-    top = data.draw(st.integers(1, n + 2), label="top")
-    for direction in ("a2v", "v2a"):
-        sims = z_a @ z_v.T if direction == "a2v" else z_v @ z_a.T
-        want = ["query,rank,gallery,relevant"]
-        for i in range(n):
-            for rank, j in enumerate(rank_gallery(sims[i])[:top], start=1):
-                want.append(f"{i},{rank},{j},{int(labels[j] == labels[i])}")
-        assert rank_list_rows(z_a, z_v, labels, direction=direction, top=top) == want
+    sims = z_a @ z_v.T
+    want = ["query,rank,gallery,relevant"]
+    for i in range(n):
+        for rank, j in enumerate(rank_gallery(sims[i])[:evaluate.RANK_LIST_TOP], start=1):
+            want.append(f"{i},{rank},{j},{int(labels[j] == labels[i])}")
+    assert rank_list_rows(z_a, z_v, labels) == want

@@ -3,9 +3,11 @@
 The canonical-correlation term shares its whitening with the closed-form
 linear CCA fit, and its value is pinned to the fit's bit for bit; a scipy
 generalized-eigenvalue solve is its independent reference. The
-contrastive node is checked bit for bit against the chain of row log-softmax
-tape nodes it replaced, and the reconstruction, distillation and total nodes
-against the chains of ``reference_ops`` primitives they replaced.
+contrastive node reads k neighbours per anchor; it is checked against the
+dense form, a chain of row log-softmax tape nodes over the n x n weight
+rows, at stated tolerances. The reconstruction, distillation and total nodes
+are checked bit for bit against the chains of ``reference_ops`` primitives
+they replaced.
 """
 
 import warnings
@@ -21,7 +23,7 @@ from hscmae import cca_linear
 from hscmae.losses import (CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss,
                            soft_infonce, total_loss, warmup_weight)
 from hscmae.model import LOSS_NAMES
-from hscmae.teacher import identity_affinities, mine_affinities
+from hscmae.teacher import AffinityTargets, identity_affinities, mine_affinities
 
 import reference_ops as ops
 from conftest import arena_param
@@ -162,13 +164,14 @@ def _row_log_softmax(a, temp):
 
 
 def composed_soft_infonce(za, zv, targets, tau):
-    """The contrastive loss composed from 13 tape nodes (transpose, matmul,
-    row log-softmax, product with the constant weights, sum, scale and add),
-    the reference oracle for the single node."""
+    """The dense contrastive loss composed from 13 tape nodes (transpose,
+    matmul, row log-softmax, product with the constant n x n weight rows,
+    sum, scale and add), the reference oracle for the single node."""
     n = za.shape[0]
     logits = dc.matmul(za, _transpose(zv))
-    half_a = ops.scale(ops.sum_all(ops.mul(dc.const(targets.w_a2v), _row_log_softmax(logits, tau))), -1.0 / n)
-    half_v = ops.scale(ops.sum_all(ops.mul(dc.const(targets.w_v2a), _row_log_softmax(_transpose(logits), tau))), -1.0 / n)
+    w_a, w_v = (dc.const(ops.dense_rows(pair)) for pair in (targets.a2v, targets.v2a))
+    half_a = ops.scale(ops.sum_all(ops.mul(w_a, _row_log_softmax(logits, tau))), -1.0 / n)
+    half_v = ops.scale(ops.sum_all(ops.mul(w_v, _row_log_softmax(_transpose(logits), tau))), -1.0 / n)
     return ops.scale(ops.add(half_a, half_v), 0.5)
 
 
@@ -191,14 +194,21 @@ def infonce_value_and_grads(loss_fn, za, zv, targets, tau, epoch, sigma):
 @given(n=st.integers(1, 40), d=st.integers(1, 8), mined=st.booleans(), k=st.integers(1, 6),
        tau=st.sampled_from([0.01, 0.05, 0.2, 1.0]), epoch=st.sampled_from([1, 6]),
        sigma=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_soft_infonce_bit_identical_to_composed(n, d, mined, k, tau, epoch, sigma, seed):
+def test_soft_infonce_matches_the_dense_composed_oracle(n, d, mined, k, tau, epoch, sigma, seed):
+    """Only the summation order differs from the dense chain: the value
+    agrees to 1e-12 relative, and each gradient entry to 1e-12 times the
+    upstream gradient / (n tau), the scale of the gradients. The value is
+    >= 0 exactly, as perfbench's step check requires."""
     rng = np.random.default_rng(seed)
     za, zv, ta, tv = (unit_rows(rng.normal(size=(n, d))) for _ in range(4))
     targets = mine_affinities(ta, tv, k=k, tau=tau) if mined else identity_affinities(n)
     got = infonce_value_and_grads(soft_infonce, za, zv, targets, tau, epoch, sigma)
     want = infonce_value_and_grads(composed_soft_infonce, za, zv, targets, tau, epoch, sigma)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(bits(g), bits(w))
+    assert got[0][0, 0] >= 0.0
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+    upstream = warmup_weight("infonce", epoch) if epoch <= 5 else np.exp(-sigma)
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * upstream / (n * tau))
 
 
 def test_soft_infonce_is_one_node_with_the_closed_form_gradient():
@@ -216,8 +226,8 @@ def test_soft_infonce_is_one_node_with_the_closed_form_gradient():
         e = np.exp(lg - lg.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
     logits = za @ zv.T
-    d = ((softmax(logits / tau) - targets.w_a2v)
-         + (softmax(logits.T / tau) - targets.w_v2a).T) / (2 * n * tau)
+    d = ((softmax(logits / tau) - ops.dense_rows(targets.a2v))
+         + (softmax(logits.T / tau) - ops.dense_rows(targets.v2a)).T) / (2 * n * tau)
     np.testing.assert_allclose(pa.grad, d @ zv, atol=1e-12)
     np.testing.assert_allclose(pv.grad, d.T @ za, atol=1e-12)
 
@@ -250,7 +260,8 @@ def test_soft_infonce_mined_targets_manual():
         log_sm = lg - (m + np.log(np.exp(lg - m).sum(axis=1, keepdims=True)))
         return -np.mean((w * log_sm).sum(axis=1))
     logits = za @ zv.T / 0.05
-    expected = 0.5 * (direction(targets.w_a2v, logits) + direction(targets.w_v2a, logits.T))
+    expected = 0.5 * (direction(ops.dense_rows(targets.a2v), logits)
+                      + direction(ops.dense_rows(targets.v2a), logits.T))
     assert abs(loss - expected) < 1e-12
 
 
@@ -259,9 +270,14 @@ def test_soft_infonce_rejects_bad_weights():
     za = unit_rows(rng.normal(size=(4, 3)))
     zv = unit_rows(rng.normal(size=(4, 3)))
     targets = identity_affinities(4)
-    targets.w_a2v[0, 0] = 0.5  # row no longer sums to 1
-    with pytest.raises(ValueError):
+    targets.a2v[1][0, 0] = 0.5  # row no longer sums to 1
+    with pytest.raises(ValueError, match="a2v weight rows do not sum to 1"):
         soft_infonce(dc.const(za), dc.const(zv), targets, 0.05)
+    k2 = mine_affinities(za, zv, k=2, tau=0.05)
+    for bad in (AffinityTargets(a2v=k2.a2v, v2a=(k2.v2a[0][:, :1], k2.v2a[1])),
+                AffinityTargets(a2v=identity_affinities(3).a2v, v2a=k2.v2a)):
+        with pytest.raises(dc.ShapeError, match="soft_infonce: (a2v|v2a) targets have shapes"):
+            soft_infonce(dc.const(za), dc.const(zv), bad, 0.05)
     with pytest.raises(ValueError):
         soft_infonce(dc.const(za), dc.const(zv), identity_affinities(4), 0.0)
 

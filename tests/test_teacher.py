@@ -1,7 +1,9 @@
 """Unit tests for EMA teacher maintenance and affinity mining.
 
 The blocked EMA pass is checked bit for bit against ``listwise_ema_update``,
-the former per-parameter update, kept here as the reference oracle.
+the former per-parameter update, kept here as the reference oracle. Mined
+targets are read through ``reference_ops.dense_rows``, their n x n view, and
+checked bit for bit against the per-anchor loop that mining once ran.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hscmae.model import ModelConfig, ModelParams
 from hscmae.teacher import (anneal_momentum, ema_update, identity_affinities,
                             mine_affinities)
 
+import reference_ops as ops
 from conftest import tiny_model_config
 
 
@@ -120,7 +123,7 @@ def test_mining_hand_example():
     za = scores_a
     zv = np.eye(4)
     targets = mine_affinities(za, zv, k=2, tau=0.5)
-    w = targets.w_a2v
+    w = ops.dense_rows(targets.a2v)
     # anchor 0: neighborhood {0 (forced), 1 (top score)}
     assert set(np.flatnonzero(w[0])) == {0, 1}
     e = np.exp(np.array([0.1, 0.9]) / 0.5)
@@ -137,16 +140,16 @@ def test_mining_tie_breaks_toward_lower_index():
     ] * 4)
     targets = mine_affinities(scores, np.eye(4), k=2, tau=0.1)
     # for anchor 0 column 0 is the pair and top; the tie among 1,2,3 resolves to 1
-    assert set(np.flatnonzero(targets.w_a2v[0])) == {0, 1}
+    assert set(np.flatnonzero(ops.dense_rows(targets.a2v)[0])) == {0, 1}
 
 
 def test_mining_k_clamped_to_n():
     rng = np.random.default_rng(0)
     za = rng.normal(size=(3, 4))
     zv = rng.normal(size=(3, 4))
-    targets = mine_affinities(za, zv, k=10, tau=0.5)
-    assert np.all(targets.w_a2v > 0.0)  # every candidate mined
-    np.testing.assert_allclose(targets.w_a2v.sum(axis=1), np.ones(3), atol=1e-12)
+    w = ops.dense_rows(mine_affinities(za, zv, k=10, tau=0.5).a2v)
+    assert np.all(w > 0.0)  # every candidate mined
+    np.testing.assert_allclose(w.sum(axis=1), np.ones(3), atol=1e-12)
 
 
 def test_mining_high_temperature_near_uniform():
@@ -155,8 +158,8 @@ def test_mining_high_temperature_near_uniform():
     za /= np.linalg.norm(za, axis=1, keepdims=True)
     zv = rng.normal(size=(8, 5))
     zv /= np.linalg.norm(zv, axis=1, keepdims=True)
-    targets = mine_affinities(za, zv, k=5, tau=10.0)
-    mined = targets.w_a2v[targets.w_a2v > 0].reshape(8, 5)
+    w = ops.dense_rows(mine_affinities(za, zv, k=5, tau=10.0).a2v)
+    mined = w[w > 0].reshape(8, 5)
     assert np.abs(mined - 0.2).max() < 0.05
 
 
@@ -165,7 +168,7 @@ def test_mining_directions_are_transposed_scores():
     za, zv = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     t = mine_affinities(za, zv, k=3, tau=0.3)
     t_swapped = mine_affinities(zv, za, k=3, tau=0.3)
-    np.testing.assert_allclose(t.w_v2a, t_swapped.w_a2v, atol=1e-15)
+    np.testing.assert_allclose(ops.dense_rows(t.v2a), ops.dense_rows(t_swapped.a2v), atol=1e-15)
 
 
 def test_mining_validation():
@@ -207,8 +210,8 @@ def assert_matches_loop(scores, k, tau):
     eye = np.eye(scores.shape[0])
     targets = mine_affinities(scores, eye, k=k, tau=tau)
     realised = scores @ eye.T
-    for got, want in ((targets.w_a2v, loop_mine_direction(realised, k, tau)),
-                      (targets.w_v2a, loop_mine_direction(realised.T, k, tau))):
+    for got, want in ((ops.dense_rows(targets.a2v), loop_mine_direction(realised, k, tau)),
+                      (ops.dense_rows(targets.v2a), loop_mine_direction(realised.T, k, tau))):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -231,7 +234,33 @@ def test_mining_bit_identical_to_loop_at_batch_scale(n, k):
 
 def test_identity_affinities():
     t = identity_affinities(4)
-    np.testing.assert_array_equal(t.w_a2v, np.eye(4))
-    np.testing.assert_array_equal(t.w_v2a, np.eye(4))
-    t.w_a2v[0, 0] = 0.0
-    assert t.w_v2a[0, 0] == 1.0  # independent copies
+    for idx, w in (t.a2v, t.v2a):
+        np.testing.assert_array_equal(idx, np.arange(4)[:, None])
+        np.testing.assert_array_equal(w, np.ones((4, 1)))
+    t.a2v[1][0, 0] = 0.0
+    assert t.v2a[1][0, 0] == 1.0  # independent copies
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 250])
+def test_mining_with_k_one_is_identity_affinities_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    mined = mine_affinities(rng.normal(size=(n, 6)), rng.normal(size=(n, 6)), k=1, tau=0.05)
+    want = identity_affinities(n)
+    for (idx, w), (want_idx, want_w) in ((mined.a2v, want.a2v), (mined.v2a, want.v2a)):
+        assert idx.dtype == want_idx.dtype and w.dtype == want_w.dtype
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(w.view(np.uint64), want_w.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mined_rows_name_m_distinct_columns_the_pair_first(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    k = data.draw(st.integers(1, n + 3), label="k")
+    raw = data.draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)), label="scores")
+    targets = mine_affinities(np.round(raw, 1), np.eye(n), k=k, tau=0.3)
+    for idx, w in (targets.a2v, targets.v2a):
+        assert idx.shape == w.shape == (n, min(k, n))
+        np.testing.assert_array_equal(idx[:, 0], np.arange(n))
+        assert all(len(set(row)) == min(k, n) for row in idx.tolist())
+        assert ((0 <= idx) & (idx < n)).all()

@@ -32,8 +32,7 @@ import reference_ops as ops
 from conftest import corrupted, desk_train_config, tape_nodes, tiny_model_config
 from test_diffcore import (composed_add_layer_norm, composed_encoder_layer, composed_linear,
                            composed_linear_tanh, formula_batch_norm, formula_layer_norm)
-from test_losses import (composed_distill_loss, composed_rec_loss, composed_soft_infonce,
-                         composed_total_loss)
+from test_losses import composed_distill_loss, composed_rec_loss, composed_total_loss
 from test_optim import listwise_adamw_step, listwise_clip_global_norm
 from test_teacher import listwise_ema_update
 
@@ -173,8 +172,10 @@ def state_digest(*models):
 def patch_former_step(monkeypatch):
     """The former pieces of a step: per-parameter clipping, AdamW and EMA,
     trunk layers as chains of single-op nodes with two-node linear layers
-    and the textbook-formula norms, and the loss heads composed from
-    ``reference_ops`` primitives."""
+    and the textbook-formula norms, and the reconstruction, distillation
+    and total heads composed from ``reference_ops`` primitives. The
+    contrastive head stays the library's: its dense oracle agrees only to
+    a tolerance (``test_losses``)."""
     monkeypatch.setattr(trainer, "rec_loss", composed_rec_loss)
     monkeypatch.setattr(trainer, "distill_loss", composed_distill_loss)
     monkeypatch.setattr(trainer, "total_loss", composed_total_loss)
@@ -191,22 +192,11 @@ def patch_former_step(monkeypatch):
     monkeypatch.setattr(ops, "batch_norm", formula_batch_norm)
 
 
-def upcast(a):
-    """``a`` as a float64 node whose gradient goes back in ``a``'s dtype."""
-    return dc._node("upcast", a.value.astype(np.float64), (a,), lambda g: (g.astype(a.value.dtype),))
-
-
-def float64_composed_soft_infonce(za, zv, targets, tau):
-    """The composed contrastive loss on float64 copies of float32 embeddings,
-    as the loss heads compute under the float32 policy."""
-    return composed_soft_infonce(upcast(za), upcast(zv), targets, tau)
-
-
 def run_steps(cfg, batch, epochs, monkeypatch=None):
     """Identically seeded train_steps on one batch; with ``monkeypatch`` they
-    run the former step: the composed contrastive loss, the clean pass's
-    constant inputs behind the gradient gate of that step's mask plan, and
-    the pieces of ``patch_former_step``."""
+    run the former step: the clean pass's constant inputs behind the
+    gradient gate of that step's mask plan, and the pieces of
+    ``patch_former_step``."""
     rng = np.random.default_rng(cfg.seed)
     xa = rng.normal(size=(batch, cfg.model.d_audio))
     xv = rng.normal(size=(batch, cfg.model.d_visual))
@@ -224,7 +214,6 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
             return forward_embed(mp, dc.gradient_gate(xa, gate_a), dc.gradient_gate(xv, gate_v),
                                  train=train, rng=rng)
 
-        monkeypatch.setattr(trainer, "soft_infonce", float64_composed_soft_infonce)
         monkeypatch.setattr(trainer, "forward_embed", gated_forward_embed)
         patch_former_step(monkeypatch)
     out = []
@@ -240,9 +229,9 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
 
 @pytest.mark.parametrize("cfg, batch, epochs", [
     (desk_train_config(seed=3), 64, (1, 2, 5, 6, 7)),
-    (desk_train_config(seed=4, identity_affinities=True, mask_ratio=0.5), 40, (3, 6)),
+    (desk_train_config(seed=4, k=1, mask_ratio=0.5), 40, (3, 6)),
     (desk_train_config(seed=5, model=ModelConfig()), 12, (2, 6)),
-], ids=("desk", "desk-identity", "paper-widths"))
+], ids=("desk", "desk-k1", "paper-widths"))
 def test_train_step_bit_identical_to_composed_gated_step(monkeypatch, cfg, batch, epochs):
     assert run_steps(cfg, batch, epochs) == run_steps(cfg, batch, epochs, monkeypatch)
 
