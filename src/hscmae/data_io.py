@@ -7,6 +7,7 @@ label-stripped view so no training code path can reach them.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -198,8 +199,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.classes < 2:
             raise ValueError("SynthConfig: need at least 2 classes")
-        if self.mean_scale <= 0 or self.noise_scale < 0:
-            raise ValueError("SynthConfig: scales must be positive")
+        if not (math.isfinite(self.mean_scale) and math.isfinite(self.noise_scale)
+                and self.mean_scale > 0 and self.noise_scale >= 0):
+            raise ValueError("SynthConfig: scales must be positive and finite (mean_scale > 0, "
+                             f"noise_scale >= 0), got mean_scale={self.mean_scale}, "
+                             f"noise_scale={self.noise_scale}")
         if min(self.per_class, self.d_audio, self.d_visual, self.latent_dim) < 1:
             raise ValueError("SynthConfig: per_class, d_audio, d_visual and latent_dim must be >= 1")
         if self.seed < 0:

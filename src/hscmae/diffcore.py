@@ -30,10 +30,11 @@ backward. Scalars that enter a float32 computation are Python floats: under
 NumPy 2 promotion (NEP 50) a float64 numpy scalar would turn the result
 float64.
 
-``ParamArena`` keeps the values, gradients and Adam moments of a model's
-parameters in four flat float64 arrays, so that the optimizer and the EMA
-teacher can walk them in cache-sized blocks, one share of the blocks per CPU,
-plus a float32 mirror of the values that float32 passes read.
+``ParamArena`` keeps the values and gradients of a model's parameters in
+two flat float64 arrays and the Adam moments in two flat float32 arrays, so
+that the optimizer and the EMA teacher can walk them in cache-sized blocks,
+one share of the blocks per CPU, plus a float32 mirror of the values that
+float32 passes read.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ def const(value):
 
 class Parameter:
     """Learnable float64 matrix of a ``ParamArena``: its value, gradient
-    accumulator and Adam moments are views into the arena's arrays.
+    accumulator and float32 Adam moments are views into the arena's arrays.
 
-    ``value32`` is the float32 mirror of ``value`` once the arena's
-    ``prepare_step`` has run (None before); it holds what the last
-    ``prepare_step`` copied."""
+    ``value32`` is the float32 mirror of ``value`` once the arena has one
+    (None before); it holds what the arena's last writer of the mirror
+    (``prepare_step``, ``fill_mirror`` or the EMA update) rounded."""
 
     __slots__ = ("name", "value", "value32", "grad", "adam_m", "adam_v", "decay")
 
@@ -122,7 +123,7 @@ class Parameter:
             return Tensor(self.value, op="param", param=self)
         if self.value32 is None:
             raise DiffError(f"parameter {self.name!r}: the arena has no float32 mirror yet; "
-                            "its prepare_step makes one")
+                            "its prepare_step or fill_mirror makes one")
         return Tensor(self.value32, op="param", param=self)
 
     def zero_grad(self):
@@ -182,9 +183,10 @@ if hasattr(os, "register_at_fork"):
 
 
 class ParamArena:
-    """Values, gradients and Adam moments of many parameters, each kind in
-    one contiguous float64 array laid out in parameter order, plus
-    ``value32``, a float32 mirror of the values.
+    """Values and gradients of many parameters, each kind in one contiguous
+    float64 array laid out in parameter order, the two Adam moments in two
+    float32 arrays of the same layout, plus ``value32``, a float32 mirror of
+    the values.
 
     ``layout`` lists (name, shape, decay) triples; decayed parameters must
     come first, so weight decay covers the prefix ``[0, decay_end)``.
@@ -193,8 +195,12 @@ class ParamArena:
     caller to fill once. Gradients and moments start as ``np.zeros``, whose
     pages are mapped on first write, so an arena that is never trained (a
     teacher's, an eval model's) takes memory for its values only. The
-    mirror is allocated by the first ``prepare_step``, its only writer, so
-    an arena that never runs a float32 pass has none.
+    mirror is allocated by the first ``prepare_step`` (a trained arena's,
+    which also zeroes the gradients) or ``fill_mirror`` (an EMA teacher's,
+    which never touches them), so an arena that never runs a float32 pass
+    has none. A trained arena takes 28 bytes per parameter (value and
+    gradient 8 each, the moments and the mirror 4 each), an EMA teacher's
+    12 (value and mirror).
 
     The elementwise passes over an arena (``prepare_step``, the optimizer's
     and the EMA teacher's) go through ``walk``, which spreads the blocks over
@@ -214,8 +220,8 @@ class ParamArena:
         self.value = np.empty(self.size)
         self.value32 = None
         self.grad = np.zeros(self.size)
-        self.adam_m = np.zeros(self.size)
-        self.adam_v = np.zeros(self.size)
+        self.adam_m = np.zeros(self.size, dtype=np.float32)
+        self.adam_v = np.zeros(self.size, dtype=np.float32)
         self.scratch = np.empty(max([2 * min(BLOCK, self.size)] + sizes))
         self.params = []
         start = 0
@@ -231,6 +237,14 @@ class ParamArena:
     def prepare_step(self):
         """Zero the gradients and round the values into the float32 mirror,
         allocated on the first call, in one walk."""
+        self._mirror_walk(zero_grad=True)
+
+    def fill_mirror(self):
+        """Round the values into the float32 mirror, allocated on the first
+        call, in one walk that leaves the gradients unwritten."""
+        self._mirror_walk(zero_grad=False)
+
+    def _mirror_walk(self, zero_grad):
         if self.value32 is None:
             self.value32 = np.empty(self.size, dtype=np.float32)
             start = 0
@@ -239,7 +253,8 @@ class ParamArena:
                 start += p.value.size
 
         def block(start, stop, scratch):
-            self.grad[start:stop] = 0.0
+            if zero_grad:
+                self.grad[start:stop] = 0.0
             np.copyto(self.value32[start:stop], self.value[start:stop], casting="same_kind")
 
         self.walk(block)

@@ -7,13 +7,11 @@ canonical-correlation head whitens through ``cca_linear.whiten``, the linear
 fit's own covariances and SVD, so its value is minus the fit's correlation
 sum, bit for bit.
 
-Every loss value is a float64 1 x 1. The canonical-correlation and
-contrastive heads compute in float64 on their n x r inputs whatever those
-inputs' dtype (the covariances, ``eigh`` and ``svd`` among them) and return
-each input gradient in that input's dtype. Reconstruction and distillation
-compute in the wider dtype of prediction and target: distillation in
-float64, because the teacher's embeddings are float64, and reconstruction
-in the dtype of the decoder output and its target.
+Every loss value is a float64 1 x 1. The canonical-correlation,
+contrastive and distillation heads compute in float64 on their n x r inputs
+whatever those inputs' dtype (the covariances, ``eigh`` and ``svd`` among
+them) and return each input gradient in that input's dtype. Reconstruction
+computes in the wider dtype of the decoder output and its target.
 """
 
 from __future__ import annotations
@@ -187,8 +185,10 @@ def rec_loss(xa, xv, xa_hat, xv_hat):
 
 def distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
     """Mean squared row distance of student embeddings to (gradient-free)
-    teacher embeddings, averaged over modalities; computed in float64 when
-    the teacher's embeddings are float64."""
+    teacher embeddings, averaged over modalities; computed in float64, the
+    teacher rows upcast here whatever their dtype."""
+    z_t_a, z_t_v = (np.asarray(z.value if isinstance(z, dc.Tensor) else z, dtype=np.float64)
+                    for z in (z_t_a, z_t_v))
     return _paired_mse("distill_loss", z_mae_a, z_mae_v, z_t_a, z_t_v)
 
 

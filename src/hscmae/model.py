@@ -195,8 +195,9 @@ def _copy(entry, out):
 # ---------------------------------------------------------------------------
 
 # Each pass takes its parameter tensors in the dtype of its input tensors:
-# float64 values, or in float32 the arena's mirror, which holds what the last
-# ``arena.prepare_step()`` copied (``train_step`` calls it once per step).
+# float64 values, or in float32 the arena's mirror: for the student, what the
+# last ``arena.prepare_step()`` copied (``train_step`` calls it once per
+# step); for the EMA teacher, what ``ema_update`` last rounded.
 
 def encode(mp, xa, xv, train, rng=None):
     """Per-modality MLP pipeline: linear -> norm -> tanh -> dropout, one
@@ -313,7 +314,8 @@ def _row_blocks(cfg, n):
 
 def embed_arrays(mp, audio, visual):
     """Clean eval-mode float64 embeddings as plain arrays, whatever the
-    inputs' dtype; records no tape.
+    inputs' dtype; records no tape. Evaluation and the end-of-training CCA
+    fit use it; the training step's teacher pass runs in float32 instead.
 
     The rows run in balanced blocks of at most ``EMBED_BLOCK_VALUES //``
     (the widest layer) rows, 512 at a 1024-wide trunk, each written into

@@ -12,6 +12,14 @@ import numpy as np
 from .diffcore import NumericError
 
 
+# The largest clip_norm: a clipped gradient entry is at most clip_norm, so
+# its square, and every second moment, stays finite in float32.
+MAX_CLIP_NORM = 1e18
+# The smallest eps: the least normal float32, so the Adam denominator of a
+# parameter that never had a gradient is never 0.
+MIN_EPS = float(np.finfo(np.float32).tiny)
+
+
 @dataclass(frozen=True)
 class OptimConfig:
     lr0: float = 3e-4
@@ -23,12 +31,25 @@ class OptimConfig:
     cosine_t_max: int = 50
 
     def __post_init__(self):
+        for name in ("lr0", "weight_decay", "beta1", "beta2", "eps", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"OptimConfig: {name} must be finite, got {getattr(self, name)}")
         if self.lr0 <= 0:
             raise ValueError("OptimConfig: lr0 must be positive")
         if self.weight_decay < 0:
             raise ValueError(f"OptimConfig: weight_decay must be >= 0, got {self.weight_decay}")
-        if self.clip_norm <= 0:
-            raise ValueError("OptimConfig: clip_norm must be positive")
+        for name in ("beta1", "beta2"):
+            # the moments decay in float32, where a beta within 3e-8 of 1 rounds to 1
+            beta = getattr(self, name)
+            if not (beta >= 0.0 and np.float32(beta) < 1.0):
+                raise ValueError(f"OptimConfig: {name} must be in [0, 1), also when rounded to "
+                                 f"float32, got {beta}")
+        if self.eps < MIN_EPS:
+            raise ValueError(f"OptimConfig: eps must be >= {MIN_EPS} (the least normal float32), "
+                             f"got {self.eps}")
+        if not 0 < self.clip_norm <= MAX_CLIP_NORM:
+            raise ValueError(f"OptimConfig: clip_norm must be in (0, {MAX_CLIP_NORM:g}], "
+                             f"got {self.clip_norm}")
         if self.cosine_t_max < 1:
             raise ValueError(f"OptimConfig: cosine_t_max must be >= 1, got {self.cosine_t_max}")
 
@@ -64,43 +85,48 @@ def adamw_step(arena, config, step_index, lr_t):
     """One decoupled-decay Adam step with bias-corrected moments over a
     ``ParamArena``.
 
-    Decay is applied as theta <- theta - lr_t * wd * theta before the Adam
-    delta; parameters flagged ``decay=False`` (the log-variance weights, the
-    arena's tail) are exempt. ``arena.walk`` spreads the cache-sized blocks
-    over the workers, each block running the whole update through two
-    scratch blocks; every operation is elementwise, so neither the blocking
-    nor the worker count can change a bit."""
+    Decay is applied first, as theta <- theta * (1 - lr_t * wd); parameters
+    flagged ``decay=False`` (the log-variance weights, the arena's tail) are
+    exempt. The moments are float32: each clipped gradient block is rounded
+    to float32, m and v are updated from it in float32, and the float32 step
+    (m / (sqrt(v) / sqrt(c2) + eps)) * (lr_t / c1), the bias corrections
+    folded into the two scalars, is subtracted from the float64 values.
+    ``arena.walk`` spreads the cache-sized blocks over the workers, each
+    block running the whole update through float32 views of its scratch;
+    every operation is elementwise, so neither the blocking nor the worker
+    count can change a bit."""
     if step_index < 1:
         raise ValueError("adamw_step: step_index starts at 1")
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1 ** step_index
-    c2 = 1.0 - b2 ** step_index
+    # Python floats, so that each enters the float32 ufuncs as a float32
+    b1, b2, eps = float(config.beta1), float(config.beta2), float(config.eps)
+    inv_sqrt_c2 = 1.0 / math.sqrt(1.0 - b2 ** step_index)
+    lr_c1 = float(lr_t) / (1.0 - b1 ** step_index)
     decay_end = arena.decay_end if config.weight_decay else 0
-    lr_wd = lr_t * config.weight_decay
+    keep = 1.0 - lr_t * config.weight_decay
 
     def block(start, stop, scratch):
         n = stop - start
-        val, g = arena.value[start:stop], arena.grad[start:stop]
+        val = arena.value[start:stop]
         m, v = arena.adam_m[start:stop], arena.adam_v[start:stop]
-        s1, s2 = scratch[:n], scratch[n:2 * n]
+        f32 = scratch.view(np.float32)  # its 2n float64 hold the three float32 blocks
+        g, s, d = f32[:n], f32[n:2 * n], f32[2 * n:3 * n]
         k = min(stop, decay_end) - start
         if k > 0:
-            np.multiply(lr_wd, val[:k], out=s1[:k])
-            val[:k] -= s1[:k]
+            val[:k] *= keep
+        np.copyto(g, arena.grad[start:stop], casting="same_kind")
         m *= b1
-        np.multiply(1.0 - b1, g, out=s1)
-        m += s1
+        np.multiply(1.0 - b1, g, out=s)
+        m += s
         v *= b2
-        np.multiply(1.0 - b2, g, out=s1)
-        s1 *= g
-        v += s1
-        np.divide(v, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += config.eps
-        np.divide(m, c1, out=s1)
-        np.multiply(lr_t, s1, out=s1)
-        s1 /= s2
-        val -= s1
+        np.multiply(1.0 - b2, g, out=s)
+        s *= g
+        v += s
+        np.sqrt(v, out=d)
+        d *= inv_sqrt_c2
+        d += eps
+        np.divide(m, d, out=s)
+        s *= lr_c1
+        val -= s
 
     arena.walk(block)
 

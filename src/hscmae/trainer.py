@@ -9,9 +9,11 @@ clean-path training embeddings.
 
 Precision: the two taped student passes (masked and clean, forward and
 backward through encoders, fusion, projectors and decoders) run in float32
-on the batch and on the parameter arena's float32 mirror. The master
-values, gradients and Adam moments, clipping, AdamW, the EMA, the teacher
-pass, the loss heads and every evaluation stay float64.
+on the batch and on the parameter arena's float32 mirror, and so does the
+untaped teacher pass, on the teacher's mirror, which the EMA update keeps
+current. Adam's moments are float32. The master values and gradients,
+clipping, the AdamW and EMA arithmetic on the values, the loss heads, the
+checkpoint and every evaluation stay float64.
 """
 
 from __future__ import annotations
@@ -109,7 +111,11 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
 
     The student passes compute in float32: the batch is rounded to float32
     (exactly, for data read from a feature file) and so are the parameters,
-    once per step into the arena's mirror.
+    once per step into the arena's mirror. The teacher pass computes in
+    float32 on the same batch and the teacher's mirror, filled by the first
+    pass that needs it and then kept by ``ema_update``; its two embeddings
+    are upcast to float64 once, for mining and distillation. The teacher's
+    gradients and moments are never written.
 
     Returns (LossBundle value dict, effective weights, total value)."""
     n = xa.shape[0]
@@ -137,11 +143,15 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
             xa_hat, xv_hat = decode(mp, ua, uv)
             bundle.rec = rec_loss(xa32, xv32, xa_hat, xv_hat)
 
-    # teacher clean path (eval mode, gradient-free)
+    # teacher clean path (eval mode, float32, gradient-free)
     targets = None
     zt_a = zt_v = None
     if active["infonce"] or active["dis"]:
-        zt_a, zt_v = embed_arrays(teacher, xa, xv)
+        if teacher.arena.value32 is None:
+            teacher.arena.fill_mirror()
+        with dc.no_tape():
+            zt_a, zt_v, _, _ = forward_embed(teacher, dc.const(xa32), dc.const(xv32), train=False)
+        zt_a, zt_v = zt_a.value.astype(np.float64), zt_v.value.astype(np.float64)
         if active["infonce"]:
             targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
             bundle.infonce = soft_infonce(z_mae[0], z_mae[1], targets, cfg.tau)

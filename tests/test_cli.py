@@ -490,6 +490,11 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
                                 ("--eval-every", "-1", "eval_every must be >= 0, got -1"),
                                 ("--warmup-epochs", "-4", "warmup_epochs must be >= 0, got -4"),
                                 ("--weight-decay", "-1", "weight_decay must be >= 0, got -1.0"),
+                                ("--lr", "nan", "OptimConfig: lr0 must be finite, got nan"),
+                                ("--weight-decay", "nan", "OptimConfig: weight_decay must be finite, got nan"),
+                                ("--clip-norm", "nan", "OptimConfig: clip_norm must be finite, got nan"),
+                                ("--clip-norm", "inf", "OptimConfig: clip_norm must be finite, got inf"),
+                                ("--clip-norm", "2e18", "OptimConfig: clip_norm must be in (0, 1e+18], got 2e+18"),
                                 ("--batch-size", "61", "batch_size 61 exceeds the 60 samples")):
         assert main(["train", "--features", train_path, "--out", str(out),
                      *SMALL_FLAGS, flag, value]) == 1
@@ -508,6 +513,17 @@ def test_usage_errors_exit_one(data_files, tmp_path, capsys):
                  "--test-features", test_path, "--config", str(config), *SMALL_FLAGS]) == 1
     assert "usage error: k must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--noise", "nan"), ("--noise", "inf"),
+                                         ("--mean-scale", "inf"), ("--mean-scale", "nan")])
+def test_synth_refuses_non_finite_scales_and_writes_nothing(tmp_path, capsys, flag, value):
+    out_train, out_test = tmp_path / "t.bin", tmp_path / "e.bin"
+    assert main(["synth", "--out-train", str(out_train), "--out-test", str(out_test),
+                 "--manifest", str(tmp_path / "m.json"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: SynthConfig: scales must be positive and finite")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -289,6 +289,10 @@ def test_generator_validation():
         SynthConfig(noise_scale=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(mean_scale=0.0)
+    for field in ("mean_scale", "noise_scale"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"scales must be positive and finite .*{field}={value}"):
+                SynthConfig(**{field: value})
     for field in ("per_class", "d_audio", "d_visual", "latent_dim"):
         for value in (0, -1):
             with pytest.raises(ValueError, match="must be >= 1"):

@@ -93,9 +93,10 @@ def formula_batch_norm(x, gamma, beta, running_mean, running_var, train, update_
                             - dxhat.sum(axis=0, keepdims=True)
                             - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
             return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
-    else:
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.value - running_mean) * inv
+    else:  # the running statistics in the input's dtype
+        mean, var = (s.astype(x.value.dtype, copy=False) for s in (running_mean, running_var))
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x.value - mean) * inv
         y = gamma.value * xhat + beta.value
 
         def bwd(g):

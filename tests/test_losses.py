@@ -307,11 +307,11 @@ def composed_rec_loss(xa, xv, xa_hat, xv_hat):
 
 
 def composed_distill_loss(z_mae_a, z_mae_v, z_t_a, z_t_v):
-    """The distillation loss composed from four tape nodes behind
-    stop-gradient copies of the teacher's embeddings, the reference oracle
-    for the single node."""
+    """The distillation loss composed from four tape nodes behind constant
+    float64 copies of the teacher's embeddings, the reference oracle for the
+    single node, which upcasts the teacher rows itself."""
     def freeze(z):
-        return ops.stop_gradient(z) if isinstance(z, dc.Tensor) else dc.const(z)
+        return dc.const(np.asarray(z.value if isinstance(z, dc.Tensor) else z, dtype=np.float64))
 
     return ops.scale(ops.add(ops.mse(z_mae_a, freeze(z_t_a)), ops.mse(z_mae_v, freeze(z_t_v))), 0.5)
 
@@ -460,6 +460,23 @@ def test_paired_mse_is_one_node_returning_gradients_in_the_predictions_dtype(hea
     assert list(loss._parents) == preds
     grads = loss._backward(np.ones((1, 1)))
     assert [g.dtype for g in grads] == [np.dtype(np.float32)] * 2
+
+
+def test_distill_loss_upcasts_float32_teacher_rows():
+    """Float32 teacher rows give the value and gradients of their float64
+    copies, bit for bit: the head stays float64 whoever calls it."""
+    rng = np.random.default_rng(17)
+    preds = [dc.Tensor(rng.normal(size=(6, d)).astype(np.float32), op="param",
+                       param=arena_param(np.zeros((6, d)))) for d in (3, 4)]
+    targets = [rng.normal(size=(6, d)).astype(np.float32) for d in (3, 4)]
+    got = distill_loss(*preds, *targets)
+    want = distill_loss(*preds, *(t.astype(np.float64) for t in targets))
+    assert got.value.dtype == np.float64
+    np.testing.assert_array_equal(bits(got.value), bits(want.value))
+    g = np.full((1, 1), 0.7)
+    for a, b in zip(got._backward(g), want._backward(g)):
+        assert a.dtype == b.dtype == np.float32
+        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def test_warmup_schedule_values():

@@ -378,17 +378,20 @@ def test_desk_model_and_a_paper_batch_run_one_block(monkeypatch):
 
 
 def state_digests(mp, teacher):
-    """(kind, name) -> digest of the uint64 bits of every array a train_step
-    writes: student values, gradients, Adam moments and buffers, and the
-    teacher's values and buffers."""
+    """(kind, name) -> digest of the bits, viewed at each array's item size,
+    of every array a train_step writes: student values, gradients, float32
+    Adam moments and buffers, and the teacher's values, float32 mirror and
+    buffers."""
     arrays = {}
     for name, p in mp.params.items():
         for kind in ("value", "grad", "adam_m", "adam_v"):
             arrays[(kind, name)] = getattr(p, kind)
+    for name, p in teacher.params.items():
+        arrays[("teacher mirror", name)] = p.value32
     for who, owner in (("student", mp), ("teacher", teacher)):
         for name, arr in owner.state_entries().items():
             arrays[(who, name)] = arr
-    return {key: hashlib.sha256(arr.view(np.uint64).tobytes()).hexdigest()
+    return {key: hashlib.sha256(arr.view(f"u{arr.itemsize}").tobytes()).hexdigest()
             for key, arr in arrays.items()}
 
 

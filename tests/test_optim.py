@@ -24,6 +24,7 @@ from hscmae.optim import OptimConfig, adamw_step, clip_global_norm, cosine_lr
 from hscmae.teacher import ema_update
 
 from conftest import arena_param
+from test_diffcore import assert_bits_equal
 
 
 def listwise_clip_global_norm(params, max_norm):
@@ -42,18 +43,21 @@ def listwise_clip_global_norm(params, max_norm):
 
 
 def listwise_adamw_step(params, config, step_index, lr_t):
-    """Reference oracle: the per-parameter AdamW step over a list of Parameters."""
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1 ** step_index
-    c2 = 1.0 - b2 ** step_index
+    """Reference oracle: the per-parameter AdamW step over a list of
+    Parameters, with float32 moments updated from the float32-rounded
+    gradient and a float32 step subtracted from the float64 value."""
+    b1, b2, eps = config.beta1, config.beta2, config.eps
+    inv_sqrt_c2 = 1.0 / math.sqrt(1.0 - b2 ** step_index)
+    lr_c1 = lr_t / (1.0 - b1 ** step_index)
     for p in params:
         if p.decay and config.weight_decay:
-            p.value -= lr_t * config.weight_decay * p.value
+            p.value *= 1.0 - lr_t * config.weight_decay
+        g = p.grad.astype(np.float32)
         p.adam_m *= b1
-        p.adam_m += (1.0 - b1) * p.grad
+        p.adam_m += (1.0 - b1) * g
         p.adam_v *= b2
-        p.adam_v += (1.0 - b2) * p.grad * p.grad
-        p.value -= lr_t * (p.adam_m / c1) / (np.sqrt(p.adam_v / c2) + config.eps)
+        p.adam_v += (1.0 - b2) * g * g
+        p.value -= p.adam_m / (np.sqrt(p.adam_v) * inv_sqrt_c2 + eps) * lr_c1
 
 
 def make_arena(*values, decay=None):
@@ -97,22 +101,24 @@ def test_clip_rejects_non_finite_and_bad_threshold():
 
 
 def test_adamw_scripted_trace():
-    # hand-rolled reference for 3 steps on a single scalar parameter
+    # hand-rolled reference for 3 steps on a single scalar parameter: the
+    # moments and the step in float32 scalars, decay and value in float64
     cfg = OptimConfig(lr0=0.1, weight_decay=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     arena = make_arena([[2.0]])
     p = arena.params[0]
+    assert p.adam_m.dtype == p.adam_v.dtype == np.float32
+    f32 = np.float32
     grads = [0.5, -1.0, 0.25]
-    theta, m, v = 2.0, 0.0, 0.0
+    theta, m, v = 2.0, f32(0.0), f32(0.0)
     for step, g in enumerate(grads, start=1):
         p.grad[...] = g
         adamw_step(arena, cfg, step, lr_t=0.1)
-        theta -= 0.1 * 0.01 * theta
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        mhat = m / (1 - 0.9 ** step)
-        vhat = v / (1 - 0.999 ** step)
-        theta -= 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
-        assert p.value[0, 0] == pytest.approx(theta, abs=1e-15)
+        theta *= 1.0 - 0.1 * 0.01
+        m = f32(0.9) * m + f32(1.0 - 0.9) * f32(g)
+        v = f32(0.999) * v + f32(1.0 - 0.999) * f32(g) * f32(g)
+        d = np.sqrt(v) * f32(1.0 / math.sqrt(1.0 - 0.999 ** step)) + f32(1e-8)
+        theta -= float(m / d * f32(0.1 / (1.0 - 0.9 ** step)))
+        assert_bits_equal([p.value[0, 0], p.adam_m[0, 0], p.adam_v[0, 0]], [theta, m, v])
 
 
 def test_adamw_zero_decay_matches_adam():
@@ -177,9 +183,8 @@ def test_blocked_passes_bit_identical_to_listwise(sizes, exempt, weight_decay, s
         adamw_step(arena, cfg, step, lr_t=0.003)
         listwise_adamw_step(listed, cfg, step, lr_t=0.003)
     for p, q in zip(arena.params, listed):
-        for kind in ("value", "grad", "adam_m", "adam_v"):
-            np.testing.assert_array_equal(getattr(p, kind).view(np.uint64),
-                                          getattr(q, kind).view(np.uint64), err_msg=f"{p.name}.{kind}")
+        kinds = ("value", "grad", "adam_m", "adam_v")
+        assert_bits_equal([getattr(p, kind) for kind in kinds], [getattr(q, kind) for kind in kinds])
 
 
 @settings(max_examples=25, deadline=None)
@@ -188,8 +193,8 @@ def test_blocked_passes_bit_identical_to_listwise(sizes, exempt, weight_decay, s
        seed=st.integers(0, 2 ** 16))
 def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers, max_norm, seed):
     """The zero/mirror walk, clipping (norm and gradients), AdamW and the EMA
-    leave the same bits on several workers as on one; the exempt tail puts
-    the decay boundary inside a block."""
+    with its teacher mirror leave the same bits on several workers as on
+    one; the exempt tail puts the decay boundary inside a block."""
     rng = np.random.default_rng(seed)
     shapes = [(1, n) if n % 2 else (2, n // 2) for n in sizes] + [(1, 1)] * exempt
     decay = [True] * len(sizes) + [False] * exempt
@@ -202,6 +207,7 @@ def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers
             patch.setattr(dc, "_WORKERS", count)
             student = SimpleNamespace(arena=make_arena(*values, decay=decay), buffers={})
             teacher = SimpleNamespace(arena=make_arena(*[-v for v in values], decay=decay), buffers={})
+            teacher.arena.fill_mirror()
             arena, norms = student.arena, []
             for step, gs in enumerate(grads, start=1):
                 arena.grad[...] = 1.0
@@ -214,8 +220,9 @@ def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers
                 ema_update(teacher, student, 0.99)
             runs.append((norms, [a.tobytes() for a in (arena.value, arena.grad, arena.adam_m,
                                                        arena.adam_v, arena.value32,
-                                                       teacher.arena.value)]))
+                                                       teacher.arena.value, teacher.arena.value32)]))
     assert runs[0] == runs[1]
+    assert runs[0][1][-1] == np.asarray(teacher.arena.value, dtype=np.float32).tobytes()
 
 
 def test_one_block_arena_never_starts_the_pool(monkeypatch):
@@ -346,3 +353,41 @@ def test_optim_config_validation():
         OptimConfig(lr0=0.0)
     with pytest.raises(ValueError):
         OptimConfig(clip_norm=0.0)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("lr0", math.nan, "lr0 must be finite, got nan"),
+    ("lr0", math.inf, "lr0 must be finite, got inf"),
+    ("weight_decay", math.nan, "weight_decay must be finite, got nan"),
+    ("clip_norm", math.nan, "clip_norm must be finite, got nan"),
+    ("clip_norm", -math.inf, "clip_norm must be finite, got -inf"),
+    ("beta1", 1.5, "beta1 must be in [0, 1), also when rounded to float32, got 1.5"),
+    ("beta1", 1.0, "beta1 must be in [0, 1), also when rounded to float32, got 1.0"),
+    ("beta1", -0.1, "beta1 must be in [0, 1), also when rounded to float32, got -0.1"),
+    ("beta2", 1.0 - 1e-8, "beta2 must be in [0, 1), also when rounded to float32, got 0.99999999"),
+    ("beta2", math.nan, "beta2 must be finite, got nan"),
+    ("eps", -1.0, "eps must be >= "),
+    ("eps", 0.0, "eps must be >= "),
+    ("eps", 1e-40, "eps must be >= "),
+    ("eps", math.inf, "eps must be finite, got inf"),
+    ("clip_norm", 2e18, "clip_norm must be in (0, 1e+18], got 2e+18"),
+])
+def test_optim_config_rejects_values_naming_the_field(field, value, reason):
+    with pytest.raises(ValueError) as info:
+        OptimConfig(**{field: value})
+    assert str(info.value).startswith(f"OptimConfig: {reason}")
+
+
+def test_adamw_float32_moments_stay_finite_at_the_range_ends():
+    """clip_norm 1e18 and eps at the least normal float32 are accepted. A
+    clipped gradient entry is then at most 1e18, so its float32 moments and
+    the step stay finite, and a parameter with no gradient does not move."""
+    OptimConfig(beta1=0.0, beta2=float(np.nextafter(np.float32(1.0), np.float32(0.0))))
+    cfg = OptimConfig(clip_norm=1e18, eps=float(np.finfo(np.float32).tiny), weight_decay=0.0)
+    arena = make_arena([[0.5, -0.5]], [[1.0]])
+    arena.params[0].grad[...] = [[1e30, -1e30]]
+    for step in range(1, 4):
+        clip_global_norm(arena, cfg.clip_norm)
+        adamw_step(arena, cfg, step, lr_t=1e-3)
+    assert np.isfinite(arena.adam_v).all() and np.isfinite(arena.value).all()
+    assert arena.params[1].value[0, 0] == 1.0

@@ -94,6 +94,51 @@ def test_teacher_receives_no_gradients():
         assert np.all(p.adam_m == 0.0)
 
 
+def test_teacher_mirror_follows_the_ema_after_every_desk_step():
+    """After every step of a desk training the teacher's float32 mirror is
+    its values rounded to float32, bit for bit, and its gradients and Adam
+    moments are still all zero."""
+    rng = np.random.default_rng(12)
+    view = (rng.normal(size=(100, 12)), rng.normal(size=(100, 24)))
+    steps = []
+
+    def hook(mp, teacher, rho):
+        arena = teacher.arena
+        np.testing.assert_array_equal(arena.value32.view(np.uint32),
+                                      arena.value.astype(np.float32).view(np.uint32))
+        assert not (arena.grad.any() or arena.adam_m.any() or arena.adam_v.any())
+        steps.append(rho)
+
+    train(view, desk_train_config(seed=12, epochs=3, batch_size=50), step_hook=hook)
+    assert len(steps) == 6
+
+
+def test_arena_bytes_per_parameter():
+    """Memory guard: a trained arena holds 28 bytes per parameter (value and
+    gradient 8 each, Adam moments and mirror 4 each), and training writes
+    12 bytes per parameter of the EMA teacher's (value and mirror): its
+    gradients and moments are made read-only, so a step that writes them
+    fails, and their zero pages are never mapped."""
+    cfg = desk_train_config(seed=13)
+    rng = np.random.default_rng(13)
+    mp = ModelParams(cfg.model, seed=13)
+    teacher = mp.copy()
+    unwritten = ("grad", "adam_m", "adam_v")
+    for owner in (teacher.arena, *teacher.parameters()):
+        for kind in unwritten:
+            getattr(owner, kind).flags.writeable = False
+    for step in range(1, 4):
+        train_step(mp, teacher, rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
+                   step + 4, step, 1e-3, 0.99, step)
+
+    def bytes_per_parameter(arena, kinds):
+        return sum(getattr(arena, kind).nbytes for kind in kinds) / arena.size
+
+    assert bytes_per_parameter(mp.arena, ("value", "grad", "adam_m", "adam_v", "value32")) == 28
+    assert bytes_per_parameter(teacher.arena, ("value", "value32")) == 12
+    assert not any(getattr(teacher.arena, kind).any() for kind in unwritten)
+
+
 def test_teacher_differs_from_student_after_training():
     data = tiny_data()
     result = train(data.unlabeled(), tiny_train_config(epochs=3))
@@ -158,11 +203,12 @@ def test_train_step_rejects_single_sample():
 
 
 def state_digest(*models):
-    """SHA-256 over every value, gradient, Adam moment and buffer."""
+    """SHA-256 over every value, float32 mirror, gradient, Adam moment and
+    buffer."""
     h = hashlib.sha256()
     for mp in models:
         for p in mp.parameters():
-            for arr in (p.value, p.grad, p.adam_m, p.adam_v):
+            for arr in (p.value, p.value32, p.grad, p.adam_m, p.adam_v):
                 h.update(arr.tobytes())
         for b in mp.buffers.values():
             h.update(b.tobytes())
@@ -194,9 +240,10 @@ def patch_former_step(monkeypatch):
 
 def run_steps(cfg, batch, epochs, monkeypatch=None):
     """Identically seeded train_steps on one batch; with ``monkeypatch`` they
-    run the former step: the clean pass's constant inputs behind the
-    gradient gate of that step's mask plan, and the pieces of
-    ``patch_former_step``."""
+    run the former step: the clean student pass's constant inputs behind
+    the gradient gate of that step's mask plan, and the pieces of
+    ``patch_former_step``. The eval-mode teacher pass runs ungated, as in
+    the library step."""
     rng = np.random.default_rng(cfg.seed)
     xa = rng.normal(size=(batch, cfg.model.d_audio))
     xv = rng.normal(size=(batch, cfg.model.d_visual))
@@ -207,6 +254,8 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
         forward_embed = trainer.forward_embed
 
         def gated_forward_embed(mp, xa, xv, train, rng=None):
+            if not train:  # the teacher pass
+                return forward_embed(mp, xa, xv, train=train, rng=rng)
             current["gated"] += 1
             plan = make_plan(xa.shape[0], cfg.model.d_audio, cfg.model.d_visual,
                              cfg.mask_ratio, current["seed"])
@@ -319,8 +368,8 @@ def test_first_layers_never_compute_an_input_gradient(monkeypatch):
 
 def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch):
     """Every multi-element value of the taped student passes is float32,
-    every loss value is a float64 1 x 1, the untaped teacher pass is float64
-    (the teacher has no float32 mirror), and every node sends each input its
+    every loss value is a float64 1 x 1, the untaped teacher pass is float32
+    (on the teacher's float32 mirror), and every node sends each input its
     gradient in that input's dtype."""
     values, grads = [], []
     make_node = dc._node
@@ -342,7 +391,7 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
     teacher = mp.copy()
     train_step(mp, teacher, rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
                cfg.warmup_epochs + 1, 5, 1e-3, 0.99, 1)
-    assert mp.arena.value32.dtype == np.float32 and teacher.arena.value32 is None
+    assert mp.arena.value32.dtype == teacher.arena.value32.dtype == np.float32
     trunk = {(op, dtype) for op, shape, dtype, taped in values if taped and shape != (1, 1)}
     scalars = {(op, dtype) for op, shape, dtype, taped in values if taped and shape == (1, 1)}
     untaped = {(op, dtype) for op, shape, dtype, taped in values if not taped}
@@ -356,7 +405,7 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
     assert sum(not taped for *_, taped in values) == 16
     assert {op for op, _ in untaped} == {"encoder_layer", "matmul", "add_layer_norm", "linear",
                                          "l2_normalize_rows"}
-    assert {dtype for _, dtype in untaped} == {np.dtype(np.float64)}
+    assert {dtype for _, dtype in untaped} == {np.dtype(np.float32)}
     assert {dtype for _, dtype, _ in grads} == {np.dtype(np.float32), np.dtype(np.float64)}
     assert [(op, want, got) for op, want, got in grads if got != want] == []
 
