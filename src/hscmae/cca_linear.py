@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The covariance regularizer of the fit and of the canonical-correlation
+# loss, the one value every training and baseline uses
+EPS = 1e-4
 _EIG_CLAMP = 1e-10
 _RANK_TOL = 1e-12
 
@@ -28,7 +31,6 @@ class LinearCcaModel:
     a: np.ndarray       # dx x p
     b: np.ndarray       # dy x p
     rho: np.ndarray     # p, descending in [0, 1]
-    p: int
 
 
 def _inv_sqrt(sym):
@@ -65,7 +67,7 @@ def whiten(x, y, eps):
     return mean_x, mean_y, hx, hy, k_xx, k_yy, u, sv, vt
 
 
-def fit(x, y, p, eps=1e-4):
+def fit(x, y, p, eps=EPS):
     """Fit canonical directions via SVD of the whitened cross-covariance.
 
     Columns are ordered by descending correlation; each audio-side column is
@@ -93,7 +95,7 @@ def fit(x, y, p, eps=1e-4):
             a[:, j] = -col
             b[:, j] = -b[:, j]
 
-    return LinearCcaModel(mean_x=mean_x, mean_y=mean_y, a=a, b=b, rho=rho, p=p)
+    return LinearCcaModel(mean_x=mean_x, mean_y=mean_y, a=a, b=b, rho=rho)
 
 
 def transform(model, x, y):
@@ -117,6 +119,5 @@ def checkpoint_entries(model):
 
 
 def from_checkpoint_entries(entries):
-    rho = entries["cca/rho"].reshape(-1)
     return LinearCcaModel(mean_x=entries["cca/mean_a"], mean_y=entries["cca/mean_v"],
-                          a=entries["cca/A"], b=entries["cca/B"], rho=rho, p=rho.size)
+                          a=entries["cca/A"], b=entries["cca/B"], rho=entries["cca/rho"].reshape(-1))

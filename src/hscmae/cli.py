@@ -152,11 +152,11 @@ def _dims(data):
     return data.audio.shape[1], data.visual.shape[1]
 
 
-def load_matching(path, split, dims, source):
+def load_matching(path, dims, source):
     """``load_features`` of a split to be scored, which must have the
     audio/visual dims ``dims`` of ``source`` and class labels; other dims, or
     no labels, are a data error."""
-    data = load_features(path, split=split)
+    data = load_features(path)
     d_audio, d_visual = _dims(data)
     if (d_audio, d_visual) != dims:
         raise DataError(f"{path}: feature dims {d_audio}/{d_visual} differ from the "
@@ -220,28 +220,26 @@ def _write_lines(path, rows):
 
 def cmd_synth(args):
     cfg = build(SynthConfig, args, warp=not args.no_warp)
-    if args.manifest:
-        write_manifest(args.manifest, "synth", asdict(cfg),
-                       {"train": args.out_train, "test": args.out_test}, cfg.seed)
     train_set, test_set = generate_synthetic(cfg)
     save_features(args.out_train, train_set)
     save_features(args.out_test, test_set)
+    if args.manifest:
+        write_manifest(args.manifest, "synth", asdict(cfg),
+                       {"train": args.out_train, "test": args.out_test}, cfg.seed)
     print(f"wrote {train_set.n} train samples to {args.out_train}, "
           f"{test_set.n} test samples to {args.out_test}")
     return 0
 
 
 def cmd_train(args):
-    data = load_features(args.features, split="train")
-    eval_set = (load_matching(args.eval_features, "test", _dims(data), f"training split {args.features}")
+    data = load_features(args.features)
+    eval_set = (load_matching(args.eval_features, _dims(data), f"training split {args.features}")
                 if args.eval_features else None)
+    score = None if eval_set is None else lambda mp: evaluate_model(mp, None, eval_set)
     cfg = build_train_config(args, *_dims(data))
     check_batch_size(cfg, data.n)
-    if args.manifest:
-        write_manifest(args.manifest, "train", asdict(cfg),
-                       {"checkpoint": args.out, "log_csv": args.log_csv}, cfg.seed)
     start = time.monotonic()
-    result = train(data.unlabeled(), cfg, eval_set=eval_set)
+    result = train(data.unlabeled(), cfg, score=score)
     elapsed = time.monotonic() - start
     save_checkpoint(args.out, result)
     if args.log_csv:
@@ -255,7 +253,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     mp, cca_model = load_checkpoint(args.checkpoint)
-    data = load_matching(args.features, "test", (mp.config.d_audio, mp.config.d_visual),
+    data = load_matching(args.features, (mp.config.d_audio, mp.config.d_visual),
                          f"checkpoint {args.checkpoint}")
     za, zv = retrieval_embeddings(mp, cca_model, data.audio, data.visual)
     del mp  # the parameter arena is freed before the ranking
@@ -271,8 +269,8 @@ def cmd_eval(args):
 def load_experiment(args):
     """The training split, the test split and the TrainConfig of baseline,
     sweep and ablate."""
-    train_set = load_features(args.train_features, split="train")
-    test_set = load_matching(args.test_features, "test", _dims(train_set),
+    train_set = load_features(args.train_features)
+    test_set = load_matching(args.test_features, _dims(train_set),
                              f"training split {args.train_features}")
     return train_set, test_set, build_train_config(args, *_dims(train_set))
 
@@ -416,7 +414,8 @@ def main(argv=None):
     try:
         args = parse_args(argv)
         check_outputs(args)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the finiteness checks report; no value changes
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ import numpy as np
 
 FEATURE_MAGIC = b"AVFEAT01"
 _LABEL_MAX = 2 ** 32 - 1  # the largest label the container's u32 field holds
+LATENT_DIM = 8  # dimension of the synthetic generator's shared latent space
 
 
 class DataError(Exception):
@@ -33,7 +34,6 @@ class FeatureSet:
     audio: np.ndarray            # n x d_a, float64 in memory
     visual: np.ndarray           # n x d_v
     labels: np.ndarray | None    # n int class ids, evaluation only
-    split: str = "train"
 
     def __post_init__(self):
         self.audio = np.asarray(self.audio, dtype=np.float64)
@@ -81,9 +81,11 @@ def save_features(path, fs):
 
 
 def load_features(path, split="train"):
+    """The FeatureSet of a binary container or a ``.csv`` file (see
+    ``save_features``); ``split`` is accepted and ignored."""
     path = str(path)
     if path.endswith(".csv"):
-        return _load_csv(path, split)
+        return _load_csv(path)
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != FEATURE_MAGIC:
@@ -110,8 +112,7 @@ def load_features(path, split="train"):
         if not np.all(np.isfinite(block)):
             bad = int(np.flatnonzero(~np.isfinite(block).reshape(-1))[0])
             raise DataError(f"{path}: non-finite {name} value at flat offset {bad}")
-    return FeatureSet(audio=audio.astype(np.float64), visual=visual.astype(np.float64),
-                      labels=labels, split=split)
+    return FeatureSet(audio=audio.astype(np.float64), visual=visual.astype(np.float64), labels=labels)
 
 
 def _save_csv(path, fs):
@@ -147,7 +148,7 @@ def _csv_columns(path, header):
     return d_a, d_v, has_labels
 
 
-def _load_csv(path, split):
+def _load_csv(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = list(fh)
@@ -177,7 +178,7 @@ def _load_csv(path, split):
             raise DataError(f"{path}:{bad[0] + 2}: label {float(labels[bad[0]])!r} is not a whole "
                             f"number in 0..{_LABEL_MAX}")
         labels = labels.astype(np.int64)
-    return FeatureSet(audio=data[:, :d_a], visual=data[:, d_a:d_a + d_v], labels=labels, split=split)
+    return FeatureSet(audio=data[:, :d_a], visual=data[:, d_a:d_a + d_v], labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,6 @@ class SynthConfig:
     per_class: int = 250          # training samples per class; test adds 25% overall
     d_audio: int = 12
     d_visual: int = 24
-    latent_dim: int = 8
     mean_scale: float = 1.0
     noise_scale: float = 0.8
     warp: bool = True             # elementwise cubic warp on the visual view
@@ -204,8 +204,8 @@ class SynthConfig:
             raise ValueError("SynthConfig: scales must be positive and finite (mean_scale > 0, "
                              f"noise_scale >= 0), got mean_scale={self.mean_scale}, "
                              f"noise_scale={self.noise_scale}")
-        if min(self.per_class, self.d_audio, self.d_visual, self.latent_dim) < 1:
-            raise ValueError("SynthConfig: per_class, d_audio, d_visual and latent_dim must be >= 1")
+        if min(self.per_class, self.d_audio, self.d_visual) < 1:
+            raise ValueError("SynthConfig: per_class, d_audio and d_visual must be >= 1")
         if self.seed < 0:
             raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
 
@@ -213,14 +213,15 @@ class SynthConfig:
 def generate_synthetic(config):
     """Paired features whose class structure lives in a shared latent space.
 
-    Per class a latent center is drawn and pushed through fixed random linear
-    maps into each modality, so audio/visual class structure is genuinely
-    correlated; samples add isotropic per-modality noise. The optional cubic
-    warp distorts the visual view so a purely linear alignment is suboptimal.
+    Per class a ``LATENT_DIM``-dimensional latent center is drawn and
+    pushed through fixed random linear maps into each modality, so
+    audio/visual class structure is genuinely correlated; samples add
+    isotropic per-modality noise. The optional cubic warp distorts the
+    visual view so a purely linear alignment is suboptimal.
     Deterministic per seed. The split keeps an exact 80/20 train/test ratio,
     stratified by class (test counts may differ by one across classes)."""
     rng = np.random.default_rng(config.seed)
-    c, ld = config.classes, config.latent_dim
+    c, ld = config.classes, LATENT_DIM
     centers = rng.normal(0.0, config.mean_scale, (c, ld))
     map_a = rng.normal(0.0, 1.0, (ld, config.d_audio)) / np.sqrt(ld)
     map_v = rng.normal(0.0, 1.0, (ld, config.d_visual)) / np.sqrt(ld)
@@ -238,7 +239,7 @@ def generate_synthetic(config):
             xv = xv ** 3
         return xa, xv
 
-    def build(counts, split):
+    def build(counts):
         parts_a, parts_v, parts_y = [], [], []
         for cls, count in enumerate(counts):
             xa, xv = draw(count, cls)
@@ -246,10 +247,10 @@ def generate_synthetic(config):
             parts_v.append(xv)
             parts_y.append(np.full(count, cls, dtype=np.int64))
         return FeatureSet(audio=np.vstack(parts_a), visual=np.vstack(parts_v),
-                          labels=np.concatenate(parts_y), split=split)
+                          labels=np.concatenate(parts_y))
 
-    train = build([config.per_class] * c, "train")
-    test = build(test_counts, "test")
+    train = build([config.per_class] * c)
+    test = build(test_counts)
     return train, test
 
 

@@ -39,6 +39,7 @@ float32 passes read.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from functools import partial
 
@@ -158,10 +159,11 @@ def _pool():
 
 def _concurrently(calls):
     """Run every zero-argument call and return their results in order: the
-    first on the calling thread, the others on the pool. An exception raised
-    by any call is re-raised here once every call has stopped. Each call
-    must touch only its own outputs and call only numpy."""
-    futures = [_pool().submit(call) for call in calls[1:]]
+    first on the calling thread, the others on the pool, each in a copy of
+    the caller's context, so that they keep its ``np.errstate``. An
+    exception raised by any call is re-raised here once every call has
+    stopped. Each call must touch only its own outputs and call only numpy."""
+    futures = [_pool().submit(contextvars.copy_context().run, call) for call in calls[1:]]
     try:
         first = calls[0]()
     finally:

@@ -26,7 +26,7 @@ from . import cca_linear, diffcore as dc
 @dataclass(frozen=True)
 class CcaConfig:
     r: int = 32          # canonical directions kept (full retrieval dim)
-    eps: float = 1e-4    # covariance regularizer, shared with the linear fit
+    eps: float = cca_linear.EPS  # covariance regularizer, shared with the linear fit
 
     def __post_init__(self):
         if self.r < 1:

@@ -322,17 +322,17 @@ def embed_arrays(mp, audio, visual):
     preallocated outputs. Every layer is row-wise in eval mode, and the
     blocks are cut so that BLAS gives each row the bits of one pass over all
     rows (see ``EMBED_ROW_ALIGN``); a model whose smallest layer product is
-    tiny therefore takes fewer, larger blocks. Inputs that fit one block
-    (every desk model, a 400-row batch at paper widths) run as that one
-    pass, with no copy."""
+    tiny therefore takes fewer, larger blocks. Every input takes this path;
+    one that fits one block (every desk model, a 400-row batch at paper
+    widths) runs as one block over all its rows. Audio and visual inputs
+    with different row counts raise ShapeError before any compute."""
     audio, visual = (np.asarray(x, dtype=np.float64) for x in (audio, visual))
-    n = audio.shape[0]
+    n, m = audio.shape[0], mp.config.model_dim
+    if visual.shape[0] != n:  # the text fuse gives the mismatch
+        raise dc.ShapeError(f"fuse: {(n, m)} vs {(visual.shape[0], m)}, model dim {m}")
     bounds = _row_blocks(mp.config, n)
+    za, zv = np.empty((n, mp.config.proj_dim)), np.empty((n, mp.config.proj_dim))
     with dc.no_tape():
-        if len(bounds) <= 2 or visual.shape[0] != n:  # a row-count mismatch fails in fuse
-            za, zv, _, _ = forward_embed(mp, dc.const(audio), dc.const(visual), train=False)
-            return za.value, zv.value
-        za, zv = np.empty((n, mp.config.proj_dim)), np.empty((n, mp.config.proj_dim))
         for lo, hi in zip(bounds, bounds[1:]):
             ba, bv, _, _ = forward_embed(mp, dc.const(audio[lo:hi]), dc.const(visual[lo:hi]),
                                          train=False)

@@ -1,6 +1,7 @@
-"""AdamW with decoupled weight decay, global-norm gradient clipping, and a
-cosine-annealing learning-rate schedule (per-epoch, from lr0 towards 0,
-restarting every T_max epochs)."""
+"""AdamW with decoupled weight decay (Loshchilov and Hutter, arXiv:1711.05101)
+and Kingma and Ba's betas and eps as constants (arXiv:1412.6980), global-norm
+gradient clipping, and a cosine-annealing learning-rate schedule (per-epoch,
+from lr0 towards 0, restarting every T_max epochs)."""
 
 from __future__ import annotations
 
@@ -12,41 +13,33 @@ import numpy as np
 from .diffcore import NumericError
 
 
+# Safe for float32 moments: BETA2 rounds to a float32 below 1, and EPS is above
+# the least normal float32, so no Adam denominator is 0.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 # The largest clip_norm: a clipped gradient entry is at most clip_norm, so
 # its square, and every second moment, stays finite in float32.
 MAX_CLIP_NORM = 1e18
-# The smallest eps: the least normal float32, so the Adam denominator of a
-# parameter that never had a gradient is never 0.
-MIN_EPS = float(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """The optimizer's settings; Adam's betas and eps are the constants above."""
+
     lr0: float = 3e-4
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0
     cosine_t_max: int = 50
 
     def __post_init__(self):
-        for name in ("lr0", "weight_decay", "beta1", "beta2", "eps", "clip_norm"):
+        for name in ("lr0", "weight_decay", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"OptimConfig: {name} must be finite, got {getattr(self, name)}")
         if self.lr0 <= 0:
             raise ValueError("OptimConfig: lr0 must be positive")
         if self.weight_decay < 0:
             raise ValueError(f"OptimConfig: weight_decay must be >= 0, got {self.weight_decay}")
-        for name in ("beta1", "beta2"):
-            # the moments decay in float32, where a beta within 3e-8 of 1 rounds to 1
-            beta = getattr(self, name)
-            if not (beta >= 0.0 and np.float32(beta) < 1.0):
-                raise ValueError(f"OptimConfig: {name} must be in [0, 1), also when rounded to "
-                                 f"float32, got {beta}")
-        if self.eps < MIN_EPS:
-            raise ValueError(f"OptimConfig: eps must be >= {MIN_EPS} (the least normal float32), "
-                             f"got {self.eps}")
         if not 0 < self.clip_norm <= MAX_CLIP_NORM:
             raise ValueError(f"OptimConfig: clip_norm must be in (0, {MAX_CLIP_NORM:g}], "
                              f"got {self.clip_norm}")
@@ -83,7 +76,8 @@ def clip_global_norm(arena, max_norm):
 
 def adamw_step(arena, config, step_index, lr_t):
     """One decoupled-decay Adam step with bias-corrected moments over a
-    ``ParamArena``.
+    ``ParamArena``, with ``BETA1``, ``BETA2`` and ``EPS``; ``config`` gives
+    the weight decay.
 
     Decay is applied first, as theta <- theta * (1 - lr_t * wd); parameters
     flagged ``decay=False`` (the log-variance weights, the arena's tail) are
@@ -98,9 +92,8 @@ def adamw_step(arena, config, step_index, lr_t):
     if step_index < 1:
         raise ValueError("adamw_step: step_index starts at 1")
     # Python floats, so that each enters the float32 ufuncs as a float32
-    b1, b2, eps = float(config.beta1), float(config.beta2), float(config.eps)
-    inv_sqrt_c2 = 1.0 / math.sqrt(1.0 - b2 ** step_index)
-    lr_c1 = float(lr_t) / (1.0 - b1 ** step_index)
+    inv_sqrt_c2 = 1.0 / math.sqrt(1.0 - BETA2 ** step_index)
+    lr_c1 = float(lr_t) / (1.0 - BETA1 ** step_index)
     decay_end = arena.decay_end if config.weight_decay else 0
     keep = 1.0 - lr_t * config.weight_decay
 
@@ -114,16 +107,16 @@ def adamw_step(arena, config, step_index, lr_t):
         if k > 0:
             val[:k] *= keep
         np.copyto(g, arena.grad[start:stop], casting="same_kind")
-        m *= b1
-        np.multiply(1.0 - b1, g, out=s)
+        m *= BETA1
+        np.multiply(1.0 - BETA1, g, out=s)
         m += s
-        v *= b2
-        np.multiply(1.0 - b2, g, out=s)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=s)
         s *= g
         v += s
         np.sqrt(v, out=d)
         d *= inv_sqrt_c2
-        d += eps
+        d += EPS
         np.divide(m, d, out=s)
         s *= lr_c1
         val -= s

@@ -48,7 +48,7 @@ class TrainConfig:
     use_infonce: bool = True
     use_dis: bool = True
     cca_r: int | None = None  # canonical directions; default proj_dim
-    cca_eps: float = 1e-4
+    cca_eps = cca_linear.EPS  # a constant, not a field: the regularizer of every CCA
     cca_post_dim: int = 10
     seed: int = 0
     eval_every: int = 0
@@ -172,13 +172,14 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     return bundle.values(), weights, float(total.value[0, 0])
 
 
-def train(view, cfg, eval_set=None, step_hook=None):
+def train(view, cfg, score=None, step_hook=None):
     """Full training loop.
 
-    ``view`` is the label-stripped TrainView; ``eval_set`` is an optional
-    labeled FeatureSet scored every ``cfg.eval_every`` epochs on the raw
-    retrieval-space embeddings (the post-hoc CCA is fitted only once, after
-    the final epoch). ``step_hook(mp, teacher, rho)`` runs after every step.
+    ``view`` is the label-stripped TrainView. ``score(mp)``, if given, runs
+    every ``cfg.eval_every`` epochs on the student (before the post-hoc CCA,
+    which is fitted only once, after the final epoch) and returns a report
+    whose ``map_a2v``, ``map_v2a`` and ``map_avg`` the epoch's log keeps.
+    ``step_hook(mp, teacher, rho)`` runs after every step.
     """
     if not isinstance(view, TrainView):
         view = TrainView(audio=np.asarray(view[0]), visual=np.asarray(view[1]))
@@ -214,10 +215,8 @@ def train(view, cfg, eval_set=None, step_hook=None):
         log = EpochLog(epoch=epoch,
                        losses={name: sums[name] / nb for name in LOSS_NAMES},
                        weights=weights, total=total_sum / nb, lr=lr_t, rho=rho)
-        if eval_set is not None and cfg.eval_every and epoch % cfg.eval_every == 0:
-            from .evaluate import cross_modal_map, retrieval_embeddings
-            za, zv = retrieval_embeddings(mp, None, eval_set.audio, eval_set.visual)
-            report = cross_modal_map(za, zv, eval_set.labels)
+        if score is not None and cfg.eval_every and epoch % cfg.eval_every == 0:
+            report = score(mp)
             log.map_a2v, log.map_v2a, log.map_avg = report.map_a2v, report.map_v2a, report.map_avg
         logs.append(log)
 

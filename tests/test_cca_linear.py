@@ -133,7 +133,7 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "cca.bin"
     save_entries(path, cca_linear.checkpoint_entries(model))
     loaded = cca_linear.from_checkpoint_entries(load_entries(path))
-    assert loaded.p == 3
+    assert loaded.rho.size == 3
     np.testing.assert_array_equal(loaded.a, model.a)
     np.testing.assert_array_equal(loaded.b, model.b)
     np.testing.assert_array_equal(loaded.rho, model.rho)

@@ -5,15 +5,17 @@ import json
 import os
 import struct
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+import hscmae.diffcore as dc
 from hscmae import cli, evaluate, trainer
 from hscmae.cli import build, build_parser, build_train_config, main, parse_args
 from hscmae.data_io import FeatureSet, SynthConfig, load_features, save_features
-from hscmae.model import ModelConfig, load_entries, save_entries
+from hscmae.model import ModelConfig, ModelParams, load_entries, save_entries
+from hscmae.optim import OptimConfig
 from hscmae.trainer import TrainConfig, load_checkpoint
 
 SMALL_FLAGS = [
@@ -62,7 +64,7 @@ def test_train_outputs(trained):
     ckpt, log_csv, manifest = trained
     mp, cca_model = load_checkpoint(ckpt)
     assert mp.config.proj_dim == 4
-    assert cca_model.p == 2
+    assert cca_model.rho.size == 2
     assert not any(name.startswith("teacher/") for name in load_entries(ckpt))
     lines = open(log_csv).read().strip().split("\n")
     assert lines[0].startswith("epoch,")
@@ -648,6 +650,31 @@ def test_non_finite_weighted_total_exits_three_naming_terms_and_sigmas(data_file
     assert err.count("\n") == 1
 
 
+# an arena of several blocks, so that AdamW walks part of it on a pool thread
+WIDE_FLAGS = ["--audio-widths", "12,128,128", "--visual-widths", "24,128,128"]
+
+
+@pytest.mark.parametrize("flags", [["--lr", "1e300"], ["--tau", "1e-320"], ["--lr", "1e300", *WIDE_FLAGS]],
+                         ids=("lr", "tau", "lr-pool"))
+def test_numeric_failure_prints_no_numpy_warning_and_leaves_no_output(data_files, tmp_path, capsys,
+                                                                     monkeypatch, flags):
+    """An overflowing step exits 3 with one line; numpy warns of nothing,
+    also on the arena's pool threads, and neither the checkpoint nor the
+    manifest is written."""
+    monkeypatch.setattr(dc, "_WORKERS", max(2, dc._WORKERS))
+    assert ModelParams(ModelConfig(audio_widths=(12, 128, 128), visual_widths=(24, 128, 128), heads=2,
+                                   proj_dim=4)).arena.size > dc.BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--features", data_files[0], "--out", str(tmp_path / "x.ckpt"),
+                   "--manifest", str(tmp_path / "m.json"), *SMALL_FLAGS, *flags])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "Warning" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # the command-line surface against the config classes
 # ---------------------------------------------------------------------------
@@ -684,6 +711,17 @@ NON_DEFAULT = {
     "mean_scale": "2.0", "use_rec": "off", "use_cca": "no", "use_infonce": "false", "use_dis": "0",
 }
 SYNTH_KEYS = {"classes", "per_class", "d_audio", "d_visual", "noise", "mean_scale", "seed"}
+
+
+# config fields that no knob sets, each with what sets it
+UNKNOBBED = {"model": "a sub-config", "optim": "a sub-config",
+             "cca_r": "the benchmark's desk profile", "warp": "--no-warp"}
+
+
+def test_every_config_field_is_a_knob_or_has_a_named_setter():
+    settable = [f.name for cls in (ModelConfig, TrainConfig, OptimConfig, SynthConfig) for f in fields(cls)]
+    assert sorted(set(settable) - {name for name, _ in cli.KNOBS.values()}) == sorted(UNKNOBBED)
+    assert len(settable) == 33
 
 
 def test_option_strings_per_subcommand():

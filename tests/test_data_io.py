@@ -41,11 +41,20 @@ def test_binary_roundtrip_with_labels(tmp_path):
     path = tmp_path / "feat.bin"
     save_features(path, fs)
     loaded = load_features(path, split="test")
-    assert loaded.split == "test"
     # payload is stored as float32
     np.testing.assert_array_equal(loaded.audio, fs.audio.astype(np.float32).astype(np.float64))
     np.testing.assert_array_equal(loaded.visual, fs.visual.astype(np.float32).astype(np.float64))
     np.testing.assert_array_equal(loaded.labels, fs.labels)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_load_features_accepts_and_ignores_split(tmp_path, suffix):
+    path = tmp_path / f"feat{suffix}"
+    save_features(path, sample_set())
+    train, test = load_features(path, split="train"), load_features(path, split="test")
+    assert not hasattr(train, "split")
+    for a, b in ((train.audio, test.audio), (train.visual, test.visual), (train.labels, test.labels)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_binary_roundtrip_without_labels(tmp_path):
@@ -293,7 +302,7 @@ def test_generator_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"scales must be positive and finite .*{field}={value}"):
                 SynthConfig(**{field: value})
-    for field in ("per_class", "d_audio", "d_visual", "latent_dim"):
+    for field in ("per_class", "d_audio", "d_visual"):
         for value in (0, -1):
             with pytest.raises(ValueError, match="must be >= 1"):
                 SynthConfig(**{field: value})

@@ -13,6 +13,7 @@ textbook-formula implementations, all kept here as reference oracles.
 """
 
 import ast
+import warnings
 import weakref
 from pathlib import Path
 
@@ -826,3 +827,52 @@ def test_every_public_function_has_a_caller_in_the_library():
     # the walk finds calls within a module, through an alias and through an import
     assert {("losses", "warmup_weight"), ("diffcore", "linear"), ("trainer", "train")} <= used
     assert sorted(public - used - UNCALLED) == []
+
+
+# the library's layers, lowest first: a module may import only from a lower one
+LAYERS = ({"diffcore", "cca_linear", "data_io", "masking"}, {"model"},
+          {"losses", "optim", "teacher"}, {"trainer"}, {"evaluate"}, {"cli"})
+
+
+def library_imports(src):
+    """(module, line, imported module) of every relative import in the
+    library, inside functions too; a name that ``from . import`` takes from
+    the package itself counts as an import of ``__init__``."""
+    modules = {path.stem for path in src.glob("*.py")}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = ([node.module] if node.module is not None else
+                           [a.name if a.name in modules else "__init__" for a in node.names])
+                yield from ((path.stem, node.lineno, target) for target in targets)
+
+
+def test_every_library_import_points_to_a_lower_layer():
+    src = Path(dc.__file__).parent
+    rank = {"__init__": -1, **{name: i for i, layer in enumerate(LAYERS) for name in layer}}
+    assert set(rank) == {path.stem for path in src.glob("*.py")}
+    found = list(library_imports(src))
+    # the walk sees both import forms
+    assert {("trainer", "cca_linear"), ("cli", "__init__")} <= {(m, t) for m, _, t in found}
+    assert [f"{module}.py:{line} imports {target}" for module, line, target in found
+            if rank[target] >= rank[module]] == []
+
+
+def test_pool_calls_keep_the_callers_errstate(monkeypatch):
+    """numpy keeps ``errstate`` in a context variable that pool threads do
+    not inherit, so each pool call runs in a copy of the caller's context."""
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    monkeypatch.setattr(dc, "_executor", None)
+    big = np.full(3, 3e38, dtype=np.float32)
+
+    def overflow():
+        return big * np.float32(10.0)
+
+    try:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            dc._concurrently([lambda: None, overflow])
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(dc._concurrently([lambda: None, overflow])[1]).all()
+    finally:
+        dc._executor.shutdown(wait=True)

@@ -355,8 +355,9 @@ def test_row_blocks_keep_every_product_above_the_small_matrix_kernels():
 
 def test_desk_model_and_a_paper_batch_run_one_block(monkeypatch):
     """Every desk embedding (up to the 2000-row final CCA fit) and the
-    400-row teacher pass at paper widths take one forward_embed over the
-    caller's arrays, with no copy; 513 paper-width rows take two blocks."""
+    400-row batch at paper widths take one forward_embed over views of the
+    caller's arrays, with no input copy; 513 paper-width rows take two
+    blocks."""
     calls = []
 
     def spying_forward_embed(mp, xa, xv, train, rng=None):
@@ -374,7 +375,18 @@ def test_desk_model_and_a_paper_batch_run_one_block(monkeypatch):
         embed_arrays(mp, xa, xv)
         assert [len(a) for a, _ in calls] == blocks
         if len(blocks) == 1:
-            assert calls[0][0] is xa and calls[0][1] is xv
+            assert calls[0][0].base is xa and calls[0][1].base is xv
+
+
+def test_embed_arrays_refuses_a_row_count_mismatch_as_one_pass_does():
+    mp = ModelParams(tiny_model_config(), seed=34)
+    rng = np.random.default_rng(35)
+    xa, xv = rng.normal(size=(5, 3)), rng.normal(size=(6, 5))
+    with pytest.raises(dc.ShapeError) as want:
+        one_pass(mp, xa, xv)
+    with pytest.raises(dc.ShapeError) as got:
+        embed_arrays(mp, xa, xv)
+    assert str(got.value) == str(want.value) == "fuse: (5, 4) vs (6, 4), model dim 4"
 
 
 def state_digests(mp, teacher):

@@ -2,6 +2,7 @@
 and checkpoint assembly."""
 
 import hashlib
+import inspect
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 import hscmae.diffcore as dc
 from hscmae import cca_linear, trainer
 from hscmae.data_io import FeatureSet
+from hscmae.evaluate import evaluate_model
+from hscmae.losses import CcaConfig
 from hscmae.masking import apply_value_mask, make_grad_gate, make_plan
 from hscmae.model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, StoredEntry,
                           config_entries, config_from_entries, embed_arrays, load_entries,
@@ -64,7 +67,7 @@ def test_train_produces_logs_and_cca_model():
     cfg = tiny_train_config()
     result = train(data.unlabeled(), cfg)
     assert len(result.logs) == 2
-    assert result.cca_model.p == 2
+    assert result.cca_model.rho.size == 2
     for log in result.logs:
         assert set(log.losses) == set(LOSS_NAMES)
         assert np.isfinite(log.total)
@@ -173,10 +176,20 @@ def test_mask_ratio_zero_runs():
     assert np.isfinite(result.logs[0].total)
 
 
+def test_the_cca_regularizer_is_one_constant():
+    """The linear fit, the CCA loss and the trainer read one regularizer,
+    and no config sets it."""
+    assert inspect.signature(cca_linear.fit).parameters["eps"].default == cca_linear.EPS
+    assert CcaConfig().eps == cca_linear.EPS
+    cfg = desk_train_config()
+    assert cfg.cca_eps == cfg.cca_config().eps == cca_linear.EPS
+    assert "cca_eps" not in {f.name for f in fields(TrainConfig)}
+
+
 def test_eval_every_populates_map_columns():
     data = tiny_data(n=48)
     cfg = tiny_train_config(epochs=2, eval_every=2)
-    result = train(data.unlabeled(), cfg, eval_set=data)
+    result = train(data.unlabeled(), cfg, score=lambda mp: evaluate_model(mp, None, data))
     assert result.logs[0].map_avg is None
     assert result.logs[1].map_avg is not None
     assert 0.0 <= result.logs[1].map_avg <= 1.0
