@@ -23,9 +23,8 @@ from . import __version__
 from .cca_linear import CcaFitError
 from .data_io import DataError, SynthConfig, generate_synthetic, load_features, save_features
 from .diffcore import DiffError
-from .evaluate import (BASELINES, DEFAULT_SWEEP_RATIOS, cross_modal_map, evaluate_model,
-                       mask_ratio_sweep, rank_list_rows, report_rows, retrieval_embeddings,
-                       run_baseline)
+from .evaluate import (BASELINES, cross_modal_map, evaluate_model, rank_list_rows, report_rows,
+                       retrieval_embeddings, run_baseline, score_variants)
 from .model import LOSS_NAMES, CheckpointError, ModelConfig
 from .optim import OptimConfig
 from .trainer import TrainConfig, epoch_log_rows, load_checkpoint, save_checkpoint, train
@@ -237,6 +236,8 @@ def cmd_train(args):
                 if args.eval_features else None)
     score = None if eval_set is None else lambda mp: evaluate_model(mp, None, eval_set)
     cfg = build_train_config(args, *_dims(data))
+    if eval_set is not None and not cfg.eval_every:
+        raise UsageError("--eval-features needs eval_every >= 1 (--eval-every or the config file)")
     check_batch_size(cfg, data.n)
     start = time.monotonic()
     result = train(data.unlabeled(), cfg, score=score)
@@ -287,20 +288,28 @@ def cmd_baseline(args):
     return 0
 
 
+def write_scores(path, label, grid, train_set, test_set):
+    """Train and score the TrainConfig of each (label cells, TrainConfig)
+    pair of ``grid``, then write one CSV row per pair: its label cells, then
+    its report cells."""
+    cells, variants = zip(*grid)
+    _write_lines(path, report_rows(zip(cells, score_variants(train_set, test_set, variants)), label))
+
+
+DEFAULT_SWEEP_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+
+
 def cmd_sweep(args):
     train_set, test_set, cfg = load_experiment(args)
     check_batch_size(cfg, train_set.n)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios else DEFAULT_SWEEP_RATIOS
-        for ratio in ratios:
-            replace(cfg, mask_ratio=ratio)  # range-checks each ratio before any training
+        # each ratio is range-checked here, before any training
+        grid = [(repr(ratio), replace(cfg, mask_ratio=ratio)) for ratio in ratios]
     except ValueError as exc:
         raise UsageError(f"--ratios: {exc}") from None
-    rows = mask_ratio_sweep(train_set, test_set, cfg, ratios)
-    lines = ["ratio,map_a2v,map_v2a,map_avg,gap"]
-    lines += [",".join(repr(v) for v in row) for row in rows]
-    _write_lines(args.out_csv, lines)
-    print(f"swept {len(rows)} mask ratios; results in {args.out_csv}")
+    write_scores(args.out_csv, "ratio", grid, train_set, test_set)
+    print(f"swept {len(grid)} mask ratios; results in {args.out_csv}")
     return 0
 
 
@@ -318,15 +327,11 @@ ABLATION_ROWS = (  # (cca, rec, infonce, dis) flag combinations
 def cmd_ablate(args):
     train_set, test_set, cfg = load_experiment(args)
     check_batch_size(cfg, train_set.n)
-    lines = ["cca,rec,infonce,dis,map_a2v,map_v2a,map_avg,gap"]
-    for cca, rec, infonce, dis in ABLATION_ROWS:
-        variant = replace(cfg, use_cca=cca, use_rec=rec, use_infonce=infonce, use_dis=dis)
-        result = train(train_set.unlabeled(), variant)
-        report = evaluate_model(result.params, result.cca_model, test_set)
-        lines.append(f"{int(cca)},{int(rec)},{int(infonce)},{int(dis)},"
-                     f"{report.map_a2v!r},{report.map_v2a!r},{report.map_avg!r},{report.gap!r}")
-    _write_lines(args.out_csv, lines)
-    print(f"ran {len(ABLATION_ROWS)} ablation rows; results in {args.out_csv}")
+    grid = [(",".join(str(int(flag)) for flag in row),
+             replace(cfg, use_cca=row[0], use_rec=row[1], use_infonce=row[2], use_dis=row[3]))
+            for row in ABLATION_ROWS]
+    write_scores(args.out_csv, "cca,rec,infonce,dis", grid, train_set, test_set)
+    print(f"ran {len(grid)} ablation rows; results in {args.out_csv}")
     return 0
 
 
@@ -377,28 +382,17 @@ def build_parser():
     p.add_argument("--ranklists-csv", dest="ranklists_csv")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline", help="run a reference system")
-    p.add_argument("--name", required=True, choices=BASELINES)
-    p.add_argument("--train-features", required=True, dest="train_features")
-    p.add_argument("--test-features", required=True, dest="test_features")
-    p.add_argument("--report-csv", dest="report_csv")
-    _add_knob_flags(p, experiment_keys)
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("sweep", help="mask-ratio sweep, one training per ratio")
-    p.add_argument("--train-features", required=True, dest="train_features")
-    p.add_argument("--test-features", required=True, dest="test_features")
-    p.add_argument("--out-csv", required=True, dest="out_csv")
-    p.add_argument("--ratios")
-    _add_knob_flags(p, experiment_keys)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ablate", help="run the loss-flag ablation grid")
-    p.add_argument("--train-features", required=True, dest="train_features")
-    p.add_argument("--test-features", required=True, dest="test_features")
-    p.add_argument("--out-csv", required=True, dest="out_csv")
-    _add_knob_flags(p, experiment_keys)
-    p.set_defaults(func=cmd_ablate)
+    for name, help_text, func, own in (
+            ("baseline", "run a reference system", cmd_baseline, ("--report-csv",)),
+            ("sweep", "mask-ratio sweep, one training per ratio", cmd_sweep, ("--out-csv", "--ratios")),
+            ("ablate", "run the loss-flag ablation grid", cmd_ablate, ("--out-csv",))):
+        p = sub.add_parser(name, help=help_text)
+        if name == "baseline":
+            p.add_argument("--name", required=True, choices=BASELINES)
+        for flag in ("--train-features", "--test-features", *own):
+            p.add_argument(flag, required=flag in ("--train-features", "--test-features", "--out-csv"))
+        _add_knob_flags(p, experiment_keys)
+        p.set_defaults(func=func)
 
     return parser
 
@@ -418,6 +412,9 @@ def main(argv=None):
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size no allocation can meet; numpy's message gives the bytes
+        print(f"usage error: cannot allocate memory: {exc}", file=sys.stderr)
         return 1
     except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

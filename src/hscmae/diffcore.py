@@ -290,20 +290,6 @@ class ParamArena:
         scratches = [self.scratch] + _worker_scratch[:workers - 1]
         _concurrently([partial(share, bounds[k], bounds[k + 1], scratches[k]) for k in range(workers)])
 
-    def non_finite(self):
-        """The name of the first parameter that holds a NaN or an infinity,
-        or None; the values are checked in one walk."""
-        bad = []
-
-        def block(start, stop, scratch):
-            if not np.isfinite(self.value[start:stop]).all():
-                bad.append(start)
-
-        self.walk(block)
-        if bad:
-            return next(p.name for p in self.params if not np.isfinite(p.value).all())
-        return None
-
 
 _taping = True
 

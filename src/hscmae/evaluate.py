@@ -1,5 +1,5 @@
 """Class-based cross-modal retrieval evaluation, baselines, and the
-mask-ratio sweep.
+training and scoring of experiment variants.
 
 Relevance is class membership; every test item queries the full test split of
 the other modality, ranked by cosine similarity (ties broken by ascending
@@ -163,18 +163,15 @@ def run_baseline(name, train_set, test_set, cfg):
     return cross_modal_map(za, zv, test_set.labels)
 
 
-DEFAULT_SWEEP_RATIOS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-
-
-def mask_ratio_sweep(train_set, test_set, cfg, ratios=DEFAULT_SWEEP_RATIOS):
-    """One full training per ratio with a shared seed; rows of
-    (ratio, map_a2v, map_v2a, avg, gap)."""
-    rows = []
-    for ratio in ratios:
-        result = train(train_set.unlabeled(), replace(cfg, mask_ratio=float(ratio)))
-        report = evaluate_model(result.params, result.cca_model, test_set)
-        rows.append((float(ratio), report.map_a2v, report.map_v2a, report.map_avg, report.gap))
-    return rows
+def score_variants(train_set, test_set, variants):
+    """One full training per TrainConfig of ``variants`` on the unlabeled
+    ``train_set``, each scored on ``test_set`` through its appended CCA; the
+    RetrievalReports in the order of ``variants``."""
+    reports = []
+    for cfg in variants:
+        result = train(train_set.unlabeled(), cfg)
+        reports.append(evaluate_model(result.params, result.cca_model, test_set))
+    return reports
 
 
 RANK_LIST_TOP = 10  # gallery items per query in a rank list
@@ -194,9 +191,10 @@ def rank_list_rows(z_a, z_v, labels):
     return rows
 
 
-def report_rows(reports):
-    """Table-style CSV rows for (name, RetrievalReport) pairs."""
-    rows = ["name,map_a2v,map_v2a,map_avg,gap"]
-    for name, rep in reports:
-        rows.append(f"{name},{rep.map_a2v!r},{rep.map_v2a!r},{rep.map_avg!r},{rep.gap!r}")
+def report_rows(reports, label="name"):
+    """Table-style CSV rows for (label cells, RetrievalReport) pairs, under
+    the header ``label`` followed by the four report columns."""
+    rows = [f"{label},map_a2v,map_v2a,map_avg,gap"]
+    for cells, rep in reports:
+        rows.append(f"{cells},{rep.map_a2v!r},{rep.map_v2a!r},{rep.map_avg!r},{rep.gap!r}")
     return rows

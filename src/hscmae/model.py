@@ -77,13 +77,14 @@ class ModelParams:
     (and a stored one is never read), and a missing name or a differing
     shape raises CheckpointError. Every entry is checked before the arena is
     allocated, and each value is written into the arena once: a stored
-    entry is read from its file straight into its arena slice.
+    entry is read from its file straight into its arena slice. A forward
+    pass writes nothing here but a training pass's running statistics: no
+    per-pass count or flag is kept.
     """
 
     def __init__(self, config, seed=0, entries=None):
         self.config = config
         self.buffers = {}
-        self.zero_row_warnings = 0
         rng = np.random.default_rng(seed)
         layout, inits = [], []
 
@@ -253,15 +254,15 @@ def fuse(mp, ha, hv):
 def project(mp, ua, uv):
     """Linear projection to the retrieval space, rows L2-normalized.
 
-    Rows whose pre-normalization norm is below ``dc.ZERO_ROW_NORM`` stay
-    zero and bump ``mp.zero_row_warnings``.
+    A row whose pre-normalization norm is below ``dc.ZERO_ROW_NORM`` comes
+    out as an exact zero row; a caller that wants to know how many did counts
+    the all-zero rows of the embeddings it holds.
     """
     out = []
     for mod, u in (("a", ua), ("v", uv)):
         dtype = u.value.dtype
-        z = dc.linear(u, mp.t(f"proj.{mod}.w", dtype), mp.t(f"proj.{mod}.b", dtype))
-        mp.zero_row_warnings += int((np.linalg.norm(z.value, axis=1) < dc.ZERO_ROW_NORM).sum())
-        out.append(dc.l2_normalize_rows(z))
+        out.append(dc.l2_normalize_rows(dc.linear(u, mp.t(f"proj.{mod}.w", dtype),
+                                                  mp.t(f"proj.{mod}.b", dtype))))
     return tuple(out)
 
 

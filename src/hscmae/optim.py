@@ -51,16 +51,23 @@ def clip_global_norm(arena, max_norm):
     """Scale all gradients of a ``ParamArena`` so the global L2 norm is at
     most ``max_norm``.
 
-    The squared norm is one sum per parameter, added in parameter order on
-    the calling thread; only the scaling walks the arena over its workers.
-    Returns the pre-clip norm. A non-finite norm aborts the step before any
-    gradient is scaled."""
+    Every parameter counts in the norm, the decay-exempt ``sigma.*``
+    log-variance leaves of the loss weighting among them, and every gradient,
+    theirs too, is scaled by the same factor. The squared norm is one sum per
+    parameter, added in parameter order on the calling thread; only the
+    scaling walks the arena over its workers. Returns the pre-clip norm. A
+    non-finite norm aborts the step before any gradient is scaled; the
+    message names the first parameter whose own sum is not finite, if one
+    is."""
     if max_norm <= 0:
         raise ValueError("clip_global_norm: max_norm must be positive")
     total = 0.0
     for p in arena.params:
         sq = np.multiply(p.grad, p.grad, out=arena.scratch[:p.grad.size].reshape(p.grad.shape))
-        total += float(np.sum(sq))
+        part = float(np.sum(sq))
+        if not math.isfinite(part):
+            raise NumericError(f"clip_global_norm: non-finite gradient norm in {p.name!r}")
+        total += part
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise NumericError("clip_global_norm: non-finite gradient norm")

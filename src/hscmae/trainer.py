@@ -130,7 +130,6 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     plan = make_plan(n, cfg.model.d_audio, cfg.model.d_visual, cfg.mask_ratio, step_seed)
 
     bundle = LossBundle()
-    z_mae = None
 
     # student masked path
     if active["rec"] or active["infonce"] or active["dis"]:
@@ -144,8 +143,6 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
             bundle.rec = rec_loss(xa32, xv32, xa_hat, xv_hat)
 
     # teacher clean path (eval mode, float32, gradient-free)
-    targets = None
-    zt_a = zt_v = None
     if active["infonce"] or active["dis"]:
         if teacher.arena.value32 is None:
             teacher.arena.fill_mirror()
@@ -179,7 +176,9 @@ def train(view, cfg, score=None, step_hook=None):
     every ``cfg.eval_every`` epochs on the student (before the post-hoc CCA,
     which is fitted only once, after the final epoch) and returns a report
     whose ``map_a2v``, ``map_v2a`` and ``map_avg`` the epoch's log keeps.
-    ``step_hook(mp, teacher, rho)`` runs after every step.
+    ``step_hook(mp, teacher, rho)`` runs after every step. A NumericError
+    raised in a step gains the suffix `` (epoch E, step S)``, with S counted
+    from 1 within the epoch.
     """
     if not isinstance(view, TrainView):
         view = TrainView(audio=np.asarray(view[0]), visual=np.asarray(view[1]))
@@ -203,9 +202,12 @@ def train(view, cfg, score=None, step_hook=None):
             raise ValueError(f"train: batch size {cfg.batch_size} exceeds split size {n}")
         for bi, idx in enumerate(epoch_batches):
             adam_step += 1
-            values, weights, total_value = train_step(
-                mp, teacher, view.audio[idx], view.visual[idx], cfg, epoch,
-                _step_seed(cfg.seed, epoch, bi), lr_t, rho, adam_step)
+            try:
+                values, weights, total_value = train_step(
+                    mp, teacher, view.audio[idx], view.visual[idx], cfg, epoch,
+                    _step_seed(cfg.seed, epoch, bi), lr_t, rho, adam_step)
+            except dc.NumericError as exc:
+                raise dc.NumericError(f"{exc} (epoch {epoch}, step {bi + 1})") from None
             for name in LOSS_NAMES:
                 sums[name] += values[name]
             total_sum += total_value
@@ -257,10 +259,12 @@ def _check_cca_entries(entries, dim):
 
 def _check_values(mp, cca_entries):
     """Every parameter, buffer and cca/* value is finite and every running
-    variance is non-negative; raises CheckpointError naming the entry."""
-    bad = mp.arena.non_finite() or next(
-        (name for name, value in (*mp.buffers.items(), *cca_entries.items())
-         if not np.isfinite(value).all()), None)
+    variance is non-negative; raises CheckpointError naming the entry. One
+    serial scan checks the parameters in arena order, then the buffers, then
+    the cca/* entries, so a checkpoint with several bad entries names the
+    first of them in that order."""
+    bad = next((name for name, value in (*mp.state_entries().items(), *cca_entries.items())
+                if not np.isfinite(value).all()), None)
     if bad is not None:
         raise CheckpointError(f"entry {bad!r} holds a non-finite value")
     for name, value in mp.buffers.items():

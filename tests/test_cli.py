@@ -3,9 +3,15 @@
 import argparse
 import json
 import os
+import re
+import resource
+import shlex
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -647,7 +653,7 @@ def test_non_finite_weighted_total_exits_three_naming_terms_and_sigmas(data_file
     assert out == ""
     assert err.startswith("numeric failure: total_loss: non-finite weighted total at epoch 2; terms {'rec': ")
     assert "sigmas {'rec': -800.0, 'cca': 0.0, 'infonce': 0.0, 'dis': 0.0}" in err
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and err.endswith(" (epoch 2, step 1)\n")
 
 
 # an arena of several blocks, so that AdamW walks part of it on a pool thread
@@ -780,3 +786,72 @@ def test_loss_flag_beats_config_file(tmp_path):
     args = parse_args(["train", "--features", "f", "--out", "o", "--config", str(config), "--no-dis"])
     cfg = build_train_config(args, 12, 24)
     assert (cfg.use_dis, cfg.use_rec, cfg.use_cca, cfg.use_infonce) == (False, False, True, True)
+
+
+def test_eval_features_need_eval_every(data_files, tmp_path, capsys, monkeypatch):
+    """--eval-features with eval_every 0 would score nothing: a usage error
+    before any training. eval_every without --eval-features trains, since a
+    shared config file may set it."""
+    train_path, test_path = data_files
+    config = tmp_path / "shared.cfg"
+    config.write_text("eval_every = 1\n")
+    assert main(["train", "--features", train_path, "--out", str(tmp_path / "ok.ckpt"),
+                 "--config", str(config), *SMALL_FLAGS]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    out = tmp_path / "x.ckpt"
+    assert main(["train", "--features", train_path, "--out", str(out), "--eval-features", test_path,
+                 *SMALL_FLAGS]) == 1
+    assert capsys.readouterr() == ("", "usage error: --eval-features needs eval_every >= 1 "
+                                       "(--eval-every or the config file)\n")
+    assert not out.exists()
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--features", "{train}", "--out", "{tmp}/x.ckpt", "--log-csv", "{tmp}/log.csv",
+     "--manifest", "{tmp}/m.json", *SMALL_FLAGS, "--proj-dim", "1000000000"],
+    ["synth", "--out-train", "{tmp}/t.bin", "--out-test", "{tmp}/e.bin", "--manifest", "{tmp}/m.json",
+     "--per-class", "100000000000"],
+], ids=("train-proj-dim", "synth-per-class"))
+def test_an_impossible_allocation_is_a_usage_error(data_files, tmp_path, argv):
+    """In a child limited to 2 GiB of address space, an allocation that
+    cannot be met exits 1 with one line that keeps numpy's byte count, no
+    traceback and no output file."""
+    root = tmp_path / "outputs"
+    root.mkdir()
+    argv = [a.format(train=data_files[0], tmp=root) for a in argv]
+    src = Path(dc.__file__).resolve().parents[1]
+    # one BLAS thread, so that the buffers of many cores cannot fill the limit
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "hscmae.cli", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=_two_gib_address_space, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert re.fullmatch(r"usage error: cannot allocate memory: Unable to allocate [0-9.]+ [KMGTPE]iB"
+                        r" for an array with shape .*\n", proc.stderr)
+    assert list(root.iterdir()) == []
+
+
+def readme_commands():
+    """The argument lists of every ``hscmae ...`` line in the README's code
+    blocks, with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").split("\n"):
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["hscmae"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_parses():
+    """Each README command parses with today's options; none is run."""
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(OPTIONS)
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -2,6 +2,7 @@
 
 import threading
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -14,8 +15,10 @@ import hscmae.diffcore as dc
 from hscmae import evaluate
 from hscmae.data_io import FeatureSet
 from hscmae.diffcore import NumericError
-from hscmae.evaluate import (_direction_aps, _scored_aps, cross_modal_map, mask_ratio_sweep,
-                             rank_list_rows, report_rows, retrieval_embeddings, run_baseline)
+from hscmae.evaluate import (_direction_aps, _scored_aps, cross_modal_map, evaluate_model,
+                             rank_list_rows, report_rows, retrieval_embeddings, run_baseline,
+                             score_variants)
+from hscmae.trainer import train
 
 from conftest import desk_train_config
 from reference_ops import average_precision
@@ -277,18 +280,21 @@ def test_baseline_name_and_label_validation(synth_default):
         run_baseline("random", train_set, unlabeled, cfg)
 
 
-def test_mask_ratio_sweep_rows():
+def test_score_variants_scores_each_training_through_its_cca_in_order():
     rng = np.random.default_rng(3)
     shared = rng.normal(size=(100, 2))
     fs = FeatureSet(audio=shared @ rng.normal(size=(2, 12)) + 0.3 * rng.normal(size=(100, 12)),
                     visual=shared @ rng.normal(size=(2, 24)) + 0.3 * rng.normal(size=(100, 24)),
                     labels=(shared[:, 0] > 0).astype(int))
     cfg = desk_train_config(epochs=1, batch_size=50)
-    rows = mask_ratio_sweep(fs, fs, cfg, ratios=(0.0, 0.3))
-    assert [r[0] for r in rows] == [0.0, 0.3]
-    for _, a2v, v2a, avg, gap in rows:
-        assert avg == pytest.approx((a2v + v2a) / 2.0)
-        assert gap == pytest.approx(abs(a2v - v2a))
+    variants = [replace(cfg, mask_ratio=0.3), replace(cfg, mask_ratio=0.0, use_dis=False)]
+    reports = score_variants(fs, fs, variants)
+    assert len(reports) == 2
+    for variant, report in zip(variants, reports):
+        result = train(fs.unlabeled(), variant)
+        want = evaluate_model(result.params, result.cca_model, fs)
+        assert (report.map_a2v, report.map_v2a, report.map_avg) == (want.map_a2v, want.map_v2a, want.map_avg)
+        assert report.ap_a2v.tobytes() == want.ap_a2v.tobytes()
 
 
 def test_report_and_rank_list_rows():
@@ -297,7 +303,9 @@ def test_report_and_rank_list_rows():
     report = cross_modal_map(z, z.copy(), labels)
     rows = report_rows([("model", report)])
     assert rows[0] == "name,map_a2v,map_v2a,map_avg,gap"
-    assert rows[1].startswith("model,")
+    assert rows[1] == f"model,{report.map_a2v!r},{report.map_v2a!r},{report.map_avg!r},{report.gap!r}"
+    assert report_rows([("0,1", report), ("1,0", report)], "cca,rec") == [
+        "cca,rec,map_a2v,map_v2a,map_avg,gap", "0,1" + rows[1][5:], "1,0" + rows[1][5:]]
     rl = rank_list_rows(z, z.copy(), labels)
     assert rl[0] == "query,rank,gallery,relevant"
     assert rl[1] == "0,1,0,1"  # query 0 retrieves itself first

@@ -257,15 +257,23 @@ def test_non_finite_norm_raises_before_any_scaling(monkeypatch):
     assert np.all(arena.grad[:-1] == 2.0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_non_finite_names_the_first_parameter_holding_one(monkeypatch, workers):
-    monkeypatch.setattr(dc, "_WORKERS", workers)
-    arena = make_arena(np.ones((1, 3)), np.ones((2, BLOCK)), np.ones((1, 5)), decay=[True, True, False])
-    assert arena.non_finite() is None
-    arena.params[2].value[0, 4] = np.nan  # in the last block, the pool's share on two workers
-    assert arena.non_finite() == "p2"
-    arena.params[1].value[1, 0] = -np.inf
-    assert arena.non_finite() == "p1"
+def test_non_finite_norm_names_the_first_parameter_whose_sum_is_not_finite():
+    """A NaN in p2 and an overflowing square in p1: the message names p1,
+    and no gradient is scaled; finite sums whose total overflows name none."""
+    arena = make_arena(np.ones((1, 3)), np.ones((2, 4)), np.ones((1, 5)))
+    arena.grad[...] = 2.0
+    arena.params[2].grad[0, 4] = np.nan
+    arena.params[1].grad[1, 0] = 1e200
+    before = arena.grad.copy()
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"^clip_global_norm: non-finite gradient norm in 'p1'$"):
+        clip_global_norm(arena, 1.0)
+    assert before.tobytes() == arena.grad.tobytes()
+    arena.grad[...] = 4e153  # 8 squares sum to 1.28e308, all 16 overflow
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"^clip_global_norm: non-finite gradient norm$"):
+        clip_global_norm(arena, 1.0)
+    assert np.all(arena.grad == 4e153)
 
 
 def test_walk_error_reaches_the_caller_after_every_share_stops(monkeypatch):

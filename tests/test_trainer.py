@@ -710,22 +710,46 @@ def test_extra_entries_load_unread(tmp_path, monkeypatch):
     assert old_mp.arena.value.tobytes() == new_mp.arena.value.tobytes()
 
 
-@pytest.mark.parametrize("entry, value, problem", [
-    ("enc.v.1.w", np.nan, "holds a non-finite value"),
-    ("cca/A", np.inf, "holds a non-finite value"),
-    ("enc.a.0.bn.var", -5.0, "holds a negative variance"),
-    ("sigma.rec", np.nan, "holds a non-finite value"),
-    ("enc.v.0.bn.mean", -np.inf, "holds a non-finite value"),
-    ("cca/rho", np.nan, "holds a non-finite value"),
-], ids=("nan-weight", "inf-cca", "negative-var", "nan-sigma", "inf-mean", "nan-rho"))
-def test_non_finite_or_negative_variance_entry_is_a_checkpoint_error(tmp_path, entry, value, problem):
+@pytest.mark.parametrize("bad, entry, problem", [
+    ({"enc.v.1.w": np.nan}, "enc.v.1.w", "holds a non-finite value"),
+    ({"cca/A": np.inf}, "cca/A", "holds a non-finite value"),
+    ({"enc.a.0.bn.var": -5.0}, "enc.a.0.bn.var", "holds a negative variance"),
+    ({"sigma.rec": np.nan}, "sigma.rec", "holds a non-finite value"),
+    ({"enc.v.0.bn.mean": -np.inf}, "enc.v.0.bn.mean", "holds a non-finite value"),
+    ({"cca/rho": np.nan}, "cca/rho", "holds a non-finite value"),
+    # parameters in arena order come first, then buffers, then cca/* entries,
+    # although the audio batch norm's mean is built before the visual weight
+    ({"cca/A": np.inf, "enc.a.0.bn.mean": np.nan, "sigma.dis": np.inf, "enc.v.1.w": np.nan},
+     "enc.v.1.w", "holds a non-finite value"),
+    ({"cca/rho": np.nan, "enc.v.0.bn.var": np.inf}, "enc.v.0.bn.var", "holds a non-finite value"),
+], ids=("nan-weight", "inf-cca", "negative-var", "nan-sigma", "inf-mean", "nan-rho",
+        "weight-before-buffer-and-cca", "buffer-before-cca"))
+def test_non_finite_or_negative_variance_entry_is_a_checkpoint_error(tmp_path, bad, entry, problem):
     entries = small_checkpoint_entries()
-    entries[entry] = entries[entry].copy()
-    entries[entry].flat[-1] = value
+    for name, value in bad.items():
+        entries[name] = entries[name].copy()
+        entries[name].flat[-1] = value
     path = tmp_path / "bad.ckpt"
     save_entries(path, entries)
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: entry {entry!r} {problem}$"):
         load_checkpoint(path)
+
+
+def test_a_numeric_failure_in_a_step_names_its_epoch_and_step(monkeypatch):
+    """Two steps per epoch: the fourth step is step 2 of epoch 2."""
+    steps = []
+    real_step = trainer.train_step
+
+    def failing_step(*args):
+        steps.append(args[5])
+        if len(steps) == 4:
+            raise dc.NumericError("matmul: non-finite forward value")
+        return real_step(*args)
+
+    monkeypatch.setattr(trainer, "train_step", failing_step)
+    with pytest.raises(dc.NumericError, match=r"^matmul: non-finite forward value \(epoch 2, step 2\)$"):
+        train(tiny_data().unlabeled(), tiny_train_config(epochs=3))
+    assert steps == [1, 1, 2, 2]
 
 
 def test_epoch_log_rows_schema():
