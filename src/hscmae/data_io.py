@@ -17,6 +17,8 @@ import numpy as np
 FEATURE_MAGIC = b"AVFEAT01"
 _LABEL_MAX = 2 ** 32 - 1  # the largest label the container's u32 field holds
 LATENT_DIM = 8  # dimension of the synthetic generator's shared latent space
+# numpy refuses an array of more than np.intp's largest value in bytes
+MAX_FLOAT64_VALUES = np.iinfo(np.intp).max // 8
 
 
 class DataError(Exception):
@@ -208,6 +210,10 @@ class SynthConfig:
             raise ValueError("SynthConfig: per_class, d_audio and d_visual must be >= 1")
         if self.seed < 0:
             raise ValueError(f"SynthConfig: seed must be >= 0, got {self.seed}")
+        values = self.classes * self.per_class * max(self.d_audio, self.d_visual, LATENT_DIM)
+        if values > MAX_FLOAT64_VALUES:
+            raise ValueError(f"SynthConfig: classes * per_class * max(d_audio, d_visual, {LATENT_DIM}) = {values} "
+                             f"values exceed numpy's largest float64 array ({MAX_FLOAT64_VALUES})")
 
 
 def generate_synthetic(config):

@@ -33,8 +33,8 @@ float64.
 ``ParamArena`` keeps the values and gradients of a model's parameters in
 two flat float64 arrays and the Adam moments in two flat float32 arrays, so
 that the optimizer and the EMA teacher can walk them in cache-sized blocks,
-one share of the blocks per CPU, plus a float32 mirror of the values that
-float32 passes read.
+one share of the blocks per CPU; a trained arena also keeps a float32
+mirror of the values that its float32 passes read.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ class Parameter:
     accumulator and float32 Adam moments are views into the arena's arrays.
 
     ``value32`` is the float32 mirror of ``value`` once the arena has one
-    (None before); it holds what the arena's last writer of the mirror
-    (``prepare_step``, ``fill_mirror`` or the EMA update) rounded."""
+    (None before): what the arena's last ``prepare_step`` rounded."""
 
     __slots__ = ("name", "value", "value32", "grad", "adam_m", "adam_v", "decay")
 
@@ -118,13 +117,13 @@ class Parameter:
 
     def tensor(self, dtype=np.float64):
         """Wrap the current value as a tape leaf tied to this parameter; for
-        float32, the mirror. Its gradient, in either dtype, accumulates into
-        the float64 ``grad``."""
+        float32, the arena's mirror if it has one, else the value rounded to
+        float32 as it is read, a copy that lives as long as the leaf. Its
+        gradient, in either dtype, accumulates into the float64 ``grad``."""
         if dtype == np.float64:
             return Tensor(self.value, op="param", param=self)
         if self.value32 is None:
-            raise DiffError(f"parameter {self.name!r}: the arena has no float32 mirror yet; "
-                            "its prepare_step or fill_mirror makes one")
+            return Tensor(self.value.astype(np.float32), op="param", param=self)
         return Tensor(self.value32, op="param", param=self)
 
     def zero_grad(self):
@@ -188,7 +187,7 @@ class ParamArena:
     """Values and gradients of many parameters, each kind in one contiguous
     float64 array laid out in parameter order, the two Adam moments in two
     float32 arrays of the same layout, plus ``value32``, a float32 mirror of
-    the values.
+    the values once the arena is trained.
 
     ``layout`` lists (name, shape, decay) triples; decayed parameters must
     come first, so weight decay covers the prefix ``[0, decay_end)``.
@@ -197,12 +196,11 @@ class ParamArena:
     caller to fill once. Gradients and moments start as ``np.zeros``, whose
     pages are mapped on first write, so an arena that is never trained (a
     teacher's, an eval model's) takes memory for its values only. The
-    mirror is allocated by the first ``prepare_step`` (a trained arena's,
-    which also zeroes the gradients) or ``fill_mirror`` (an EMA teacher's,
-    which never touches them), so an arena that never runs a float32 pass
-    has none. A trained arena takes 28 bytes per parameter (value and
-    gradient 8 each, the moments and the mirror 4 each), an EMA teacher's
-    12 (value and mirror).
+    mirror is allocated by the first ``prepare_step``, which only a trained
+    arena runs; an arena without one, such as an EMA teacher's, gives each
+    float32 pass its values rounded per parameter as the pass reads them. A
+    trained arena takes 28 bytes per parameter (value and gradient 8 each,
+    the moments and the mirror 4 each), an EMA teacher's 8 (its values).
 
     The elementwise passes over an arena (``prepare_step``, the optimizer's
     and the EMA teacher's) go through ``walk``, which spreads the blocks over
@@ -239,14 +237,6 @@ class ParamArena:
     def prepare_step(self):
         """Zero the gradients and round the values into the float32 mirror,
         allocated on the first call, in one walk."""
-        self._mirror_walk(zero_grad=True)
-
-    def fill_mirror(self):
-        """Round the values into the float32 mirror, allocated on the first
-        call, in one walk that leaves the gradients unwritten."""
-        self._mirror_walk(zero_grad=False)
-
-    def _mirror_walk(self, zero_grad):
         if self.value32 is None:
             self.value32 = np.empty(self.size, dtype=np.float32)
             start = 0
@@ -255,8 +245,7 @@ class ParamArena:
                 start += p.value.size
 
         def block(start, stop, scratch):
-            if zero_grad:
-                self.grad[start:stop] = 0.0
+            self.grad[start:stop] = 0.0
             np.copyto(self.value32[start:stop], self.value[start:stop], casting="same_kind")
 
         self.walk(block)

@@ -196,6 +196,46 @@ def warmup_weight(name, epoch):
     return {"rec": 1.0, "cca": 0.1 * epoch, "dis": 0.1, "infonce": 0.05}[name]
 
 
+def _weighted(bundle, sigmas, epoch, warmup_epochs):
+    """(names, terms, factors, addends) of the bundle's active terms in
+    bundle order. A factor is the term's weight in the weighted total, and
+    so the gradient the total sends the term per unit of its own: through
+    epoch ``warmup_epochs`` the warm-up weight, with addend factor * term;
+    after, exp(-sigma) as a 1 x 1 array (inf where it overflows), with
+    addend factor * term + sigma."""
+    active = [(name, term) for name, term in bundle.items() if term is not None]
+    names = [name for name, _ in active]
+    terms = [term for _, term in active]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if epoch <= warmup_epochs:
+            factors = [warmup_weight(name, epoch) for name in names]
+            addends = [t.value * w for t, w in zip(terms, factors)]
+        else:
+            sigs = [sigmas[name].value for name in names]
+            factors = [np.exp(s * -1.0) for s in sigs]
+            addends = [e * t.value + s for e, t, s in zip(factors, terms, sigs)]
+    return names, terms, factors, addends
+
+
+def weighted_terms(bundle, sigmas, epoch, warmup_epochs):
+    """A 1 x 1 root over the bundle's active terms whose backward sends each
+    term the gradient ``total_loss`` sends it and the sigma leaves nothing,
+    so that the terms' tape can be spent before the total exists;
+    ``total_loss``, given the spent terms as constants, then sends the sigma
+    leaves theirs. Its value is 0: the terms count in that total, not here.
+    A non-finite addend makes that total non-finite, and ``total_loss``
+    raises naming every term, so the root then takes no parents and
+    back-propagates nothing."""
+    _, terms, factors, addends = _weighted(bundle, sigmas, epoch, warmup_epochs)
+    if not np.isfinite(addends).all():
+        terms = []
+
+    def bwd(g):
+        return [g * f for f in factors]
+
+    return dc._node("weighted_terms", np.zeros((1, 1)), terms, bwd)
+
+
 def total_loss(bundle, sigmas, epoch, warmup_epochs):
     """Combine the active terms as one node.
 
@@ -211,34 +251,28 @@ def total_loss(bundle, sigmas, epoch, warmup_epochs):
     """
     if epoch < 1:
         raise ValueError("total_loss: epoch starts at 1")
-    active = [(name, term) for name, term in bundle.items() if term is not None]
-    if not active:
+    names, terms, factors, addends = _weighted(bundle, sigmas, epoch, warmup_epochs)
+    if not names:
         raise ValueError("total_loss: no active loss terms")
 
-    names = [name for name, _ in active]
-    terms = [term for _, term in active]
     warm = epoch <= warmup_epochs
     sigs = [] if warm else [sigmas[name].tensor() for name in names]
     with np.errstate(over="ignore", invalid="ignore"):
         if warm:
-            factors = [warmup_weight(name, epoch) for name in names]
-            pieces = [t.value * w for t, w in zip(terms, factors)]
             weights = dict(zip(names, factors))
         else:
-            factors = [np.exp(s.value * -1.0) for s in sigs]
-            pieces = [e * t.value + s.value for e, t, s in zip(factors, terms, sigs)]
             weights = {name: float(np.exp(-sigmas[name].value[0, 0])) for name in names}
-        total = sum(pieces[1:], pieces[0])
+        total = sum(addends[1:], addends[0])
     if not np.isfinite(total).all():
-        raw = {name: float(t.value[0, 0]) for name, t in active}
+        raw = {name: float(t.value[0, 0]) for name, t in zip(names, terms)}
         sig_values = {name: float(sigmas[name].value[0, 0]) for name in names}
         raise dc.NumericError(f"total_loss: non-finite weighted total at epoch {epoch}; "
                               f"terms {raw}, sigmas {sig_values}")
 
     def bwd(g):
+        grads = [g * f for f in factors]
         if warm:
-            return [g * w for w in factors]
-        return ([g * e for e in factors]
-                + [g + g * t.value * e * -1.0 for t, e in zip(terms, factors)])
+            return grads
+        return grads + [g + g * t.value * e * -1.0 for t, e in zip(terms, factors)]
 
     return dc._node("total_loss", total, terms + sigs, bwd), weights

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
+from .data_io import MAX_FLOAT64_VALUES
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,17 @@ class ModelConfig:
             raise ValueError("proj_dim must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.param_count() > MAX_FLOAT64_VALUES:
+            raise ValueError(f"the model's {self.param_count()} parameters exceed numpy's largest "
+                             f"float64 array ({MAX_FLOAT64_VALUES} values)")
+
+    def param_count(self):
+        """The number of parameter values in ``ModelParams``'s arena."""
+        m, p = self.model_dim, self.proj_dim
+        encoders = sum(a * b + 3 * b for w in (self.audio_widths, self.visual_widths)
+                       for a, b in zip(w, w[1:]))
+        decoders = sum(2 * (m * m + m) + m * d + d for d in (self.d_audio, self.d_visual))
+        return encoders + 2 * (2 * m * m + 2 * m) + 2 * (m * p + p) + decoders + len(LOSS_NAMES)
 
     @property
     def model_dim(self):

@@ -1,10 +1,11 @@
 """EMA teacher maintenance and soft top-k affinity mining.
 
 The teacher is a momentum-averaged copy of the student. It never receives
-gradients; its clean eval-mode embeddings, computed in float32 on the
-float32 mirror of its values, supply the affinity targets for the
-multi-positive contrastive loss and the targets for distillation. Targets
-are m = min(k, n) neighbour indices and weights per anchor, not n x n rows.
+gradients; its clean eval-mode embeddings, computed in float32 on its values
+rounded per parameter as the pass reads them, supply the affinity targets
+for the multi-positive contrastive loss and the targets for distillation.
+Targets are m = min(k, n) neighbour indices and weights per anchor, not
+n x n rows.
 """
 
 from __future__ import annotations
@@ -29,23 +30,18 @@ def ema_update(teacher, student, rho):
     """theta_t <- rho * theta_t + (1 - rho) * theta, values and buffers alike.
 
     The teacher's value arena is walked in cache-sized blocks spread over
-    its workers (``ParamArena.walk``), one scratch block each. Once the
-    teacher has a float32 mirror (filled by its first float32 pass), each
-    block's new values are rounded into it in the same walk, while the
-    block is in cache; the teacher's gradients and moments are never
-    written. The update is elementwise, so the worker count cannot change a
-    bit. The few buffers follow on the calling thread."""
+    its workers (``ParamArena.walk``), one scratch block each; only the
+    teacher's values are written, never a float32 copy of them, a gradient
+    or a moment. The update is elementwise, so the worker count cannot
+    change a bit. The few buffers follow on the calling thread."""
     ta, sa = teacher.arena, student.arena
     if ta.layout() != sa.layout():
         raise ValueError("ema_update: teacher and student parameters differ")
-    mirror = ta.value32
 
     def block(start, stop, scratch):
         tv = ta.value[start:stop]
         tv *= rho
         tv += np.multiply(1.0 - rho, sa.value[start:stop], out=scratch[:stop - start])
-        if mirror is not None:
-            np.copyto(mirror[start:stop], tv, casting="same_kind")
 
     ta.walk(block)
     for name, tb in teacher.buffers.items():

@@ -1,17 +1,20 @@
 """Training orchestration for the dual-path loop.
 
-Per step: mask plan -> masked student pass (reconstruction targets and
-contrastive embeddings) -> clean teacher pass (affinity mining, distillation
-targets) -> clean student pass (canonical correlation; its inputs are
-constants, so it needs no input gradient gate) -> weighted total, backward,
-clip, AdamW, EMA update. After the last epoch a linear CCA is fitted on the
-clean-path training embeddings.
+Per step, in two phases that each back-propagate their own tape:
+- the masked branch: mask plan -> masked student pass (reconstruction
+  targets and contrastive embeddings) -> clean teacher pass (affinity
+  mining, distillation targets) -> backward of its terms;
+- the clean branch: clean student pass (canonical correlation; its inputs
+  are constants, so it needs no input gradient gate) -> weighted total over
+  every term -> backward into the clean tape and the sigma leaves;
+then clip, AdamW, EMA update. After the last epoch a linear CCA is fitted
+on the clean-path training embeddings.
 
 Precision: the two taped student passes (masked and clean, forward and
 backward through encoders, fusion, projectors and decoders) run in float32
 on the batch and on the parameter arena's float32 mirror, and so does the
-untaped teacher pass, on the teacher's mirror, which the EMA update keeps
-current. Adam's moments are float32. The master values and gradients,
+untaped teacher pass, on the teacher's values rounded per parameter as it
+reads them. Adam's moments are float32. The master values and gradients,
 clipping, the AdamW and EMA arithmetic on the values, the loss heads, the
 checkpoint and every evaluation stay float64.
 """
@@ -24,7 +27,8 @@ import numpy as np
 
 from . import cca_linear, diffcore as dc
 from .data_io import TrainView, batches
-from .losses import CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss, soft_infonce, total_loss
+from .losses import (CcaConfig, LossBundle, dcca_loss, distill_loss, rec_loss, soft_infonce, total_loss,
+                     weighted_terms)
 from .masking import apply_value_mask, make_plan
 from .model import (LOSS_NAMES, CheckpointError, ModelConfig, ModelParams, config_entries,
                     config_from_entries, decode, embed_arrays, encode, forward_embed, fuse,
@@ -100,8 +104,64 @@ def _step_seed(seed, epoch, batch_index):
     return int(ss.generate_state(1)[0])
 
 
+def masked_branch(mp, teacher, xa32, xv32, cfg, epoch, step_seed, rng, sigmas):
+    """The masked student pass, the teacher pass with affinity mining and
+    the reconstruction, contrastive and distillation terms, back-propagated
+    before the call returns.
+
+    The backward runs from ``weighted_terms``, which sends each active term
+    the gradient the step's weighted total sends it; the sigma leaves get
+    theirs from that total in ``clean_branch``. Returns a LossBundle of the
+    spent terms as constants: the masked tape and its activations die with
+    the call, before the clean pass allocates its own."""
+    plan = make_plan(xa32.shape[0], cfg.model.d_audio, cfg.model.d_visual, cfg.mask_ratio, step_seed)
+    bundle = LossBundle()
+    xa_masked = dc.const(apply_value_mask(xa32, plan, "audio"))
+    xv_masked = dc.const(apply_value_mask(xv32, plan, "visual"))
+    ha, hv = encode(mp, xa_masked, xv_masked, train=True, rng=rng)
+    ua, uv = fuse(mp, ha, hv)
+    z_a, z_v = project(mp, ua, uv)
+    if cfg.use_rec:
+        xa_hat, xv_hat = decode(mp, ua, uv)
+        bundle.rec = rec_loss(xa32, xv32, xa_hat, xv_hat)
+
+    # teacher clean path (eval mode, float32, gradient-free)
+    if cfg.use_infonce or cfg.use_dis:
+        with dc.no_tape():
+            zt_a, zt_v, _, _ = forward_embed(teacher, dc.const(xa32), dc.const(xv32), train=False)
+        zt_a, zt_v = zt_a.value.astype(np.float64), zt_v.value.astype(np.float64)
+        if cfg.use_infonce:
+            targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
+            bundle.infonce = soft_infonce(z_a, z_v, targets, cfg.tau)
+        if cfg.use_dis:
+            bundle.dis = distill_loss(z_a, z_v, zt_a, zt_v)
+
+    dc.backward(weighted_terms(bundle, sigmas, epoch, cfg.warmup_epochs))
+    return LossBundle(**{name: dc.const(term.value) for name, term in bundle.items() if term is not None})
+
+
+def clean_branch(mp, xa32, xv32, cfg, epoch, rng, sigmas, bundle):
+    """The clean student pass and its canonical-correlation term, added to
+    ``bundle``, the spent terms of ``masked_branch``; then the weighted
+    total over every term, back-propagated into the clean tape and the
+    sigma leaves. Its inputs are constants, so it needs no input gradient
+    gate. Returns (the bundle, effective weights, total node)."""
+    if cfg.use_cca:
+        z_a, z_v, _, _ = forward_embed(mp, dc.const(xa32), dc.const(xv32), train=True, rng=rng)
+        bundle.cca = dcca_loss(z_a, z_v, cfg.cca_config())
+    total, weights = total_loss(bundle, sigmas, epoch, cfg.warmup_epochs)
+    dc.backward(total)
+    return bundle, weights, total
+
+
 def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step):
     """One optimizer step on a mini-batch; mutates student and teacher.
+
+    The masked branch (``masked_branch``) and the clean branch
+    (``clean_branch``) each back-propagate their own tape, so one student
+    tape is alive at a time. Each parameter, and each node read twice,
+    gets at most two gradient contributions a step, so the split gives the
+    bits of one backward over both tapes. Then clip, AdamW and EMA.
 
     Batch-norm running statistics: the masked student pass updates the
     student's running mean and variance with the masked batch's statistics,
@@ -112,57 +172,26 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     The student passes compute in float32: the batch is rounded to float32
     (exactly, for data read from a feature file) and so are the parameters,
     once per step into the arena's mirror. The teacher pass computes in
-    float32 on the same batch and the teacher's mirror, filled by the first
-    pass that needs it and then kept by ``ema_update``; its two embeddings
-    are upcast to float64 once, for mining and distillation. The teacher's
-    gradients and moments are never written.
+    float32 on the same batch and on the teacher's values, rounded per
+    parameter as it reads them and freed after their layer; its two
+    embeddings are upcast to float64 once, for mining and distillation. The
+    teacher's gradients and moments are never written.
 
     Returns (LossBundle value dict, effective weights, total value)."""
     n = xa.shape[0]
     if n < 2:
         raise ValueError("train_step: batch size must be >= 2")
-    active = cfg.active_losses()
 
     mp.arena.prepare_step()
     xa32, xv32 = (np.asarray(x, dtype=np.float32) for x in (xa, xv))
     ss = np.random.SeedSequence(step_seed)
     rng_mae, rng_cca = (np.random.default_rng(child) for child in ss.spawn(2))
-    plan = make_plan(n, cfg.model.d_audio, cfg.model.d_visual, cfg.mask_ratio, step_seed)
+    sigmas = {name: mp.sigma(name) for name in LOSS_NAMES}
 
-    bundle = LossBundle()
-
-    # student masked path
-    if active["rec"] or active["infonce"] or active["dis"]:
-        xa_masked = dc.const(apply_value_mask(xa32, plan, "audio"))
-        xv_masked = dc.const(apply_value_mask(xv32, plan, "visual"))
-        ha, hv = encode(mp, xa_masked, xv_masked, train=True, rng=rng_mae)
-        ua, uv = fuse(mp, ha, hv)
-        z_mae = project(mp, ua, uv)
-        if active["rec"]:
-            xa_hat, xv_hat = decode(mp, ua, uv)
-            bundle.rec = rec_loss(xa32, xv32, xa_hat, xv_hat)
-
-    # teacher clean path (eval mode, float32, gradient-free)
-    if active["infonce"] or active["dis"]:
-        if teacher.arena.value32 is None:
-            teacher.arena.fill_mirror()
-        with dc.no_tape():
-            zt_a, zt_v, _, _ = forward_embed(teacher, dc.const(xa32), dc.const(xv32), train=False)
-        zt_a, zt_v = zt_a.value.astype(np.float64), zt_v.value.astype(np.float64)
-        if active["infonce"]:
-            targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
-            bundle.infonce = soft_infonce(z_mae[0], z_mae[1], targets, cfg.tau)
-        if active["dis"]:
-            bundle.dis = distill_loss(z_mae[0], z_mae[1], zt_a, zt_v)
-
-    # student clean path
-    if active["cca"]:
-        z_cca_a, z_cca_v, _, _ = forward_embed(mp, dc.const(xa32), dc.const(xv32), train=True, rng=rng_cca)
-        bundle.cca = dcca_loss(z_cca_a, z_cca_v, cfg.cca_config())
-
-    total, weights = total_loss(bundle, {name: mp.sigma(name) for name in LOSS_NAMES},
-                                epoch, cfg.warmup_epochs)
-    dc.backward(total)
+    spent = LossBundle()
+    if cfg.use_rec or cfg.use_infonce or cfg.use_dis:
+        spent = masked_branch(mp, teacher, xa32, xv32, cfg, epoch, step_seed, rng_mae, sigmas)
+    bundle, weights, total = clean_branch(mp, xa32, xv32, cfg, epoch, rng_cca, sigmas, spent)
     clip_global_norm(mp.arena, cfg.optim.clip_norm)
     adamw_step(mp.arena, cfg.optim, adam_step, lr_t)
     ema_update(teacher, mp, rho)

@@ -11,12 +11,19 @@ siblings), against which the layer nodes are checked bit for bit;
 retrieval tests. Each primitive goes through ``diffcore._node`` as the
 library's own do. ``dense_rows`` is the n x n weight-row view of one
 direction of mined affinity targets, which the mining and contrastive
-oracles read.
+oracles read. ``single_backward_train_step`` is the former training step,
+which kept both student tapes alive until one backward from the weighted
+total: the oracle of the split step.
 """
 
 import numpy as np
 
 import hscmae.diffcore as dc
+from hscmae.losses import LossBundle, dcca_loss, distill_loss, rec_loss, soft_infonce, total_loss
+from hscmae.masking import apply_value_mask, make_plan
+from hscmae.model import LOSS_NAMES, decode, encode, forward_embed, fuse, project
+from hscmae.optim import adamw_step, clip_global_norm
+from hscmae.teacher import ema_update, mine_affinities
 
 
 def scale(a, c):
@@ -199,3 +206,50 @@ def dense_rows(pair):
     rows = np.zeros((idx.shape[0], idx.shape[0]))
     np.put_along_axis(rows, idx, w, axis=1)
     return rows
+
+
+def single_backward_train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step):
+    """``trainer.train_step`` as one backward over both student tapes: the
+    masked pass, the teacher pass with mining and the clean pass all run
+    before ``total_loss`` joins every term, and ``dc.backward`` walks both
+    tapes from it at once. Same arguments and return value."""
+    n = xa.shape[0]
+    active = cfg.active_losses()
+    mp.arena.prepare_step()
+    xa32, xv32 = (np.asarray(x, dtype=np.float32) for x in (xa, xv))
+    ss = np.random.SeedSequence(step_seed)
+    rng_mae, rng_cca = (np.random.default_rng(child) for child in ss.spawn(2))
+    plan = make_plan(n, cfg.model.d_audio, cfg.model.d_visual, cfg.mask_ratio, step_seed)
+    bundle = LossBundle()
+
+    if active["rec"] or active["infonce"] or active["dis"]:
+        xa_masked = dc.const(apply_value_mask(xa32, plan, "audio"))
+        xv_masked = dc.const(apply_value_mask(xv32, plan, "visual"))
+        ha, hv = encode(mp, xa_masked, xv_masked, train=True, rng=rng_mae)
+        ua, uv = fuse(mp, ha, hv)
+        z_mae = project(mp, ua, uv)
+        if active["rec"]:
+            xa_hat, xv_hat = decode(mp, ua, uv)
+            bundle.rec = rec_loss(xa32, xv32, xa_hat, xv_hat)
+
+    if active["infonce"] or active["dis"]:
+        with dc.no_tape():
+            zt_a, zt_v, _, _ = forward_embed(teacher, dc.const(xa32), dc.const(xv32), train=False)
+        zt_a, zt_v = zt_a.value.astype(np.float64), zt_v.value.astype(np.float64)
+        if active["infonce"]:
+            targets = mine_affinities(zt_a, zt_v, k=cfg.k, tau=cfg.tau)
+            bundle.infonce = soft_infonce(z_mae[0], z_mae[1], targets, cfg.tau)
+        if active["dis"]:
+            bundle.dis = distill_loss(z_mae[0], z_mae[1], zt_a, zt_v)
+
+    if active["cca"]:
+        z_cca_a, z_cca_v, _, _ = forward_embed(mp, dc.const(xa32), dc.const(xv32), train=True, rng=rng_cca)
+        bundle.cca = dcca_loss(z_cca_a, z_cca_v, cfg.cca_config())
+
+    total, weights = total_loss(bundle, {name: mp.sigma(name) for name in LOSS_NAMES},
+                                epoch, cfg.warmup_epochs)
+    dc.backward(total)
+    clip_global_norm(mp.arena, cfg.optim.clip_norm)
+    adamw_step(mp.arena, cfg.optim, adam_step, lr_t)
+    ema_update(teacher, mp, rho)
+    return bundle.values(), weights, float(total.value[0, 0])

@@ -836,6 +836,34 @@ def test_an_impossible_allocation_is_a_usage_error(data_files, tmp_path, argv):
     assert list(root.iterdir()) == []
 
 
+HUGE = "10000000000000000000"  # above np.intp's largest value
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--out-train", "{tmp}/t.bin", "--out-test", "{tmp}/e.bin", "--manifest", "{tmp}/m.json",
+      "--per-class", HUGE],
+     f"SynthConfig: classes * per_class * max(d_audio, d_visual, 8) = {8 * int(HUGE) * 24} values"),
+    (["synth", "--out-train", "{tmp}/t.bin", "--out-test", "{tmp}/e.bin", "--d-visual", HUGE + "0"],
+     f"SynthConfig: classes * per_class * max(d_audio, d_visual, 8) = {2000 * int(HUGE + '0')} values"),
+    (["train", "--features", "{train}", "--out", "{tmp}/x.ckpt", "--log-csv", "{tmp}/log.csv",
+      *SMALL_FLAGS, "--audio-widths", f"12,{HUGE},8"], "the model's "),
+    (["train", "--features", "{train}", "--out", "{tmp}/x.ckpt", "--manifest", "{tmp}/m.json",
+      *SMALL_FLAGS, "--proj-dim", HUGE], "the model's "),
+], ids=("synth-per-class", "synth-d-visual", "train-audio-widths", "train-proj-dim"))
+def test_a_size_past_numpys_largest_array_is_a_usage_error(data_files, tmp_path, capsys, argv, message):
+    """A size whose array numpy cannot even describe (more than np.intp's
+    largest value in bytes) is refused by its config before anything is
+    allocated or written: one usage error line, exit 1, no output file."""
+    root = tmp_path / "outputs"
+    root.mkdir()
+    assert main([a.format(train=data_files[0], tmp=root) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: {message}") and err.count("\n") == 1
+    assert err.endswith(f" exceed numpy's largest float64 array ({np.iinfo(np.intp).max // 8}"
+                        + (" values)\n" if argv[0] == "train" else ")\n"))
+    assert list(root.iterdir()) == []
+
+
 def readme_commands():
     """The argument lists of every ``hscmae ...`` line in the README's code
     blocks, with backslash continuations joined."""

@@ -254,12 +254,18 @@ def test_primitives_compute_in_float32_and_return_gradients_in_each_inputs_dtype
 
 
 def test_float32_leaf_reads_the_arena_mirror_and_accumulates_into_float64():
+    """Without a mirror a float32 leaf holds its own rounded copy of the
+    current value; after ``prepare_step`` it is a view of the mirror."""
     arena = dc.ParamArena([("w", (3, 2), True), ("s", (1, 1), False)])
     w = arena.params[0]
     arena.value[...] = np.random.default_rng(2).normal(size=arena.size)
     assert arena.value32 is None and w.value32 is None  # allocated by the first prepare_step
-    with pytest.raises(dc.DiffError, match="^parameter 'w': the arena has no float32 mirror yet"):
-        w.tensor(np.float32)
+    for _ in range(2):
+        leaf = w.tensor(np.float32)
+        assert leaf.value.dtype == np.float32 and not np.shares_memory(leaf.value, arena.value)
+        np.testing.assert_array_equal(leaf.value.view(np.uint32), w.value.astype(np.float32).view(np.uint32))
+        w.value *= 3.0  # the next leaf rounds the new value
+    assert arena.value32 is None
     arena.prepare_step()
     np.testing.assert_array_equal(arena.value32, arena.value.astype(np.float32))
     leaf = w.tensor(np.float32)

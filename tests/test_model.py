@@ -234,18 +234,39 @@ def test_embed_arrays_is_float64_whatever_the_input_dtype():
         np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
 
 
-def test_float32_pass_before_the_first_prepare_step_names_the_parameter():
+def test_float32_pass_without_a_mirror_rounds_each_value_as_it_reads_it():
     """A fresh model's arena, like a teacher's or an eval model's, has no
-    float32 mirror: a float32 pass says so, naming the first parameter."""
-    mp = ModelParams(tiny_model_config(), seed=27)
+    float32 mirror, and a float32 pass on it makes none: it gives the bits
+    of the same pass on a copy whose mirror holds the values rounded by
+    hand."""
+    mp = ModelParams(desk_train_config().model, seed=27)
     rng = np.random.default_rng(27)
-    xa, xv = (rng.normal(size=(6, d)).astype(np.float32) for d in (3, 5))
-    no_mirror = "^parameter 'enc.a.0.w': the arena has no float32 mirror yet"
-    with pytest.raises(dc.DiffError, match=no_mirror) as info:
-        forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
-    assert not isinstance(info.value, dc.ShapeError)
-    mp.arena.prepare_step()
-    assert forward_embed(mp, dc.const(xa), dc.const(xv), train=False)[0].value.dtype == np.float32
+    xa, xv = (rng.normal(size=(40, d)).astype(np.float32) for d in (12, 24))
+    rounded = mp.copy()
+    rounded.arena.prepare_step()
+    rounded.arena.value32[...] = mp.arena.value.astype(np.float32)
+    with dc.no_tape():
+        got = forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
+        want = forward_embed(rounded, dc.const(xa), dc.const(xv), train=False)
+    assert mp.arena.value32 is None
+    for z, ref in zip(got, want):
+        assert z.value.dtype == np.float32
+        np.testing.assert_array_equal(z.value.view(np.uint32), ref.value.view(np.uint32))
+
+
+@pytest.mark.parametrize("config", [
+    tiny_model_config(), desk_model_config(),
+    ModelConfig(audio_widths=(40, 64, 96), visual_widths=(50, 96), heads=3, proj_dim=7),
+], ids=("tiny", "desk", "uneven"))
+def test_param_count_is_the_arena_size(config):
+    assert config.param_count() == ModelParams(config).arena.size
+
+
+def test_a_model_past_numpys_largest_array_is_refused_before_allocation():
+    limit = np.iinfo(np.intp).max // 8
+    with pytest.raises(ValueError, match=f"^the model's [0-9]+ parameters exceed numpy's largest "
+                                         rf"float64 array \({limit} values\)$"):
+        ModelConfig(proj_dim=limit)
 
 
 def trunk_passes(mp, xa, xv):
@@ -393,15 +414,14 @@ def test_embed_arrays_refuses_a_row_count_mismatch_as_one_pass_does():
 
 def state_digests(mp, teacher):
     """(kind, name) -> digest of the bits, viewed at each array's item size,
-    of every array a train_step writes: student values, gradients, float32
-    Adam moments and buffers, and the teacher's values, float32 mirror and
-    buffers."""
+    of every array a train_step writes: student values, float32 mirror,
+    gradients, float32 Adam moments and buffers, and the teacher's values
+    and buffers."""
     arrays = {}
     for name, p in mp.params.items():
-        for kind in ("value", "grad", "adam_m", "adam_v"):
+        for kind in ("value", "value32", "grad", "adam_m", "adam_v"):
             arrays[(kind, name)] = getattr(p, kind)
-    for name, p in teacher.params.items():
-        arrays[("teacher mirror", name)] = p.value32
+    assert teacher.arena.value32 is None
     for who, owner in (("student", mp), ("teacher", teacher)):
         for name, arr in owner.state_entries().items():
             arrays[(who, name)] = arr

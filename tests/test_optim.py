@@ -196,8 +196,8 @@ def test_blocked_passes_bit_identical_to_listwise(sizes, exempt, weight_decay, s
        seed=st.integers(0, 2 ** 16))
 def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers, max_norm, seed):
     """The zero/mirror walk, clipping (norm and gradients), AdamW and the EMA
-    with its teacher mirror leave the same bits on several workers as on
-    one; the exempt tail puts the decay boundary inside a block."""
+    leave the same bits on several workers as on one; the exempt tail puts
+    the decay boundary inside a block. The teacher gains no mirror."""
     rng = np.random.default_rng(seed)
     shapes = [(1, n) if n % 2 else (2, n // 2) for n in sizes] + [(1, 1)] * exempt
     decay = [True] * len(sizes) + [False] * exempt
@@ -210,7 +210,6 @@ def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers
             patch.setattr(dc, "_WORKERS", count)
             student = SimpleNamespace(arena=make_arena(*values, decay=decay), buffers={})
             teacher = SimpleNamespace(arena=make_arena(*[-v for v in values], decay=decay), buffers={})
-            teacher.arena.fill_mirror()
             arena, norms = student.arena, []
             for step, gs in enumerate(grads, start=1):
                 arena.grad[...] = 1.0
@@ -223,9 +222,9 @@ def test_walked_passes_bit_identical_for_any_worker_count(sizes, exempt, workers
                 ema_update(teacher, student, 0.99)
             runs.append((norms, [a.tobytes() for a in (arena.value, arena.grad, arena.adam_m,
                                                        arena.adam_v, arena.value32,
-                                                       teacher.arena.value, teacher.arena.value32)]))
+                                                       teacher.arena.value)]))
+            assert teacher.arena.value32 is None
     assert runs[0] == runs[1]
-    assert runs[0][1][-1] == np.asarray(teacher.arena.value, dtype=np.float32).tobytes()
 
 
 def test_one_block_arena_never_starts_the_pool(monkeypatch):

@@ -9,6 +9,8 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
 from hscmae import cca_linear, trainer
+from hscmae.cli import ABLATION_ROWS
 from hscmae.data_io import FeatureSet
 from hscmae.evaluate import evaluate_model
 from hscmae.losses import CcaConfig
@@ -97,31 +100,46 @@ def test_teacher_receives_no_gradients():
         assert np.all(p.adam_m == 0.0)
 
 
-def test_teacher_mirror_follows_the_ema_after_every_desk_step():
-    """After every step of a desk training the teacher's float32 mirror is
-    its values rounded to float32, bit for bit, and its gradients and Adam
-    moments are still all zero."""
+def test_teacher_pass_rounds_the_teachers_values_and_keeps_no_copy():
+    """Every step of a desk training runs its teacher pass on a teacher
+    without a float32 mirror, and that pass gives the bits of the same pass
+    on a copy whose mirror holds the teacher's values rounded by hand. After
+    the training the teacher still has no mirror, and its gradients and
+    Adam moments are all zero."""
     rng = np.random.default_rng(12)
     view = (rng.normal(size=(100, 12)), rng.normal(size=(100, 24)))
-    steps = []
+    forward_embed = trainer.forward_embed
+    passes = []
 
-    def hook(mp, teacher, rho):
-        arena = teacher.arena
-        np.testing.assert_array_equal(arena.value32.view(np.uint32),
-                                      arena.value.astype(np.float32).view(np.uint32))
-        assert not (arena.grad.any() or arena.adam_m.any() or arena.adam_v.any())
-        steps.append(rho)
+    def checked_forward_embed(mp, xa, xv, train, rng=None):
+        out = forward_embed(mp, xa, xv, train=train, rng=rng)
+        if not train:  # the teacher pass
+            assert mp.arena.value32 is None
+            rounded = mp.copy()
+            rounded.arena.prepare_step()
+            rounded.arena.value32[...] = mp.arena.value.astype(np.float32)
+            with dc.no_tape():
+                want = forward_embed(rounded, xa, xv, train=False)
+            for z, ref in zip(out, want):
+                np.testing.assert_array_equal(z.value.view(np.uint32), ref.value.view(np.uint32))
+            passes.append(mp)
+        return out
 
-    train(view, desk_train_config(seed=12, epochs=3, batch_size=50), step_hook=hook)
-    assert len(steps) == 6
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "forward_embed", checked_forward_embed)
+        result = train(view, desk_train_config(seed=12, epochs=3, batch_size=50))
+    assert len(passes) == 6 and all(t is result.teacher for t in passes)
+    arena = result.teacher.arena
+    assert arena.value32 is None and all(p.value32 is None for p in arena.params)
+    assert not (arena.grad.any() or arena.adam_m.any() or arena.adam_v.any())
 
 
 def test_arena_bytes_per_parameter():
     """Memory guard: a trained arena holds 28 bytes per parameter (value and
     gradient 8 each, Adam moments and mirror 4 each), and training writes
-    12 bytes per parameter of the EMA teacher's (value and mirror): its
-    gradients and moments are made read-only, so a step that writes them
-    fails, and their zero pages are never mapped."""
+    8 bytes per parameter of the EMA teacher's (its values): its gradients
+    and moments are made read-only, so a step that writes them fails, and
+    their zero pages are never mapped; it gains no float32 mirror."""
     cfg = desk_train_config(seed=13)
     rng = np.random.default_rng(13)
     mp = ModelParams(cfg.model, seed=13)
@@ -138,7 +156,7 @@ def test_arena_bytes_per_parameter():
         return sum(getattr(arena, kind).nbytes for kind in kinds) / arena.size
 
     assert bytes_per_parameter(mp.arena, ("value", "grad", "adam_m", "adam_v", "value32")) == 28
-    assert bytes_per_parameter(teacher.arena, ("value", "value32")) == 12
+    assert bytes_per_parameter(teacher.arena, ("value",)) == 8 and teacher.arena.value32 is None
     assert not any(getattr(teacher.arena, kind).any() for kind in unwritten)
 
 
@@ -216,13 +234,14 @@ def test_train_step_rejects_single_sample():
 
 
 def state_digest(*models):
-    """SHA-256 over every value, float32 mirror, gradient, Adam moment and
-    buffer."""
+    """SHA-256 over every value, float32 mirror (a teacher has none),
+    gradient, Adam moment and buffer."""
     h = hashlib.sha256()
     for mp in models:
         for p in mp.parameters():
             for arr in (p.value, p.value32, p.grad, p.adam_m, p.adam_v):
-                h.update(arr.tobytes())
+                if arr is not None:
+                    h.update(arr.tobytes())
         for b in mp.buffers.values():
             h.update(b.tobytes())
     return h.hexdigest()
@@ -296,6 +315,96 @@ def run_steps(cfg, batch, epochs, monkeypatch=None):
 ], ids=("desk", "desk-k1", "paper-widths"))
 def test_train_step_bit_identical_to_composed_gated_step(monkeypatch, cfg, batch, epochs):
     assert run_steps(cfg, batch, epochs) == run_steps(cfg, batch, epochs, monkeypatch)
+
+
+def oracle_steps(cfg, step, epochs=(1, 5, 6, 7), batch=48):
+    """Outputs of ``step`` (a train_step) on fresh batches at ``epochs``, one
+    step each, and the digest of the student and teacher afterwards."""
+    rng = np.random.default_rng(cfg.seed)
+    mp = ModelParams(cfg.model, seed=cfg.seed)
+    teacher = mp.copy()
+    out = []
+    for t, epoch in enumerate(epochs, start=1):
+        xa, xv = rng.normal(size=(batch, cfg.model.d_audio)), rng.normal(size=(batch, cfg.model.d_visual))
+        out.append(step(mp, teacher, xa, xv, cfg, epoch, _step_seed(cfg.seed, epoch, t),
+                        cfg.optim.lr0, 0.99, t))
+    return out, state_digest(mp, teacher)
+
+
+@pytest.mark.parametrize("overrides", [
+    *(dict(use_cca=cca, use_rec=rec, use_infonce=infonce, use_dis=dis)
+      for cca, rec, infonce, dis in ABLATION_ROWS),
+    dict(k=1),
+], ids=[*("-".join(name for name, on in zip(("cca", "rec", "infonce", "dis"), row) if on)
+          for row in ABLATION_ROWS), "k1"])
+def test_train_step_bit_identical_to_one_backward_over_both_tapes(overrides):
+    """The step that back-propagates the masked and the clean tape one after
+    the other gives the losses, weights, student and teacher of the former
+    step's single backward over both, bit for bit, in warm-up (epochs 1 and
+    5) and uncertainty-weighted (6 and 7) steps, for every ablation row and
+    for k = 1."""
+    cfg = desk_train_config(seed=21, **overrides)
+    assert cfg.warmup_epochs == 5
+    assert oracle_steps(cfg, train_step) == oracle_steps(cfg, ops.single_backward_train_step)
+
+
+@pytest.mark.parametrize("sigma", [-800.0, -708.0], ids=("weight", "addend"))
+def test_an_overflowing_weight_raises_the_totals_error_and_warns_nothing(sigma):
+    """exp(-sigma_rec) overflows, or exp(-sigma_rec) * rec does: the step
+    raises the weighted total's NumericError, as the single-backward step
+    does, and numpy warns of nothing, since no gradient is back-propagated
+    from a non-finite addend."""
+    cfg = desk_train_config(seed=11)
+    rng = np.random.default_rng(11)
+    batch = rng.normal(size=(32, 12)), rng.normal(size=(32, 24))
+    errors = []
+    for step in (train_step, ops.single_backward_train_step):
+        mp = ModelParams(cfg.model, seed=11)
+        mp.sigma("rec").value[...] = sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dc.NumericError, match="^total_loss: non-finite weighted total at epoch 6") as info:
+                step(mp, mp.copy(), *batch, cfg, 6, 5, 1e-3, 0.99, 1)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_no_array_of_the_masked_tape_is_alive_when_the_clean_pass_starts(monkeypatch):
+    """When the clean student pass starts, every tensor of the masked tape,
+    every array its closures held and every value it computed is freed,
+    without a garbage collection: only the arena, the buffers, the batch
+    and the spent 1 x 1 terms outlive the masked branch."""
+    cfg = desk_train_config(seed=10)
+    rng = np.random.default_rng(10)
+    xa, xv = (rng.normal(size=(32, d)).astype(np.float32) for d in (12, 24))
+    mp = ModelParams(cfg.model, seed=10)
+    kept = [mp.arena.value, mp.arena.grad, mp.arena.adam_m, mp.arena.adam_v, xa, xv,
+            *mp.buffers.values()]
+    refs, checked = [], []
+    walk, forward_embed = dc.backward, trainer.forward_embed
+
+    def recording_backward(loss):
+        if not refs:  # the masked tape
+            kept.append(mp.arena.value32)
+            for tensor, held in tape_nodes(loss):
+                refs.append(weakref.ref(tensor))
+                for arr in (tensor.value, *held):
+                    while isinstance(arr, np.ndarray):
+                        if arr.size > 1 and not any(np.shares_memory(arr, k) for k in kept):
+                            refs.append(weakref.ref(arr))
+                        arr = arr.base
+        walk(loss)
+
+    def clean_forward_embed(mp, xa, xv, train, rng=None):
+        if train:
+            checked.append((len(refs), [ref for ref in refs if ref() is not None]))
+        return forward_embed(mp, xa, xv, train=train, rng=rng)
+
+    monkeypatch.setattr(dc, "backward", recording_backward)
+    monkeypatch.setattr(trainer, "forward_embed", clean_forward_embed)
+    train_step(mp, mp.copy(), xa, xv, cfg, 6, 5, 1e-3, 0.99, 1)
+    (recorded, alive), = checked
+    assert recorded > 100 and alive == []
 
 
 def test_multi_block_train_step_byte_identical_on_one_and_two_workers(monkeypatch):
@@ -382,8 +491,8 @@ def test_first_layers_never_compute_an_input_gradient(monkeypatch):
 def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch):
     """Every multi-element value of the taped student passes is float32,
     every loss value is a float64 1 x 1, the untaped teacher pass is float32
-    (on the teacher's float32 mirror), and every node sends each input its
-    gradient in that input's dtype."""
+    (on the teacher's values rounded as it reads them), and every node sends
+    each input its gradient in that input's dtype."""
     values, grads = [], []
     make_node = dc._node
 
@@ -404,14 +513,15 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
     teacher = mp.copy()
     train_step(mp, teacher, rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
                cfg.warmup_epochs + 1, 5, 1e-3, 0.99, 1)
-    assert mp.arena.value32.dtype == teacher.arena.value32.dtype == np.float32
+    assert mp.arena.value32.dtype == np.float32 and teacher.arena.value32 is None
     trunk = {(op, dtype) for op, shape, dtype, taped in values if taped and shape != (1, 1)}
     scalars = {(op, dtype) for op, shape, dtype, taped in values if taped and shape == (1, 1)}
     untaped = {(op, dtype) for op, shape, dtype, taped in values if not taped}
     assert {op for op, _ in trunk} == {"encoder_layer", "matmul", "add_layer_norm", "linear",
                                        "linear_tanh", "l2_normalize_rows"}
     assert {dtype for _, dtype in trunk} == {np.dtype(np.float32)}
-    assert {op for op, _ in scalars} == {"rec_loss", "distill_loss", "dcca", "soft_infonce", "total_loss"}
+    assert {op for op, _ in scalars} == {"rec_loss", "distill_loss", "dcca", "soft_infonce",
+                                         "weighted_terms", "total_loss"}
     assert {dtype for _, dtype in scalars} == {np.dtype(np.float64)}
     # the teacher pass: one node per encoder layer, fusion matmul, residual
     # and projection op
@@ -424,10 +534,12 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
 
 
 @pytest.mark.parametrize("epoch", [1, 6], ids=("warm-up", "weighted"))
-def test_desk_step_tapes_43_nodes(monkeypatch, epoch):
-    """Whatever the weighting regime, a step tapes one node per trunk layer
-    (encoder layer, decoder layer, fusion residual and matmul, projection
-    op) and one per loss head and for the weighted total."""
+def test_desk_step_tapes_26_then_18_nodes(monkeypatch, epoch):
+    """Whatever the weighting regime, a step walks two tapes, each of one
+    node per trunk layer (encoder layer, decoder layer, fusion residual and
+    matmul, projection op) and one per loss head: the masked tape ends in
+    the root that sends its terms their weighted gradients, and the clean
+    tape, walked second, in the weighted total."""
     tapes = []
     walk = dc.backward
 
@@ -442,11 +554,12 @@ def test_desk_step_tapes_43_nodes(monkeypatch, epoch):
     mp = ModelParams(cfg.model, seed=9)
     train_step(mp, mp.copy(), rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
                epoch, 5, 1e-3, 0.99, 1)
-    (tape,) = tapes
-    assert len(tape) == 43
-    assert Counter(tape) == {"encoder_layer": 12, "matmul": 8, "add_layer_norm": 4, "linear": 6,
-                             "l2_normalize_rows": 4, "linear_tanh": 4, "rec_loss": 1,
-                             "distill_loss": 1, "dcca": 1, "soft_infonce": 1, "total_loss": 1}
+    masked, clean = tapes
+    trunk = {"encoder_layer": 6, "matmul": 4, "add_layer_norm": 2, "l2_normalize_rows": 2}
+    assert len(masked) == 26 and len(clean) == 18
+    assert Counter(masked) == {**trunk, "linear": 4, "linear_tanh": 4, "rec_loss": 1,
+                               "soft_infonce": 1, "distill_loss": 1, "weighted_terms": 1}
+    assert Counter(clean) == {**trunk, "linear": 2, "dcca": 1, "total_loss": 1}
 
 
 def test_batch_norm_statistics_follow_the_masked_then_the_clean_pass():
