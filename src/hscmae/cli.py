@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .cca_linear import CcaFitError
-from .data_io import DataError, SynthConfig, generate_synthetic, load_features, save_features
+from .data_io import (DataError, SynthConfig, check_savable, generate_synthetic, load_features,
+                      save_features)
 from .diffcore import DiffError
 from .evaluate import (BASELINES, cross_modal_map, evaluate_model, rank_list_rows, report_rows,
                        retrieval_embeddings, run_baseline, score_variants)
@@ -220,6 +221,10 @@ def _write_lines(path, rows):
 def cmd_synth(args):
     cfg = build(SynthConfig, args, warp=not args.no_warp)
     train_set, test_set = generate_synthetic(cfg)
+    # both splits are checked before either is written, so a refused split
+    # leaves no file behind
+    check_savable(args.out_train, train_set)
+    check_savable(args.out_test, test_set)
     save_features(args.out_train, train_set)
     save_features(args.out_test, test_set)
     if args.manifest:

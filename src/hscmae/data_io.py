@@ -59,16 +59,46 @@ class FeatureSet:
 # binary container + CSV
 # ---------------------------------------------------------------------------
 
-def save_features(path, fs):
-    """Binary container: magic, u32 n/d_a/d_v, u8 has-labels, row-major
-    little-endian float32 audio then visual blocks, optional u32 labels.
-    Either format refuses a label outside 0..2^32-1 before writing anything."""
+def _first_non_finite(block):
+    """The flat offset of the first value of ``block`` that is not finite,
+    or None."""
+    bad = np.flatnonzero(~np.isfinite(block).reshape(-1))
+    return int(bad[0]) if bad.size else None
+
+
+def check_savable(path, fs):
+    """The audio and visual blocks of ``fs`` in the dtype that
+    ``save_features(path, fs)`` stores: float64 for a ``.csv`` file,
+    little-endian float32 for the binary container. Raises DataError for
+    what ``load_features`` would refuse: a label outside 0..2^32-1, or a
+    value that is not finite in that dtype, such as a finite float64 past
+    float32's range, named by modality and flat offset."""
     path = str(path)
     if fs.labels is not None:
         bad = np.flatnonzero((fs.labels < 0) | (fs.labels > _LABEL_MAX))
         if bad.size:
             raise DataError(f"{path}: label {int(fs.labels[bad[0]])} of sample {bad[0]} is "
                             f"outside 0..{_LABEL_MAX}")
+    dtype = np.dtype(np.float64 if path.endswith(".csv") else "<f4")
+    blocks = []
+    for name, values in (("audio", fs.audio), ("visual", fs.visual)):
+        with np.errstate(over="ignore"):  # rounds to inf, refused next
+            block = np.ascontiguousarray(values, dtype=dtype)
+        bad = _first_non_finite(block)
+        if bad is not None:
+            raise DataError(f"{path}: {name} value {float(values.flat[bad])!r} at flat offset "
+                            f"{bad} is not finite in {dtype.name}")
+        blocks.append(block)
+    return blocks
+
+
+def save_features(path, fs):
+    """Binary container: magic, u32 n/d_a/d_v, u8 has-labels, row-major
+    little-endian float32 audio then visual blocks, optional u32 labels.
+    Either format refuses what ``check_savable`` refuses before it opens
+    the file."""
+    path = str(path)
+    audio, visual = check_savable(path, fs)
     if path.endswith(".csv"):
         _save_csv(path, fs)
         return
@@ -76,8 +106,8 @@ def save_features(path, fs):
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIIB", fs.n, fs.audio.shape[1], fs.visual.shape[1],
                              1 if fs.labels is not None else 0))
-        fh.write(np.ascontiguousarray(fs.audio, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(fs.visual, dtype="<f4").tobytes())
+        fh.write(audio.tobytes())
+        fh.write(visual.tobytes())
         if fs.labels is not None:
             fh.write(np.ascontiguousarray(fs.labels, dtype="<u4").tobytes())
 
@@ -111,8 +141,8 @@ def load_features(path, split="train"):
     if has_labels:
         labels = np.frombuffer(blob, dtype="<u4", count=n, offset=off).astype(np.int64)
     for name, block in (("audio", audio), ("visual", visual)):
-        if not np.all(np.isfinite(block)):
-            bad = int(np.flatnonzero(~np.isfinite(block).reshape(-1))[0])
+        bad = _first_non_finite(block)
+        if bad is not None:
             raise DataError(f"{path}: non-finite {name} value at flat offset {bad}")
     return FeatureSet(audio=audio.astype(np.float64), visual=visual.astype(np.float64), labels=labels)
 

@@ -33,8 +33,9 @@ float64.
 ``ParamArena`` keeps the values and gradients of a model's parameters in
 two flat float64 arrays and the Adam moments in two flat float32 arrays, so
 that the optimizer and the EMA teacher can walk them in cache-sized blocks,
-one share of the blocks per CPU; a trained arena also keeps a float32
-mirror of the values that its float32 passes read.
+one share of the blocks per CPU. No float32 copy of the values is kept: a
+float32 parameter leaf rounds the value each time an op reads it (see the
+primitives).
 """
 
 from __future__ import annotations
@@ -100,31 +101,46 @@ def const(value):
     return Tensor(value)
 
 
+class _Float32Leaf(Tensor):
+    """A float32 tape leaf of a parameter that holds no array: ``value``
+    rounds the parameter's float64 value each time it is read, and
+    ``shape`` is the parameter's, read without rounding."""
+
+    __slots__ = ()
+
+    def __init__(self, param):
+        self.op, self._parents, self._backward = "param", (), None
+        self.param, self.needs_grad = param, True
+
+    @property
+    def value(self):
+        return self.param.value.astype(np.float32)
+
+    @property
+    def shape(self):
+        return self.param.value.shape
+
+
 class Parameter:
     """Learnable float64 matrix of a ``ParamArena``: its value, gradient
-    accumulator and float32 Adam moments are views into the arena's arrays.
+    accumulator and float32 Adam moments are views into the arena's arrays."""
 
-    ``value32`` is the float32 mirror of ``value`` once the arena has one
-    (None before): what the arena's last ``prepare_step`` rounded."""
-
-    __slots__ = ("name", "value", "value32", "grad", "adam_m", "adam_v", "decay")
+    __slots__ = ("name", "value", "grad", "adam_m", "adam_v", "decay")
 
     def __init__(self, name, value, grad, adam_m, adam_v, decay):
         self.name = name
         self.value, self.grad, self.adam_m, self.adam_v = value, grad, adam_m, adam_v
-        self.value32 = None
         self.decay = decay
 
     def tensor(self, dtype=np.float64):
-        """Wrap the current value as a tape leaf tied to this parameter; for
-        float32, the arena's mirror if it has one, else the value rounded to
-        float32 as it is read, a copy that lives as long as the leaf. Its
-        gradient, in either dtype, accumulates into the float64 ``grad``."""
+        """A tape leaf tied to this parameter, whose gradient in either dtype
+        accumulates into the float64 ``grad``: in float64 the value itself,
+        in float32 a leaf that rounds the value at each read. The values do
+        not change between a pass's forward and its backward (the optimizer
+        and the EMA run after both), so every read gives the same bits."""
         if dtype == np.float64:
             return Tensor(self.value, op="param", param=self)
-        if self.value32 is None:
-            return Tensor(self.value.astype(np.float32), op="param", param=self)
-        return Tensor(self.value32, op="param", param=self)
+        return _Float32Leaf(self)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -185,9 +201,8 @@ if hasattr(os, "register_at_fork"):
 
 class ParamArena:
     """Values and gradients of many parameters, each kind in one contiguous
-    float64 array laid out in parameter order, the two Adam moments in two
-    float32 arrays of the same layout, plus ``value32``, a float32 mirror of
-    the values once the arena is trained.
+    float64 array laid out in parameter order, and the two Adam moments in
+    two float32 arrays of the same layout.
 
     ``layout`` lists (name, shape, decay) triples; decayed parameters must
     come first, so weight decay covers the prefix ``[0, decay_end)``.
@@ -195,12 +210,11 @@ class ParamArena:
     reshaped views into the arena; values start uninitialised, for the
     caller to fill once. Gradients and moments start as ``np.zeros``, whose
     pages are mapped on first write, so an arena that is never trained (a
-    teacher's, an eval model's) takes memory for its values only. The
-    mirror is allocated by the first ``prepare_step``, which only a trained
-    arena runs; an arena without one, such as an EMA teacher's, gives each
-    float32 pass its values rounded per parameter as the pass reads them. A
-    trained arena takes 28 bytes per parameter (value and gradient 8 each,
-    the moments and the mirror 4 each), an EMA teacher's 8 (its values).
+    teacher's, an eval model's) takes memory for its values only. No arena
+    keeps a float32 copy of its values: a float32 pass rounds each value as
+    an op reads it (``Parameter.tensor``). A trained arena takes 24 bytes
+    per parameter (value and gradient 8 each, the moments 4 each), an EMA
+    teacher's 8 (its values).
 
     The elementwise passes over an arena (``prepare_step``, the optimizer's
     and the EMA teacher's) go through ``walk``, which spreads the blocks over
@@ -218,7 +232,6 @@ class ParamArena:
         self.size = sum(sizes)
         self.decay_end = sum(sizes[:decays.count(True)])
         self.value = np.empty(self.size)
-        self.value32 = None
         self.grad = np.zeros(self.size)
         self.adam_m = np.zeros(self.size, dtype=np.float32)
         self.adam_v = np.zeros(self.size, dtype=np.float32)
@@ -235,18 +248,10 @@ class ParamArena:
         return [(p.name, p.value.shape, p.decay) for p in self.params]
 
     def prepare_step(self):
-        """Zero the gradients and round the values into the float32 mirror,
-        allocated on the first call, in one walk."""
-        if self.value32 is None:
-            self.value32 = np.empty(self.size, dtype=np.float32)
-            start = 0
-            for p in self.params:
-                p.value32 = self.value32[start:start + p.value.size].reshape(p.value.shape)
-                start += p.value.size
-
+        """Zero the gradients, in one walk, before a step accumulates its
+        passes' gradients into them."""
         def block(start, stop, scratch):
             self.grad[start:stop] = 0.0
-            np.copyto(self.value32[start:stop], self.value[start:stop], casting="same_kind")
 
         self.walk(block)
 
@@ -369,43 +374,49 @@ def backward(loss):
 # primitives
 # ---------------------------------------------------------------------------
 
+# The ops that take parameter leaves (matmul, linear and the layer nodes)
+# read each input's ``value`` once in their forward. One whose backward needs
+# a weight keeps the weight's tensor, not its value, and reads it again only
+# for the input gradient g @ w.T, so a float32 leaf's rounded weight never
+# outlives the forward or the closure that reads it.
+
 def matmul(a, b):
+    """a @ b; backward reads ``b`` again for the gradient of ``a``."""
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    av, bv = a.value, b.value
-    a_grad = a.needs_grad
+    av, a_grad = a.value, a.needs_grad
 
     def bwd(g):
-        return (g @ bv.T if a_grad else None), av.T @ g
+        return (g @ b.value.T if a_grad else None), av.T @ g
 
-    return _node("matmul", av @ bv, (a, b), bwd)
+    return _node("matmul", av @ b.value, (a, b), bwd)
 
 
-def _linear_value(x, w, b):
-    """x @ w + b with a 1 x cols bias row, as a fresh array."""
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
-    y = x.value @ w.value
+def _linear_value(xv, w, b):
+    """xv @ w + b with a 1 x cols bias row, as a fresh array."""
+    if xv.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear: {xv.shape} x {w.shape} + {b.shape}")
+    y = xv @ w.value
     y += b.value
     return y
 
 
-def _linear_grads(g, xv, wv, x_grad):
-    """Input, weight and bias gradients of x @ w + b; no input gradient
-    when ``x_grad`` is false."""
-    return (g @ wv.T if x_grad else None), xv.T @ g, g.sum(axis=0, keepdims=True)
+def _linear_grads(g, xv, w, x_grad):
+    """Input, weight and bias gradients of x @ w + b; no input gradient, and
+    no read of the weight tensor ``w``, when ``x_grad`` is false."""
+    return (g @ w.value.T if x_grad else None), xv.T @ g, g.sum(axis=0, keepdims=True)
 
 
 def linear(x, w, b):
     """x @ w + b with a 1 x cols bias row, as one node. Values and gradients
     are those of an add node over a matmul node; the input gradient g @ w.T
     is not computed when ``x`` needs none, as for a first layer on data."""
-    xv, wv, x_grad = x.value, w.value, x.needs_grad
+    xv, x_grad = x.value, x.needs_grad
 
     def bwd(g):
-        return _linear_grads(g, xv, wv, x_grad)
+        return _linear_grads(g, xv, w, x_grad)
 
-    return _node("linear", _linear_value(x, w, b), (x, w, b), bwd)
+    return _node("linear", _linear_value(xv, w, b), (x, w, b), bwd)
 
 
 _NORM_EPS = 1e-5
@@ -429,7 +440,8 @@ def _standardize(x, axis):
 
 def _normalize(h, gamma, beta, stats, train):
     """(y, xhat, inv, axis) for y = gamma * xhat + beta, the normalised
-    array ``h``, checked for finiteness.
+    array ``h``, checked for finiteness; ``gamma`` and ``beta`` are 1 x d
+    arrays.
 
     With ``stats``, the float64 1 x d running mean and variance, this is
     batch norm over rows: train mode standardises with the batch statistics
@@ -445,7 +457,7 @@ def _normalize(h, gamma, beta, stats, train):
         inv = 1.0 / np.sqrt(running_var.astype(h.dtype, copy=False) + _NORM_EPS)
         xhat = h - running_mean.astype(h.dtype, copy=False)
         xhat *= inv
-        y = xhat * gamma.value
+        y = xhat * gamma
         axis = None
     else:
         axis = 1 if stats is None else 0
@@ -458,8 +470,8 @@ def _normalize(h, gamma, beta, stats, train):
             running_mean += _BN_MOMENTUM * mu
             running_var *= 1.0 - _BN_MOMENTUM
             running_var += _BN_MOMENTUM * var
-        np.multiply(xhat, gamma.value, out=y)
-    y += beta.value
+        np.multiply(xhat, gamma, out=y)
+    y += beta
     _check_finite(op, y)
     return y, xhat, inv, axis
 
@@ -511,10 +523,11 @@ def encoder_layer(x, w, b, gamma, beta, stats, train, rate, rng):
     not computed when ``x`` needs none."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
-    xv, wv, gv, bv, x_grad = x.value, w.value, gamma.value, beta.value, x.needs_grad
-    y = _linear_value(x, w, b)
+    xv, x_grad = x.value, x.needs_grad
+    y = _linear_value(xv, w, b)
     _check_finite("linear", y)
-    out, xhat, inv, axis = _normalize(y, gamma, beta, stats, train)
+    gv, bv = gamma.value, beta.value
+    out, xhat, inv, axis = _normalize(y, gv, bv, stats, train)
     np.tanh(out, out=out)
     keep = None
     if train and rate > 0.0:
@@ -536,7 +549,7 @@ def encoder_layer(x, w, b, gamma, beta, stats, train, rate, rng):
             np.tanh(t, out=t)
             dy = _tanh_grad(t, dt, out=t)
         dx, dgamma, dbeta = _norm_backward(dy, gv, xhat, inv, axis)
-        return _linear_grads(dx, xv, wv, x_grad) + (dgamma, dbeta)
+        return _linear_grads(dx, xv, w, x_grad) + (dgamma, dbeta)
 
     return _node("encoder_layer", out, (x, w, b, gamma, beta), bwd)
 
@@ -545,13 +558,13 @@ def linear_tanh(x, w, b):
     """tanh(x @ w + b) as one node, a decoder hidden layer. Values,
     gradients and a NumericError are those of a linear node then a tanh
     node; only the linear output is checked."""
-    xv, wv, x_grad = x.value, w.value, x.needs_grad
-    t = _linear_value(x, w, b)
+    xv, x_grad = x.value, x.needs_grad
+    t = _linear_value(xv, w, b)
     _check_finite("linear", t)
     np.tanh(t, out=t)
 
     def bwd(g):
-        return _linear_grads(_tanh_grad(t, g), xv, wv, x_grad)
+        return _linear_grads(_tanh_grad(t, g), xv, w, x_grad)
 
     return _node("linear_tanh", t, (x, w, b), bwd)
 
@@ -564,8 +577,8 @@ def add_layer_norm(a, b, gamma, beta):
         raise ShapeError(f"add: {a.shape} + {b.shape}")
     s = a.value + b.value
     _check_finite("add", s)
-    y, xhat, inv, _ = _normalize(s, gamma, beta, None, True)
     gv = gamma.value
+    y, xhat, inv, _ = _normalize(s, gv, beta.value, None, True)
 
     def bwd(g):
         dx, dgamma, dbeta = _norm_backward(g, gv, xhat, inv, 1)

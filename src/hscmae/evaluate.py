@@ -57,8 +57,11 @@ def _direction_aps(sims, query_labels, gallery_labels):
         rel = np.flatnonzero(gallery_labels == label)
         if rel.size == 0:
             continue
-        ordered = np.sort(sims[rows], axis=1)
-        block = sims[np.ix_(rows, rel)]
+        # one contiguous copy of the label's query rows serves the sort, the
+        # relevant block and the tie counts: sims may be a transposed view
+        sub = np.ascontiguousarray(sims[rows])
+        ordered = np.sort(sub, axis=1)
+        block = sub[:, rel]
         # binary searches run about twice as fast on ascending keys
         perm = np.argsort(block, axis=1)
         block = np.take_along_axis(block, perm, axis=1)
@@ -70,7 +73,7 @@ def _direction_aps(sims, query_labels, gallery_labels):
         # at right == 1 the flat index reaches the previous row, masked out
         shared = (right >= 2) & (ordered.take(np.arange(rows.size)[:, None] * g + right - 2) == block)
         for r, k in zip(*np.nonzero(shared)):
-            ranks[r, k] += np.count_nonzero(sims[rows[r], :rel[perm[r, k]]] == block[r, k])
+            ranks[r, k] += np.count_nonzero(sub[r, :rel[perm[r, k]]] == block[r, k])
         ranks.sort(axis=1)
         # a row-wise mean sums each row in the same pairwise order as a 1-D mean
         aps[rows] = (np.arange(1, rel.size + 1) / ranks).mean(axis=1)

@@ -208,9 +208,9 @@ def _copy(entry, out):
 # ---------------------------------------------------------------------------
 
 # Each pass takes its parameter tensors in the dtype of its input tensors:
-# float64 values, or in float32 the arena's mirror: for the student, what the
-# last ``arena.prepare_step()`` copied (``train_step`` calls it once per
-# step); for the EMA teacher, what ``ema_update`` last rounded.
+# the float64 values themselves, or float32 leaves that round each value as
+# an op reads it (``dc.Parameter.tensor``), for the student and the EMA
+# teacher alike; no float32 copy of the values is kept between passes.
 
 def encode(mp, xa, xv, train, rng=None):
     """Per-modality MLP pipeline: linear -> norm -> tanh -> dropout, one

@@ -11,12 +11,13 @@ then clip, AdamW, EMA update. After the last epoch a linear CCA is fitted
 on the clean-path training embeddings.
 
 Precision: the two taped student passes (masked and clean, forward and
-backward through encoders, fusion, projectors and decoders) run in float32
-on the batch and on the parameter arena's float32 mirror, and so does the
-untaped teacher pass, on the teacher's values rounded per parameter as it
-reads them. Adam's moments are float32. The master values and gradients,
-clipping, the AdamW and EMA arithmetic on the values, the loss heads, the
-checkpoint and every evaluation stay float64.
+backward through encoders, fusion, projectors and decoders) and the untaped
+teacher pass run in float32 on the batch and on float32 weights that each
+op rounds from the float64 master values as it reads them; no float32 copy
+of the values outlives the op that reads it. Adam's moments are float32.
+The master values and gradients, clipping, the AdamW and EMA arithmetic on
+the values, the loss heads, the checkpoint and every evaluation stay
+float64.
 """
 
 from __future__ import annotations
@@ -169,13 +170,15 @@ def train_step(mp, teacher, xa, xv, cfg, epoch, step_seed, lr_t, rho, adam_step)
     eval-mode teacher pass reads its own and never updates them; the
     teacher's buffers follow the student's by EMA.
 
-    The student passes compute in float32: the batch is rounded to float32
-    (exactly, for data read from a feature file) and so are the parameters,
-    once per step into the arena's mirror. The teacher pass computes in
-    float32 on the same batch and on the teacher's values, rounded per
-    parameter as it reads them and freed after their layer; its two
-    embeddings are upcast to float64 once, for mining and distillation. The
-    teacher's gradients and moments are never written.
+    Every pass computes in float32: the batch is rounded to float32
+    (exactly, for data read from a feature file), and each op rounds the
+    weights it reads from the float64 master values, the student's or the
+    teacher's, and keeps no rounded weight matrix past its return; a taped
+    op rounds its weight once more in backward, for the input gradient. The master values
+    change only after both backward walks, so both roundings give the same
+    bits. The teacher's two embeddings are upcast to float64 once, for
+    mining and distillation. The teacher's gradients and moments are never
+    written.
 
     Returns (LossBundle value dict, effective weights, total value)."""
     n = xa.shape[0]

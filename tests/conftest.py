@@ -51,11 +51,27 @@ def arena_param(value, name="p", decay=True):
     return p
 
 
+def arena_arrays(arena):
+    """The names of the arrays a ``dc.ParamArena`` holds."""
+    return {name for name, value in vars(arena).items() if isinstance(value, np.ndarray)}
+
+
+# what a ParamArena holds: no float32 copy of the values
+ARENA_ARRAYS = {"value", "grad", "adam_m", "adam_v", "scratch"}
+
+
+def copy_leaf(param, dtype=np.float64):
+    """A stand-in for ``dc.Parameter.tensor``: a leaf that holds its own
+    copy of the parameter's value rounded by hand to ``dtype``, made once."""
+    return dc.Tensor(param.value.astype(dtype), op="param", param=param)
+
+
 def tape_nodes(*roots):
     """(tensor, arrays its closure holds) for every tensor reachable from
     ``roots`` through parent links, each once, roots first. A leaf, or a
     node that records no closure, holds none. Closure cells are searched
-    through tuples, lists, tensors' values and nested closures."""
+    through tuples, lists, tensors' values and nested closures; a float32
+    parameter leaf holds no value."""
     out, seen, stack = [], set(), list(reversed(roots))
     while stack:
         t = stack.pop()
@@ -77,7 +93,7 @@ def _held_arrays(obj, held, seen):
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             _held_arrays(item, held, seen)
-    elif isinstance(obj, dc.Tensor):
+    elif isinstance(obj, dc.Tensor) and not isinstance(obj, dc._Float32Leaf):
         _held_arrays(obj.value, held, seen)
     elif callable(obj):
         for cell in getattr(obj, "__closure__", None) or ():

@@ -13,7 +13,10 @@ library's own do. ``dense_rows`` is the n x n weight-row view of one
 direction of mined affinity targets, which the mining and contrastive
 oracles read. ``single_backward_train_step`` is the former training step,
 which kept both student tapes alive until one backward from the weighted
-total: the oracle of the split step.
+total: the oracle of the split step. ``strided_direction_aps`` is the former
+ranking of one retrieval direction, which gathered a label's query rows
+from the similarity matrix (a transposed view, for v2a) once for the sort,
+again for the relevant block and once more per tie count.
 """
 
 import numpy as np
@@ -196,6 +199,34 @@ def average_precision(relevance):
         raise ValueError("average_precision: no relevant items")
     hits = np.flatnonzero(bits)
     return float(np.mean(np.cumsum(bits)[hits] / (hits + 1)))
+
+
+def strided_direction_aps(sims, query_labels, gallery_labels):
+    """(AP per query, whether the query has a relevant gallery item) of one
+    direction, gathering from ``sims`` at every use."""
+    g = sims.shape[1]
+    aps = np.zeros(sims.shape[0])
+    scored = np.zeros(sims.shape[0], dtype=bool)
+    for label in np.unique(query_labels):
+        rows = np.flatnonzero(query_labels == label)
+        rel = np.flatnonzero(gallery_labels == label)
+        if rel.size == 0:
+            continue
+        ordered = np.sort(sims[rows], axis=1)
+        block = sims[np.ix_(rows, rel)]
+        perm = np.argsort(block, axis=1)
+        block = np.take_along_axis(block, perm, axis=1)
+        right = np.empty(block.shape, dtype=np.int64)
+        for r in range(rows.size):
+            right[r] = np.searchsorted(ordered[r], block[r], side="right")
+        ranks = g + 1 - right
+        shared = (right >= 2) & (ordered.take(np.arange(rows.size)[:, None] * g + right - 2) == block)
+        for r, k in zip(*np.nonzero(shared)):
+            ranks[r, k] += np.count_nonzero(sims[rows[r], :rel[perm[r, k]]] == block[r, k])
+        ranks.sort(axis=1)
+        aps[rows] = (np.arange(1, rel.size + 1) / ranks).mean(axis=1)
+        scored[rows] = True
+    return aps, scored
 
 
 def dense_rows(pair):

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line front end, run in process."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hscmae.diffcore as dc
 from hscmae import cli, evaluate, trainer
@@ -532,6 +536,67 @@ def test_synth_refuses_non_finite_scales_and_writes_nothing(tmp_path, capsys, fl
     err = capsys.readouterr().err
     assert err.startswith("usage error: SynthConfig: scales must be positive and finite")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suffix, argv, first", [
+    (".bin", ["--noise", "1e15"], r"visual value \S+e\+4\d at flat offset 0 is not finite in float32"),
+    (".bin", ["--noise", "1e40", "--no-warp"], r"audio value \S+e\+39 at flat offset 0 is not finite in float32"),
+    (".csv", ["--noise", "1e200"], r"visual value -?inf at flat offset 0 is not finite in float64"),
+], ids=("warped-past-float32", "audio-past-float32", "csv-warped-past-float64"))
+def test_synth_refuses_values_its_files_cannot_hold_and_writes_nothing(tmp_path, capsys, suffix, argv,
+                                                                         first):
+    """Values past the range of the file's dtype were once written as
+    infinities that no later command could load; now the split is refused
+    before any file is written, naming the modality and the flat offset."""
+    out_train, out_test = tmp_path / f"t{suffix}", tmp_path / f"e{suffix}"
+    assert main(["synth", "--out-train", str(out_train), "--out-test", str(out_test),
+                 "--manifest", str(tmp_path / "m.json"), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(f"data error: {re.escape(str(out_train))}: {first}\n", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_checks_both_splits_before_writing_either(tmp_path, capsys, monkeypatch):
+    """A test split that cannot be saved leaves no training file either."""
+    good = FeatureSet(audio=np.ones((2, 1)), visual=np.ones((2, 1)), labels=[0, 1])
+    bad = FeatureSet(audio=np.ones((2, 1)), visual=[[1.0], [1e39]], labels=[0, 1])
+    monkeypatch.setattr(cli, "generate_synthetic", lambda cfg: (good, bad))
+    out_train, out_test = tmp_path / "t.bin", tmp_path / "e.bin"
+    assert main(["synth", "--out-train", str(out_train), "--out-test", str(out_test)]) == 2
+    assert capsys.readouterr().err == (f"data error: {out_test}: visual value 1e+39 at flat offset 1 "
+                                       "is not finite in float32\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+SYNTH_SCALES = ("0", "-1", "1e-320", "1e15", "1e40", "1e200", "nan", "inf", "-inf", "0.8", "3")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(noise=st.sampled_from(SYNTH_SCALES), mean=st.sampled_from(SYNTH_SCALES), warp=st.booleans(),
+       suffix=st.sampled_from([".bin", ".csv"]))
+def test_synth_exits_cleanly_and_leaves_only_files_that_load(tmp_path, noise, mean, warp, suffix):
+    """Whatever the scales, ``synth`` exits 0, 1 or 2 with no traceback or
+    numpy warning; a run that fails leaves no file, and after one that
+    succeeds both splits load."""
+    out_train, out_test = tmp_path / f"train{suffix}", tmp_path / f"test{suffix}"
+    argv = ["synth", "--out-train", str(out_train), "--out-test", str(out_test), "--classes", "2",
+            "--per-class", "4", "--d-audio", "2", "--d-visual", "3", f"--noise={noise}",
+            f"--mean-scale={mean}", *([] if warp else ["--no-warp"])]
+    err = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 1, 2) and caught == [], (rc, [str(w.message) for w in caught])
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if rc == 0:
+            assert [load_features(path).n for path in (out_train, out_test)] == [8, 2]
+        else:
+            assert not out_train.exists() and not out_test.exists()
+    finally:
+        for path in (out_train, out_test):
+            path.unlink(missing_ok=True)
 
 
 def test_data_errors_exit_two(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,29 @@ def test_save_refuses_labels_the_container_cannot_hold(tmp_path, suffix, labels,
     fs.labels[:] = [0, 2 ** 32 - 1]  # the range's ends save and load exactly
     save_features(path, fs)
     assert load_features(path).labels.tolist() == [0, 2 ** 32 - 1]
+
+
+@pytest.mark.parametrize("suffix, audio, visual, first", [
+    (".bin", [[1.0], [3.5e38]], [[1.0], [2.0]], "audio value 3.5e+38 at flat offset 1 is not finite in float32"),
+    (".bin", [[1.0], [2.0]], [[-np.inf], [1.0]], "visual value -inf at flat offset 0 is not finite in float32"),
+    (".csv", [[1.0], [2.0]], [[1.0], [np.nan]], "visual value nan at flat offset 1 is not finite in float64"),
+], ids=("bin-past-float32", "bin-inf", "csv-nan"))
+def test_save_refuses_values_the_container_cannot_hold(tmp_path, suffix, audio, visual, first):
+    """A value that is not finite in the file's dtype, float32 for the
+    binary container and float64 for CSV, is refused before the file is
+    opened, naming the modality and the flat offset; float32's largest
+    value saves and loads exactly."""
+    path = tmp_path / f"feat{suffix}"
+    fs = FeatureSet(audio=audio, visual=visual, labels=[0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {first}')}$"):
+            save_features(path, fs)
+    assert not path.exists()
+    big = float(np.finfo(np.float32).max)
+    fs = FeatureSet(audio=[[big], [-big]], visual=[[1.0], [2.0]], labels=[0, 1])
+    save_features(path, fs)
+    np.testing.assert_array_equal(load_features(path).audio, fs.audio)
 
 
 def test_csv_header_only_error(tmp_path):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import hscmae.diffcore as dc
 
 import reference_ops as ops
-from conftest import arena_param
+from conftest import ARENA_ARRAYS, arena_param, arena_arrays, copy_leaf
 
 
 def keeping_backward(loss):
@@ -253,30 +253,91 @@ def test_primitives_compute_in_float32_and_return_gradients_in_each_inputs_dtype
     assert [pg.dtype for pg in grads] == [p.value.dtype for p in node._parents]
 
 
-def test_float32_leaf_reads_the_arena_mirror_and_accumulates_into_float64():
-    """Without a mirror a float32 leaf holds its own rounded copy of the
-    current value; after ``prepare_step`` it is a view of the mirror."""
+def test_float32_leaf_rounds_the_value_at_every_read_and_accumulates_into_float64():
+    """A float32 leaf holds no array: each read of its value rounds the
+    parameter's current value afresh, its shape is read without rounding,
+    and its gradient accumulates into the float64 ``grad``. No arena keeps
+    a float32 copy of its values, and ``prepare_step`` only zeroes the
+    gradients."""
     arena = dc.ParamArena([("w", (3, 2), True), ("s", (1, 1), False)])
     w = arena.params[0]
     arena.value[...] = np.random.default_rng(2).normal(size=arena.size)
-    assert arena.value32 is None and w.value32 is None  # allocated by the first prepare_step
-    for _ in range(2):
-        leaf = w.tensor(np.float32)
-        assert leaf.value.dtype == np.float32 and not np.shares_memory(leaf.value, arena.value)
-        np.testing.assert_array_equal(leaf.value.view(np.uint32), w.value.astype(np.float32).view(np.uint32))
-        w.value *= 3.0  # the next leaf rounds the new value
-    assert arena.value32 is None
-    arena.prepare_step()
-    np.testing.assert_array_equal(arena.value32, arena.value.astype(np.float32))
     leaf = w.tensor(np.float32)
-    assert leaf.value.dtype == np.float32 and np.shares_memory(leaf.value, arena.value32)
+    assert leaf.shape == (3, 2) and leaf.param is w and leaf.needs_grad
+    for _ in range(2):
+        first, second = leaf.value, leaf.value
+        assert first.dtype == np.float32 and first is not second
+        assert not np.shares_memory(first, arena.value)
+        assert_bits_equal([first, second], [w.value.astype(np.float32)] * 2)
+        w.value *= 3.0  # the next read rounds the new value
+    assert arena_arrays(arena) == ARENA_ARRAYS
+    assert dc.Parameter.__slots__ == ("name", "value", "grad", "adam_m", "adam_v", "decay")
+    arena.grad[...] = 1.0
+    arena.prepare_step()
+    assert not arena.grad.any()
     loss = ops.sum_all(ops.tanh(leaf))
     assert loss.value.dtype == np.float64
     dc.backward(loss)
-    want = 1.0 - np.tanh(w.value32) ** 2
+    want = 1.0 - np.tanh(w.value.astype(np.float32)) ** 2
     assert want.dtype == np.float32
     np.testing.assert_array_equal(w.grad, want.astype(np.float64))
     assert w.grad.dtype == np.float64 and np.shares_memory(w.grad, arena.grad)
+
+
+LEAF_OPS = {
+    "matmul": lambda x, leaves, rng: dc.matmul(x, leaves[0]),
+    "linear": lambda x, leaves, rng: dc.linear(x, *leaves[:2]),
+    "linear_tanh": lambda x, leaves, rng: dc.linear_tanh(x, *leaves[:2]),
+    "encoder_layer": lambda x, leaves, rng: dc.encoder_layer(x, *leaves, None, True, 0.5, rng),
+    "encoder_layer_bn": lambda x, leaves, rng: dc.encoder_layer(
+        x, *leaves, (np.zeros((1, 4)), np.ones((1, 4))), True, 0.0, rng),
+    "encoder_layer_eval": lambda x, leaves, rng: dc.encoder_layer(
+        x, *leaves, (np.zeros((1, 4)), np.ones((1, 4))), False, 0.5, rng),
+    "add_layer_norm": lambda x, leaves, rng: dc.add_layer_norm(x, dc.matmul(x, leaves[0]), *leaves[2:]),
+}
+
+
+@pytest.mark.parametrize("taped_input", [True, False], ids=("taped", "const"))
+@pytest.mark.parametrize("name", sorted(LEAF_OPS))
+def test_ops_read_a_float32_leaf_once_and_keep_no_rounded_weight(monkeypatch, name, taped_input):
+    """Each op reads each float32 leaf once in its forward and keeps none of
+    the rounded arrays but 1 x d norm rows; its backward reads the weight
+    once more, only for the input gradient g @ w.T. Values and gradients
+    are those of leaves holding copies rounded by hand, bit for bit."""
+    rng = np.random.default_rng(4)
+    params = [arena_param(rng.normal(size=shape), name=n)
+              for n, shape in (("w", (4, 4)), ("b", (1, 4)), ("gamma", (1, 4)), ("beta", (1, 4)))]
+    x = dc.Tensor(rng.normal(size=(6, 4)).astype(np.float32), op="param" if taped_input else "const",
+                  param=arena_param(np.zeros((6, 4)), name="x") if taped_input else None)
+    g = rng.normal(size=(6, 4)).astype(np.float32)
+    runs = []
+    for make_leaf in (copy_leaf, dc.Parameter.tensor):
+        node = LEAF_OPS[name](x, [make_leaf(p, np.float32) for p in params], np.random.default_rng(5))
+        runs.append((node.value, list(node._backward(g))))
+    (value, grads), (want_value, want_grads) = runs
+    assert_bits_equal([value] + [a for a in grads if a is not None],
+                      [want_value] + [a for a in want_grads if a is not None])
+
+    reads = []
+    rounded = dc._Float32Leaf.value.fget
+
+    def recording_read(leaf):
+        arr = rounded(leaf)
+        reads.append((leaf.param.name, weakref.ref(arr)))
+        return arr
+
+    monkeypatch.setattr(dc._Float32Leaf, "value", property(recording_read))
+    leaves = [p.tensor(np.float32) for p in params]
+    node = LEAF_OPS[name](x, leaves, np.random.default_rng(5))
+    used = {"matmul": ["w"], "linear": ["w", "b"], "linear_tanh": ["w", "b"],
+            "add_layer_norm": ["w", "gamma", "beta"]}.get(name, ["w", "b", "gamma", "beta"])
+    assert sorted(n for n, _ in reads) == sorted(used)
+    assert [n for n, ref in reads if ref() is not None and n in ("w", "b")] == []
+    del reads[:]
+    node._backward(g)
+    # add_layer_norm's backward needs no weight; its inner matmul has its own
+    assert [n for n, _ in reads] == (["w"] if taped_input and name != "add_layer_norm" else [])
+    assert [n for n, ref in reads if ref() is not None] == []
 
 
 def test_non_finite_forward_rejected():

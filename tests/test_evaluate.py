@@ -21,7 +21,7 @@ from hscmae.evaluate import (_direction_aps, _scored_aps, cross_modal_map, evalu
 from hscmae.trainer import train
 
 from conftest import desk_train_config
-from reference_ops import average_precision
+from reference_ops import average_precision, strided_direction_aps
 
 
 def rank_gallery(sim_row):
@@ -136,6 +136,36 @@ def test_direction_aps_bit_identical_to_loop(data):
                                label="gallery labels")
     assert_matches_loop(sims, query_labels, gallery_labels)
     assert_matches_loop(sims.T, gallery_labels, query_labels)
+
+
+def assert_matches_strided_gather(sims, query_labels, gallery_labels):
+    got = _direction_aps(sims, query_labels, gallery_labels)
+    want = strided_direction_aps(sims, query_labels, gallery_labels)
+    np.testing.assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_direction_aps_bit_identical_to_the_strided_gather(data):
+    """One contiguous copy of each label's query rows gives the APs of
+    gathering from the similarity matrix, or its transpose, at every use."""
+    n = data.draw(st.integers(1, 30), label="queries")
+    g = data.draw(st.integers(1, 30), label="gallery")
+    sims = draw_scores(data, n, g)
+    query_labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 3)), label="query labels")
+    gallery_labels = data.draw(arrays(np.int64, g, elements=st.integers(0, 2)),
+                               label="gallery labels")
+    assert_matches_strided_gather(sims, query_labels, gallery_labels)
+    assert_matches_strided_gather(sims.T, gallery_labels, query_labels)
+
+
+def test_direction_aps_bit_identical_to_the_strided_gather_at_scale():
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 10, 800)
+    sims = np.round(rng.normal(size=(800, 800)), 2)  # ties in most rows
+    assert_matches_strided_gather(sims, labels, labels)
+    assert_matches_strided_gather(sims.T, labels, labels)
 
 
 def two_threads(monkeypatch, queries):

@@ -18,9 +18,10 @@ from hscmae.model import (CheckpointError, ModelConfig, ModelParams, config_entr
 from hscmae.trainer import TrainConfig, train_step
 
 import reference_ops as ops
-from conftest import corrupted, desk_model_config, desk_train_config, tape_nodes, tiny_model_config
-from test_diffcore import (composed_add_layer_norm, composed_encoder_layer, composed_linear_tanh,
-                           keeping_backward)
+from conftest import (ARENA_ARRAYS, arena_arrays, copy_leaf, corrupted, desk_model_config,
+                      desk_train_config, tape_nodes, tiny_model_config)
+from test_diffcore import (assert_bits_equal, composed_add_layer_norm, composed_encoder_layer,
+                           composed_linear_tanh, keeping_backward)
 
 
 def test_config_validation():
@@ -176,7 +177,6 @@ def test_zero_projection_rows_come_out_as_zero_rows():
             p.value[...] = 0.0
     rng = np.random.default_rng(12)
     xa, xv = rng.normal(size=(3, 3)), rng.normal(size=(3, 5))
-    mp.arena.prepare_step()
     taped = forward_embed(mp, dc.const(xa.astype(np.float32)), dc.const(xv.astype(np.float32)),
                           train=True, rng=np.random.default_rng(13))[:2]
     for z in (*(t.value for t in taped), *embed_arrays(mp, xa, xv)):
@@ -234,24 +234,31 @@ def test_embed_arrays_is_float64_whatever_the_input_dtype():
         np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
 
 
-def test_float32_pass_without_a_mirror_rounds_each_value_as_it_reads_it():
-    """A fresh model's arena, like a teacher's or an eval model's, has no
-    float32 mirror, and a float32 pass on it makes none: it gives the bits
-    of the same pass on a copy whose mirror holds the values rounded by
-    hand."""
+@pytest.mark.parametrize("taped", [False, True], ids=("untaped", "taped"))
+def test_float32_pass_gives_the_bits_of_leaves_rounded_by_hand(monkeypatch, taped):
+    """A float32 pass, taped in train mode or untaped in eval mode, gives
+    the values and the parameter gradients of the same pass on leaves that
+    hold copies rounded by hand, bit for bit, and adds no array to the
+    arena."""
     mp = ModelParams(desk_train_config().model, seed=27)
     rng = np.random.default_rng(27)
-    xa, xv = (rng.normal(size=(40, d)).astype(np.float32) for d in (12, 24))
-    rounded = mp.copy()
-    rounded.arena.prepare_step()
-    rounded.arena.value32[...] = mp.arena.value.astype(np.float32)
-    with dc.no_tape():
-        got = forward_embed(mp, dc.const(xa), dc.const(xv), train=False)
-        want = forward_embed(rounded, dc.const(xa), dc.const(xv), train=False)
-    assert mp.arena.value32 is None
-    for z, ref in zip(got, want):
-        assert z.value.dtype == np.float32
-        np.testing.assert_array_equal(z.value.view(np.uint32), ref.value.view(np.uint32))
+    xa, xv = (dc.const(rng.normal(size=(40, d)).astype(np.float32)) for d in (12, 24))
+    runs = []
+    for leaf in (copy_leaf, dc.Parameter.tensor):
+        with monkeypatch.context() as patch:
+            patch.setattr(dc.Parameter, "tensor", leaf)
+            mp.arena.prepare_step()
+            if taped:
+                za, zv, ua, uv = forward_embed(mp, xa, xv, train=True, rng=np.random.default_rng(3))
+                dc.backward(ops.add(ops.sum_all(ops.mul(za, zv)),
+                                    ops.sum_all(ops.mul(decode(mp, ua, uv)[1], xv))))
+                runs.append([za.value, zv.value, mp.arena.grad.copy()])
+            else:
+                with dc.no_tape():
+                    runs.append([z.value for z in forward_embed(mp, xa, xv, train=False)])
+    assert runs[1][0].dtype == np.float32
+    assert_bits_equal(runs[1], runs[0])
+    assert arena_arrays(mp.arena) == ARENA_ARRAYS
 
 
 @pytest.mark.parametrize("config", [
@@ -288,7 +295,6 @@ def test_tape_holds_no_linear_norm_sum_or_dropped_tanh_output(monkeypatch):
     for name, p in mp.params.items():  # so that no norm output equals its normalised values
         if name.endswith((".gamma", ".beta")):
             p.value[...] = rng.uniform(0.5, 1.5, size=p.value.shape)
-    mp.arena.prepare_step()
     xa, xv = (dc.const(rng.normal(size=(40, d)).astype(np.float32)) for d in (12, 24))
 
     made = []
@@ -414,14 +420,14 @@ def test_embed_arrays_refuses_a_row_count_mismatch_as_one_pass_does():
 
 def state_digests(mp, teacher):
     """(kind, name) -> digest of the bits, viewed at each array's item size,
-    of every array a train_step writes: student values, float32 mirror,
-    gradients, float32 Adam moments and buffers, and the teacher's values
-    and buffers."""
+    of every array a train_step writes: student values, gradients, float32
+    Adam moments and buffers, and the teacher's values and buffers. Neither
+    arena holds any other array, such as a float32 copy of its values."""
     arrays = {}
     for name, p in mp.params.items():
-        for kind in ("value", "value32", "grad", "adam_m", "adam_v"):
+        for kind in ("value", "grad", "adam_m", "adam_v"):
             arrays[(kind, name)] = getattr(p, kind)
-    assert teacher.arena.value32 is None
+    assert arena_arrays(mp.arena) == arena_arrays(teacher.arena) == ARENA_ARRAYS
     for who, owner in (("student", mp), ("teacher", teacher)):
         for name, arr in owner.state_entries().items():
             arrays[(who, name)] = arr

@@ -18,7 +18,7 @@ from hscmae.teacher import (anneal_momentum, ema_update, identity_affinities,
                             mine_affinities)
 
 import reference_ops as ops
-from conftest import tiny_model_config
+from conftest import ARENA_ARRAYS, arena_arrays, tiny_model_config
 
 
 def listwise_ema_update(teacher, student, rho):
@@ -51,7 +51,7 @@ def test_ema_bit_identical_to_listwise(config):
         listwise_ema_update(teachers[1], student, rho)
     for (name, a), b in zip(teachers[0].state_entries().items(), teachers[1].state_entries().values()):
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
-    assert teachers[0].arena.value32 is None
+    assert arena_arrays(teachers[0].arena) == ARENA_ARRAYS
     for p in teachers[0].parameters():
         np.testing.assert_array_equal(p.tensor(np.float32).value.view(np.uint32),
                                       p.value.astype(np.float32).view(np.uint32), err_msg=p.name)

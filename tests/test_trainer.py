@@ -35,7 +35,8 @@ from hscmae.trainer import (TrainConfig, _step_seed, epoch_log_rows, load_checkp
                             save_checkpoint, train, train_step)
 
 import reference_ops as ops
-from conftest import corrupted, desk_train_config, tape_nodes, tiny_model_config
+from conftest import (ARENA_ARRAYS, arena_arrays, copy_leaf, corrupted, desk_train_config, tape_nodes,
+                      tiny_model_config)
 from test_diffcore import (composed_add_layer_norm, composed_encoder_layer, composed_linear,
                            composed_linear_tanh, formula_batch_norm, formula_layer_norm)
 from test_losses import composed_distill_loss, composed_rec_loss, composed_total_loss
@@ -101,11 +102,10 @@ def test_teacher_receives_no_gradients():
 
 
 def test_teacher_pass_rounds_the_teachers_values_and_keeps_no_copy():
-    """Every step of a desk training runs its teacher pass on a teacher
-    without a float32 mirror, and that pass gives the bits of the same pass
-    on a copy whose mirror holds the teacher's values rounded by hand. After
-    the training the teacher still has no mirror, and its gradients and
-    Adam moments are all zero."""
+    """Every teacher pass of a desk training gives the bits of the same pass
+    on leaves holding the teacher's values rounded by hand. After the
+    training neither arena holds a float32 copy of its values, and the
+    teacher's gradients and Adam moments are all zero."""
     rng = np.random.default_rng(12)
     view = (rng.normal(size=(100, 12)), rng.normal(size=(100, 24)))
     forward_embed = trainer.forward_embed
@@ -114,12 +114,9 @@ def test_teacher_pass_rounds_the_teachers_values_and_keeps_no_copy():
     def checked_forward_embed(mp, xa, xv, train, rng=None):
         out = forward_embed(mp, xa, xv, train=train, rng=rng)
         if not train:  # the teacher pass
-            assert mp.arena.value32 is None
-            rounded = mp.copy()
-            rounded.arena.prepare_step()
-            rounded.arena.value32[...] = mp.arena.value.astype(np.float32)
-            with dc.no_tape():
-                want = forward_embed(rounded, xa, xv, train=False)
+            with pytest.MonkeyPatch.context() as patch, dc.no_tape():
+                patch.setattr(dc.Parameter, "tensor", copy_leaf)
+                want = forward_embed(mp, xa, xv, train=False)
             for z, ref in zip(out, want):
                 np.testing.assert_array_equal(z.value.view(np.uint32), ref.value.view(np.uint32))
             passes.append(mp)
@@ -130,16 +127,16 @@ def test_teacher_pass_rounds_the_teachers_values_and_keeps_no_copy():
         result = train(view, desk_train_config(seed=12, epochs=3, batch_size=50))
     assert len(passes) == 6 and all(t is result.teacher for t in passes)
     arena = result.teacher.arena
-    assert arena.value32 is None and all(p.value32 is None for p in arena.params)
+    assert arena_arrays(arena) == arena_arrays(result.params.arena) == ARENA_ARRAYS
     assert not (arena.grad.any() or arena.adam_m.any() or arena.adam_v.any())
 
 
 def test_arena_bytes_per_parameter():
-    """Memory guard: a trained arena holds 28 bytes per parameter (value and
-    gradient 8 each, Adam moments and mirror 4 each), and training writes
-    8 bytes per parameter of the EMA teacher's (its values): its gradients
-    and moments are made read-only, so a step that writes them fails, and
-    their zero pages are never mapped; it gains no float32 mirror."""
+    """Memory guard: a trained arena holds 24 bytes per parameter (value and
+    gradient 8 each, Adam moments 4 each) and no float32 copy of its values,
+    and training writes 8 bytes per parameter of the EMA teacher's (its
+    values): its gradients and moments are made read-only, so a step that
+    writes them fails, and their zero pages are never mapped."""
     cfg = desk_train_config(seed=13)
     rng = np.random.default_rng(13)
     mp = ModelParams(cfg.model, seed=13)
@@ -155,8 +152,9 @@ def test_arena_bytes_per_parameter():
     def bytes_per_parameter(arena, kinds):
         return sum(getattr(arena, kind).nbytes for kind in kinds) / arena.size
 
-    assert bytes_per_parameter(mp.arena, ("value", "grad", "adam_m", "adam_v", "value32")) == 28
-    assert bytes_per_parameter(teacher.arena, ("value",)) == 8 and teacher.arena.value32 is None
+    assert arena_arrays(mp.arena) == arena_arrays(teacher.arena) == ARENA_ARRAYS
+    assert bytes_per_parameter(mp.arena, ("value", "grad", "adam_m", "adam_v")) == 24
+    assert bytes_per_parameter(teacher.arena, ("value",)) == 8
     assert not any(getattr(teacher.arena, kind).any() for kind in unwritten)
 
 
@@ -234,14 +232,12 @@ def test_train_step_rejects_single_sample():
 
 
 def state_digest(*models):
-    """SHA-256 over every value, float32 mirror (a teacher has none),
-    gradient, Adam moment and buffer."""
+    """SHA-256 over every value, gradient, Adam moment and buffer."""
     h = hashlib.sha256()
     for mp in models:
         for p in mp.parameters():
-            for arr in (p.value, p.value32, p.grad, p.adam_m, p.adam_v):
-                if arr is not None:
-                    h.update(arr.tobytes())
+            for arr in (p.value, p.grad, p.adam_m, p.adam_v):
+                h.update(arr.tobytes())
         for b in mp.buffers.values():
             h.update(b.tobytes())
     return h.hexdigest()
@@ -385,7 +381,6 @@ def test_no_array_of_the_masked_tape_is_alive_when_the_clean_pass_starts(monkeyp
 
     def recording_backward(loss):
         if not refs:  # the masked tape
-            kept.append(mp.arena.value32)
             for tensor, held in tape_nodes(loss):
                 refs.append(weakref.ref(tensor))
                 for arr in (tensor.value, *held):
@@ -405,6 +400,67 @@ def test_no_array_of_the_masked_tape_is_alive_when_the_clean_pass_starts(monkeyp
     train_step(mp, mp.copy(), xa, xv, cfg, 6, 5, 1e-3, 0.99, 1)
     (recorded, alive), = checked
     assert recorded > 100 and alive == []
+
+
+def test_no_rounded_weight_outlives_the_op_or_the_closure_that_read_it(monkeypatch):
+    """Every array a float32 leaf's value returns during a desk train_step,
+    in the masked, teacher and clean passes, is freed once the op that read
+    it returns; only the 1 x d norm rows a taped layer keeps live on, and
+    they are freed once its closure has run, as is the weight it rounds
+    again there. Checked with weakrefs, without a garbage collection."""
+    reads, checked = [], Counter()
+    rounded = dc._Float32Leaf.value.fget
+
+    def recording_read(leaf):
+        arr = rounded(leaf)
+        reads.append(weakref.ref(arr))
+        return arr
+
+    def watched(name, op):
+        def run(*args):
+            start = len(reads)
+            node = op(*args)
+            kept = [ref for ref in reads[start:] if ref() is not None]
+            assert start < len(reads) and all(ref().shape[0] == 1 for ref in kept), name
+            if node._backward is None:  # the untaped teacher pass
+                assert kept == [], name
+                checked[name, "untaped"] += 1
+                return node
+            closure = [node._backward]
+
+            def backward_then_check(g):
+                first = len(reads)
+                fn = closure.pop()
+                grads = fn(g)
+                del fn
+                assert [ref for ref in kept + reads[first:] if ref() is not None] == [], name
+                checked[name, "taped"] += 1
+                return grads
+
+            node._backward = backward_then_check
+            return node
+        return run
+
+    monkeypatch.setattr(dc._Float32Leaf, "value", property(recording_read))
+    for name in ("matmul", "linear", "encoder_layer", "linear_tanh", "add_layer_norm"):
+        monkeypatch.setattr(dc, name, watched(name, getattr(dc, name)))
+    cfg = desk_train_config(seed=14)
+    rng = np.random.default_rng(14)
+    mp = ModelParams(cfg.model, seed=14)
+    train_step(mp, mp.copy(), rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
+               6, 5, 1e-3, 0.99, 1)
+    # per pass: 6 encoder layers, 4 fusion matmuls, 2 residuals, 2
+    # projections; the masked pass adds 4 decoder hidden and 2 output layers
+    assert checked == {("encoder_layer", "taped"): 12, ("matmul", "taped"): 8,
+                       ("add_layer_norm", "taped"): 4, ("linear", "taped"): 6,
+                       ("linear_tanh", "taped"): 4, ("encoder_layer", "untaped"): 6,
+                       ("matmul", "untaped"): 4, ("add_layer_norm", "untaped"): 2,
+                       ("linear", "untaped"): 2}
+    # 36 forward reads per pass (4 per encoder layer, 1 per matmul, 2 per
+    # residual and projection), 12 by the decoders; 26 backward reads, one
+    # per taped op whose input needs a gradient, every one but the residuals
+    # and the 4 first layers
+    assert len(reads) == 3 * 36 + 12 + 26 and [ref for ref in reads if ref() is not None] == []
 
 
 def test_multi_block_train_step_byte_identical_on_one_and_two_workers(monkeypatch):
@@ -513,7 +569,7 @@ def test_student_passes_run_in_float32_and_the_loss_heads_in_float64(monkeypatch
     teacher = mp.copy()
     train_step(mp, teacher, rng.normal(size=(32, 12)), rng.normal(size=(32, 24)), cfg,
                cfg.warmup_epochs + 1, 5, 1e-3, 0.99, 1)
-    assert mp.arena.value32.dtype == np.float32 and teacher.arena.value32 is None
+    assert arena_arrays(mp.arena) == arena_arrays(teacher.arena) == ARENA_ARRAYS
     trunk = {(op, dtype) for op, shape, dtype, taped in values if taped and shape != (1, 1)}
     scalars = {(op, dtype) for op, shape, dtype, taped in values if taped and shape == (1, 1)}
     untaped = {(op, dtype) for op, shape, dtype, taped in values if not taped}
